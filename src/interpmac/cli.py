@@ -2,7 +2,8 @@
 catalog, manage the disk cache.
 
 Exit codes: 0 success, 1 identity failure, 2 usage error,
-3 specialization collision.
+3 specialization collision, 141 (128 + SIGPIPE) when the reader closes
+standard output early, as in `interpmac check all --json | head`.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def _emit_report(report_data: dict, as_json: bool, timings: bool):
         rep = dict(rep)
         rep["elapsed_ms"] = round(report_data["elapsed_ms"], 3)
     if as_json:
-        print(dumps_canonical(rep))
+        print(dumps_canonical(rep), flush=True)
     else:
         status = "ok  " if report_data["passed"] else "FAIL"
         line = f"{status} {rep['id']:22s} instances={rep['instances']}"
@@ -231,7 +232,7 @@ def _emit_report(report_data: dict, as_json: bool, timings: bool):
         if not report_data["passed"]:
             first = rep["failures"][0]
             line += f"  first failure: {first['instance']}"
-        print(line)
+        print(line, flush=True)
 
 
 def cmd_check(args) -> int:
@@ -241,6 +242,8 @@ def cmd_check(args) -> int:
             raise UsageError(f"unknown check id {check_id!r}")
     n = args.n
     d = args.deg if args.deg is not None else (4 if n <= 2 else 3)
+    if d < 0:
+        raise UsageError(f"--deg must be >= 0, got {d}")
     qt, r = _check_configs(args)
     qt_args = None if qt.symbolic else tuple(
         Fraction(v) for _, v in sorted(qt.assignments))
@@ -249,7 +252,8 @@ def cmd_check(args) -> int:
 
     all_passed = True
     if args.jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        try:
             futures = [pool.submit(_report_worker, cid, n, d, str(args.seed),
                                    qt_args, r_args, cache_dir)
                        for cid in ids]
@@ -257,6 +261,9 @@ def cmd_check(args) -> int:
                 data = future.result()
                 _emit_report(data, args.json, args.timings)
                 all_passed = all_passed and data["passed"]
+        finally:
+            # on an early exit (closed pipe, interrupt) start no more checks
+            pool.shutdown(cancel_futures=True)
     else:
         cache = FamilyCache(cache_dir)
         for check_id in ids:
@@ -313,7 +320,14 @@ def main(argv=None) -> int:
             code = cmd_list_checks(args)
         else:
             code = cmd_cache(args)
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, including the
+        # interpreter's final flush, to devnull and stop quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a process killed by the signal
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution)
-from .scalars import Scalar
+from .scalars import Scalar, evaluate_laurent
 from .shapes import Permutation, SpectralPoint
 
 
@@ -160,33 +160,16 @@ class LaurentPoly:
     # -- evaluation and substitution -------------------------------------------------
 
     def evaluate(self, point) -> Scalar:
-        """Exact value at a SpectralPoint or sequence of Scalars."""
+        """Exact value at a SpectralPoint or sequence of Scalars.
+
+        No term is reduced on its own: the terms are summed over one
+        common denominator and the sum is reduced once (see
+        scalars.evaluate_laurent), which gives the same canonical form as
+        a term-by-term sum."""
         coords = tuple(point.coords if isinstance(point, SpectralPoint) else point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")
-        if not self.terms:
-            return coords[0] - coords[0] if coords else Scalar.zero()
-        powers: dict = {}
-
-        def power(i: int, k: int) -> Scalar:
-            key = (i, k)
-            v = powers.get(key)
-            if v is None:
-                if k < 0 and coords[i].is_zero():
-                    raise DivisionByZero(
-                        f"zero coordinate x_{i+1} at negative exponent")
-                v = coords[i] ** k
-                powers[key] = v
-            return v
-
-        total = None
-        for e, c in self.terms.items():
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            total = term if total is None else total + term
-        return total
+        return evaluate_laurent(self.terms, coords)
 
     def permute_vars(self, w: Permutation) -> "LaurentPoly":
         """(w.f)(x) = f at the w-permuted variables: exponent vectors
@@ -355,21 +338,3 @@ def negate_shift_all(f: LaurentPoly, c: Scalar) -> LaurentPoly:
     """f(-x_1 - c, ..., -x_n - c)."""
     one = c.__class__.one(c.gens)
     return f.affine_substitute({i: (-one, i, -c) for i in range(1, f.n + 1)})
-
-
-def lift_coefficients(f: LaurentPoly, gens: tuple) -> LaurentPoly:
-    """Embed every coefficient into a larger generator set."""
-    return LaurentPoly(f.n, {e: c.lift(gens) for e, c in f.terms.items()},
-                       _clean=True)
-
-
-def clear_denominators(f: LaurentPoly, one: Scalar) -> tuple:
-    """(P, c) with f = P / c, P having polynomial coefficients and c the
-    accumulated least common denominator."""
-    c = one
-    for coeff in f.terms.values():
-        g = coeff * c
-        if not g.is_polynomial():
-            c = c * Scalar(g.gens, g.den, {(0,) * len(g.gens): 1},
-                           _canonical=True)
-    return f.scale(c), c

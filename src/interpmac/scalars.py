@@ -303,6 +303,21 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     return g
 
 
+def _lift_terms(terms: Terms, pos: Sequence[int], k: int) -> Terms:
+    """Re-index exponents into k generators, old generator j going to
+    position pos[j]."""
+    if all(p == j for j, p in enumerate(pos)):
+        pad = (0,) * (k - len(pos))
+        return {e + pad: c for e, c in terms.items()}
+    out = {}
+    for e, c in terms.items():
+        ne = [0] * k
+        for p, x in zip(pos, e):
+            ne[p] = x
+        out[tuple(ne)] = c
+    return out
+
+
 def _lift_terms_mul(sub: Terms) -> Terms:
     """Embed a (k-1)-generator poly as a degree-0 poly in the k-th one."""
     return {e + (0,): c for e, c in sub.items()}
@@ -391,17 +406,11 @@ class Scalar:
             raise UsageError(f"cannot lift {self.gens} into {gens}")
         pos = [gens.index(g) for g in self.gens]
         k = len(gens)
-
-        def conv(terms: Terms) -> Terms:
-            out = {}
-            for e, c in terms.items():
-                ne = [0] * k
-                for p, x in zip(pos, e):
-                    ne[p] = x
-                out[tuple(ne)] = c
-            return out
-
-        return Scalar(gens, conv(self.num), conv(self.den), _canonical=True)
+        num, den = _lift_terms(self.num, pos, k), _lift_terms(self.den, pos, k)
+        if pos != sorted(pos) and _leading_coeff(den) < 0:
+            # reordering generators can move the graded-lex leading term
+            num, den = _dict_neg(num), _dict_neg(den)
+        return Scalar(gens, num, den, _canonical=True)
 
     def _pair(self, other) -> tuple["Scalar", "Scalar"]:
         if isinstance(other, Scalar):
@@ -514,10 +523,26 @@ class Scalar:
         return a.num == b.num and a.den == b.den
 
     def __hash__(self):
+        # equality lifts both sides to a common generator set, so hash a
+        # key free of unused generators and of their order (with the sign
+        # normalized for the order the key uses); rationals hash like the
+        # Fraction they equal
         if self._hash is None:
-            self._hash = hash((self.gens,
-                               frozenset(self.num.items()),
-                               frozenset(self.den.items())))
+            used = sorted({i for t in (self.num, self.den) for e in t
+                           for i, x in enumerate(e) if x},
+                          key=lambda i: self.gens[i])
+            if not used:
+                self._hash = hash(Fraction(next(iter(self.num.values()), 0),
+                                           next(iter(self.den.values()))))
+            else:
+                num, den = ({tuple(e[i] for i in used): c
+                             for e, c in t.items()}
+                            for t in (self.num, self.den))
+                sign = 1 if _leading_coeff(den) > 0 else -1
+                self._hash = hash((
+                    tuple(self.gens[i] for i in used),
+                    frozenset((e, sign * c) for e, c in num.items()),
+                    frozenset((e, sign * c) for e, c in den.items())))
         return self._hash
 
     # -- specialization and substitutions -------------------------------------
@@ -632,6 +657,170 @@ def _reduce_parts(gens: tuple, num: Terms, den: Terms) -> tuple:
     if _leading_coeff(den) < 0:
         num, den = _dict_neg(num), _dict_neg(den)
     return gens, num, den
+
+
+def _common_gens(values: Sequence[Scalar]) -> tuple:
+    """The generator set the arithmetic operators would leave on a
+    combination of values: their shared tuple, or the union in GEN_ORDER."""
+    gens = values[0].gens
+    if any(v.gens != gens for v in values):
+        used = {g for v in values for g in v.gens}
+        gens = tuple(g for g in GEN_ORDER if g in used)
+    return gens
+
+
+def _lcm_pieces(dens: Iterable[Terms], k: int) -> list:
+    """Factors whose product is the lcm of dens: each denominator enters
+    with what the earlier factors do not already cover."""
+    unit = _dict_const(1, k)
+    pieces: list = []
+    for d in dens:
+        for p in pieces:
+            if d == unit:
+                break
+            g = _poly_gcd(p, d, k)
+            if g != unit:
+                d = _dict_divexact(d, g, k)
+        if d != unit:
+            pieces.append(d)
+    return pieces
+
+
+def _dict_prod(factors: Iterable[Terms], k: int) -> Terms:
+    out = _dict_const(1, k)
+    for f in factors:
+        out = _dict_mul(out, f)
+    return out
+
+
+def clear_denominators(values: Sequence[Scalar], gens: tuple) -> tuple:
+    """(nums, pieces) with values[j] == nums[j] / prod(pieces) over gens:
+    every nums[j] is an integer polynomial and the product of the pieces
+    is the lcm of the denominators.  Gcds run only between distinct
+    denominators."""
+    k = len(gens)
+    unit = _dict_const(1, k)
+    lifted = [v.lift(gens) for v in values]
+    dens: dict = {}
+    for v in lifted:
+        dens.setdefault(frozenset(v.den.items()), v.den)
+    pieces = _lcm_pieces(dens.values(), k)
+    lcm = _dict_prod(pieces, k)
+    cofactor = {key: _dict_divexact(lcm, d, k) for key, d in dens.items()}
+    nums = []
+    for v in lifted:
+        c = cofactor[frozenset(v.den.items())]
+        nums.append(v.num if c == unit else _dict_mul(v.num, c))
+    return nums, pieces
+
+
+def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
+    """Canonical num / prod(pieces), with one gcd per distinct piece:
+    dividing num and a piece by their gcd leaves them coprime, and a
+    piece coprime to num stays coprime to every later, smaller num, so
+    one pass leaves num coprime to the product."""
+    k = len(gens)
+    unit = _dict_const(1, k)
+    if not num:
+        return Scalar.zero(gens)
+    coprime = set()
+    kept = []
+    for p in pieces:
+        key = frozenset(p.items())
+        if key not in coprime:
+            g = _poly_gcd(num, p, k)
+            if g == unit:
+                coprime.add(key)
+            else:
+                num = _dict_divexact(num, g, k)
+                p = _dict_divexact(p, g, k)
+        kept.append(p)
+    den = _dict_prod(kept, k)
+    if _leading_coeff(den) < 0:
+        num, den = _dict_neg(num), _dict_neg(den)
+    return Scalar(gens, num, den, _canonical=True)
+
+
+def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
+    """acc += a * b, in place."""
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
+def evaluate_laurent(terms: Mapping[tuple, Scalar],
+                     coords: Sequence[Scalar]) -> Scalar:
+    """Exact value of sum_e terms[e] * prod_i coords[i]**e[i] over
+    integer exponent vectors e, with one reduction.
+
+    The coefficients are put over L, the lcm of their denominators, and
+    each coordinate x_i = u_i/v_i is cleared by u_i^(-s_i) v_i^(T_i), with
+    s_i <= 0 <= T_i the lowest and highest exponent of x_i.  Every term
+    becomes the integer polynomial num*(L/den) * prod_i u_i^(e_i-s_i)
+    v_i^(T_i-e_i); their sum over L * prod_i u_i^(-s_i) v_i^(T_i) is
+    reduced once, by one gcd per factor of that denominator.  The result
+    lives on the generator set the term-by-term sum would have: that of
+    the coefficients and of every coordinate raised to a nonzero power.
+    A constant polynomial returns its coefficient.
+    """
+    if not terms:
+        return Scalar.zero(coords[0].gens if coords else ())
+    n = len(coords)
+    lo, hi = [0] * n, [0] * n
+    for e in terms:
+        for i, x in enumerate(e):
+            if x < lo[i]:
+                lo[i] = x
+            elif x > hi[i]:
+                hi[i] = x
+    active = [i for i in range(n) if lo[i] or hi[i]]
+    if not active:
+        return next(iter(terms.values()))
+    for i in active:
+        if lo[i] < 0 and coords[i].is_zero():
+            raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
+    coeffs = list(terms.values())
+    gens = _common_gens(coeffs + [coords[i] for i in active])
+    k = len(gens)
+    unit = _dict_const(1, k)
+    nums, pieces = clear_denominators(coeffs, gens)
+
+    # factor[i][x] = u_i^(x - s_i) * v_i^(T_i - x), built from power tables
+    lifted = {i: coords[i].lift(gens) for i in active}
+    factor: dict = {}
+    for i, x in lifted.items():
+        s, top = lo[i], hi[i]
+        upow, vpow = [unit], [unit]
+        for _ in range(top - s):
+            upow.append(_dict_mul(upow[-1], x.num))
+            vpow.append(_dict_mul(vpow[-1], x.den))
+        factor[i] = {p: _dict_mul(upow[p - s], vpow[top - p])
+                     for p in range(s, top + 1)}
+
+    # products of the factors, shared between terms with a common prefix
+    # of exponents on the active coordinates
+    mono: dict = {(): unit}
+    total: Terms = {}
+    for e, num in zip(terms, nums):
+        key = tuple(e[i] for i in active)
+        m = mono.get(key)
+        if m is None:
+            j = len(key) - 1
+            while key[:j] not in mono:
+                j -= 1
+            m = mono[key[:j]]
+            for j in range(j, len(key)):
+                m = _dict_mul(m, factor[active[j]][key[j]])
+                mono[key[:j + 1]] = m
+        _dict_addmul(total, num, m)
+    for i, x in lifted.items():
+        pieces += [x.num] * -lo[i] + [x.den] * hi[i]
+    return _reduce_over(gens, total, pieces)
 
 
 def reduce(num: Scalar, den: Scalar) -> Scalar:

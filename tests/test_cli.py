@@ -176,3 +176,25 @@ def test_jobs_output_matches_serial():
                               text=True)
     assert serial.returncode == 0 and parallel.returncode == 0
     assert serial.stdout == parallel.stdout
+
+
+def test_check_negative_degree_is_usage_error(capsys):
+    code, out, err = run_cli(["check", "all", "--n", "1", "--deg", "-1",
+                              "--json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--deg" in err
+
+
+def test_check_closed_pipe_exits_quietly():
+    cmd = [sys.executable, "-m", "interpmac", "check", "all", "--n", "2",
+           "--deg", "3", "--json"]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert json.loads(first)["id"] == "hecke-quadratic"
+    assert "Traceback" not in err and "BrokenPipe" not in err

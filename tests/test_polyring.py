@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interpmac.errors import (DegreeError, DimensionError, DivisionByZero,
                               UnsupportedSubstitution)
-from interpmac.polyring import (LaurentPoly, clear_denominators,
-                                exact_div_check, negate_shift_all, scale_all,
-                                shift_all)
-from interpmac.scalars import Scalar, qt_config, r_config
-from interpmac.shapes import Permutation, tau_point
+from interpmac.polyring import (LaurentPoly, exact_div_check,
+                                negate_shift_all, scale_all, shift_all)
+from interpmac.scalars import (Scalar, clear_denominators, dumps_canonical,
+                               qt_config, r_config)
+from interpmac.shapes import (Permutation, reciprocal_point, spectral_qt,
+                              spectral_r, tau_point)
 
 QT = qt_config()
 R = r_config()
@@ -36,6 +39,13 @@ def test_evaluate_zero_at_negative_power():
     f = LaurentPoly.monomial(2, (-1, 0), ONE)
     with pytest.raises(DivisionByZero):
         f.evaluate((QT.zero(), QT.one()))
+    # (0, 0)-bar = rho = (0, -r): its zero coordinate only at a negative power
+    rho = spectral_r((0, 0), R)
+    g = LaurentPoly(2, {(-1, 1): R.one(), (0, 2): R.gen("r")})
+    with pytest.raises(DivisionByZero):
+        g.evaluate(rho)
+    h = LaurentPoly(2, {(1, 1): R.one(), (0, 2): R.gen("r")})
+    assert h.evaluate(rho) == R.gen("r") ** 3
 
 
 def test_evaluate_homomorphism():
@@ -149,10 +159,108 @@ def test_shift_and_scale_helpers():
 def test_clear_denominators():
     tinv = QT.gen_power("t", -1)
     f = x(1).scale(tinv) + x(2).scale(QT.gen("q") / (QT.gen("t") + 1))
-    cleared, mult = clear_denominators(f, QT.one())
-    assert cleared == f.scale(mult)
-    for c in cleared.terms.values():
-        assert c.is_polynomial()
+    gens = QT.gens()
+    nums, pieces = clear_denominators(list(f.terms.values()), gens)
+    unit = {(0, 0): 1}
+    c = QT.one()
+    for p in pieces:
+        c = c * Scalar(gens, p, unit)
+    assert c == QT.gen("t") * (QT.gen("t") + 1)
+    cleared = LaurentPoly(f.n, {e: Scalar(gens, num, unit)
+                                for e, num in zip(f.terms, nums)})
+    assert f == cleared.scale(c.invert())
+    for coeff in cleared.terms.values():
+        assert coeff.is_polynomial()
+
+
+# -- evaluate against a term-by-term reference -----------------------------------
+
+def _evaluate_termwise(f, coords):
+    """Reference value: one reduced Scalar operation per term."""
+    if not f.terms:
+        return coords[0] - coords[0] if coords else Scalar.zero()
+    total = None
+    for e, c in f.terms.items():
+        term = c
+        for i, k in enumerate(e):
+            if k:
+                if k < 0 and coords[i].is_zero():
+                    raise DivisionByZero("zero coordinate at negative exponent")
+                term = term * coords[i] ** k
+        total = term if total is None else total + term
+    return total
+
+
+A = Scalar.generator("a", ("a",))
+QT_SPEC = qt_config(2, 3)
+
+# coefficient fields: the generator sets coefficients are drawn from, and
+# the spectral points (before inversion) the coordinates come from
+EVAL_FIELDS = {
+    "Q": ([()], lambda v: spectral_qt(v, QT_SPEC)),
+    "Q(r)": ([(), ("r",)], lambda v: spectral_r(v, R)),
+    "Q(q,t)": ([(), ("q",), ("t",), ("q", "t")], lambda v: spectral_qt(v, QT)),
+    "Q(r,a)": ([(), ("r",), ("a",), ("r", "a")],
+               lambda v: spectral_r(v, R).shift(A)),
+}
+
+
+@st.composite
+def small_scalars(draw, gens):
+    k = len(gens)
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * k),
+                           st.integers(-3, 3), max_size=3)
+    num = {e: c for e, c in draw(poly).items() if c}
+    den = {e: c for e, c in draw(poly).items() if c} or {(0,) * k: 1}
+    return Scalar(gens, num, den)
+
+
+@st.composite
+def evaluation_cases(draw):
+    coeff_gens, point = EVAL_FIELDS[draw(st.sampled_from(sorted(EVAL_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n), max_size=5,
+                         unique=True))
+    terms = {e: draw(small_scalars(draw(st.sampled_from(coeff_gens))))
+             for e in exps}
+    v = draw(st.tuples(*[st.integers(0, 3)] * n))
+    coords = point(v).coords
+    if draw(st.booleans()):  # mixed generator sets: shift some by a
+        coords = tuple(c + A if draw(st.booleans()) else c for c in coords)
+    if draw(st.booleans()):  # the bar-inv point
+        coords = tuple(c if c.is_zero() else c.invert() for c in coords)
+    return LaurentPoly(n, terms), coords
+
+
+def _outcome(fn, f, coords):
+    try:
+        return fn(f, coords)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(evaluation_cases())
+def test_evaluate_matches_termwise(case):
+    f, coords = case
+    want = _outcome(_evaluate_termwise, f, coords)
+    got = _outcome(LaurentPoly.evaluate, f, coords)
+    if want is DivisionByZero or got is DivisionByZero:
+        assert got is want
+        return
+    assert got == want
+    assert got.gens == want.gens
+    assert dumps_canonical(got.to_json()) == dumps_canonical(want.to_json())
+
+
+def test_evaluate_zero_and_constant_polynomials():
+    pt = reciprocal_point(spectral_r((1, 2), R)).shift(A)
+    assert LaurentPoly.zero(2).evaluate(pt).gens == pt.coords[0].gens
+    assert LaurentPoly.zero(2).evaluate(pt) == _evaluate_termwise(
+        LaurentPoly.zero(2), pt.coords)
+    c = R.gen("r") / (R.gen("r") + 3)
+    assert LaurentPoly.constant(2, c).evaluate(pt) is c
+
 
 
 def test_json_round_trip_and_term_order():

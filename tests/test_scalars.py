@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interpmac.errors import (DivisionByZero, SpecializationCollision,
                               UsageError)
-from interpmac.scalars import (FieldConfig, Scalar, dumps_canonical,
-                               qt_config, r_config, with_a)
+from interpmac.scalars import (GEN_ORDER, FieldConfig, Scalar,
+                               dumps_canonical, qt_config, r_config, with_a)
 
 GENS = ("q", "t")
 Q = Scalar.generator("q", GENS)
@@ -23,6 +25,18 @@ def test_reduce_exact_division():
     assert (Q * Q - ONE) / (Q - ONE) == Q + ONE
     from interpmac.scalars import reduce as reduce_fraction
     assert reduce_fraction(Q * Q - ONE, Q - ONE) == Q + ONE
+
+
+def test_hash_agrees_with_equality():
+    assert Scalar.one(()) == Scalar.one(("r",))
+    assert len({Scalar.one(()), Scalar.one(("r",))}) == 1
+    q_alone = Scalar.generator("q", ("q",))
+    assert q_alone == Q and hash(q_alone) == hash(Q)
+    reordered = Scalar.generator("q", ("t", "q")) / (T + ONE)
+    assert reordered == Q / (T + ONE)
+    assert hash(reordered) == hash(Q / (T + ONE))
+    assert hash(rational(3, 4)) == hash(Fraction(3, 4))
+    assert len({ZERO, Scalar.zero(), Fraction(0)}) == 1
 
 
 def test_reduce_zero_numerator():
@@ -168,6 +182,32 @@ def test_lift_and_mixed_gens():
     assert s.gens == ("r", "a")
     assert s - a == r.lift(("r", "a"))
     assert (Q + r).gens == ("q", "t", "r")
+
+
+@st.composite
+def _lifted_pairs(draw):
+    """A reduced scalar over a subset of (q, t, r) and its lift into the
+    same generators reordered and padded with an unused one."""
+    gens = tuple(g for g in ("q", "t", "r") if draw(st.booleans()))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(gens)),
+                           st.integers(-3, 3), max_size=3)
+    num = {e: c for e, c in draw(poly).items() if c}
+    den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(gens): 1}
+    x = Scalar(gens, num, den)
+    wide = tuple(reversed(gens)) + ("a",)
+    return x, x.lift(tuple(g for g in GEN_ORDER if g in wide)), wide
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_lifted_pairs())
+def test_hash_survives_lifting(pair):
+    x, lifted, wide = pair
+    reordered = Scalar(wide, *[{tuple(e[lifted.gens.index(g)] for g in wide): c
+                                for e, c in t.items()}
+                               for t in (lifted.num, lifted.den)])
+    assert x == lifted == reordered
+    assert hash(x) == hash(lifted) == hash(reordered)
+    assert len({x, lifted, reordered}) == 1
 
 
 def test_serialization_round_trip():
