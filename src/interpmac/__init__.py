@@ -14,6 +14,7 @@ from .polyring import LaurentPoly
 from .scalars import FieldConfig, Scalar, qt_config, r_config
 from .shapes import (CellStats, Permutation, SpectralPoint, contains,
                      diagram_stats, dominant_sort, enumerate_compositions,
-                     partitions_upto, spectral_qt, spectral_r, tilde)
+                     partitions_upto, spectral_qt, spectral_r)
+from .variant import tilde
 
 __version__ = "0.1.0"

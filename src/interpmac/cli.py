@@ -43,6 +43,22 @@ def _index(text: str) -> tuple:
                          f"integers") from exc
 
 
+# options taking an exact rational, which may be negative
+RATIONAL_OPTIONS = ("--q", "--t", "--r", "--a")
+
+
+def _attach_rational_values(argv: list) -> list:
+    """Rewrite `--r -1/2` as `--r=-1/2`: argparse reads a value that
+    starts with '-' and is not a plain number as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in RATIONAL_OPTIONS and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="interpmac",
@@ -206,15 +222,16 @@ def _check_configs(args) -> tuple:
     return qt, r
 
 
-def _report_worker(check_id: str, n: int, d: int, seed: str,
-                   qt_args: tuple, r_args, cache_dir) -> dict:
-    qt = qt_config(*qt_args) if qt_args else qt_config()
-    r = r_config(r_args) if r_args is not None else r_config()
-    cache = FamilyCache(cache_dir)
-    report = run_check(check_id, n, d, seed=seed, cache=cache, qt=qt, r=r)
+def _report_data(report) -> dict:
     return {"report": report.to_json(include_timing=False),
             "elapsed_ms": report.elapsed_ms,
             "passed": report.passed}
+
+
+def _report_worker(check_id: str, n: int, d: int, seed: str,
+                   qt: FieldConfig, r: FieldConfig, cache_dir) -> dict:
+    return _report_data(run_check(check_id, n, d, seed=seed, qt=qt, r=r,
+                                  cache=FamilyCache(cache_dir)))
 
 
 def _emit_report(report_data: dict, as_json: bool, timings: bool):
@@ -245,9 +262,6 @@ def cmd_check(args) -> int:
     if d < 0:
         raise UsageError(f"--deg must be >= 0, got {d}")
     qt, r = _check_configs(args)
-    qt_args = None if qt.symbolic else tuple(
-        Fraction(v) for _, v in sorted(qt.assignments))
-    r_args = None if r.symbolic else Fraction(dict(r.assignments)["r"])
     cache_dir = _cache_dir(args)
 
     all_passed = True
@@ -255,7 +269,7 @@ def cmd_check(args) -> int:
         pool = ProcessPoolExecutor(max_workers=args.jobs)
         try:
             futures = [pool.submit(_report_worker, cid, n, d, str(args.seed),
-                                   qt_args, r_args, cache_dir)
+                                   qt, r, cache_dir)
                        for cid in ids]
             for future in futures:
                 data = future.result()
@@ -267,13 +281,10 @@ def cmd_check(args) -> int:
     else:
         cache = FamilyCache(cache_dir)
         for check_id in ids:
-            report = run_check(check_id, n, d, seed=str(args.seed),
-                               cache=cache, qt=qt, r=r)
-            data = {"report": report.to_json(include_timing=False),
-                    "elapsed_ms": report.elapsed_ms,
-                    "passed": report.passed}
+            data = _report_data(run_check(check_id, n, d, seed=str(args.seed),
+                                          cache=cache, qt=qt, r=r))
             _emit_report(data, args.json, args.timings)
-            all_passed = all_passed and report.passed
+            all_passed = all_passed and data["passed"]
     return 0 if all_passed else 1
 
 
@@ -311,7 +322,8 @@ def cmd_cache(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_rational_values(
+            sys.argv[1:] if argv is None else list(argv)))
         if args.command == "compute":
             code = cmd_compute(args)
         elif args.command == "check":

@@ -18,20 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import SpecializationCollision, UsageError
+from .errors import UsageError
 from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             closed_phi, e_top, g_oracle, g_recursive, gplus,
                             gprime, okounkov, okounkov_ratio_parts, r_sym,
-                            rprime, _point)
-from .operators import (hecke, phi_qt, phi_r, sigma_op, sigma_word,
-                        symmetrize, xi_qt, xi_r)
-from .polyring import LaurentPoly, exact_div_check, negate_shift_all, \
-    scale_all, shift_all
+                            reflect, rprime, _point)
+from .operators import hecke, sigma_op, sigma_word, symmetrize
+from .polyring import LaurentPoly, exact_div_check, shift_all
 from .scalars import FieldConfig, Scalar, qt_config, r_config, seeded_rationals
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, rho_point, sharp, spectral_qt,
-                     spectral_r, tau_point, tilde, weight)
+                     spectral_r, tau_point, weight)
+from .variant import tilde, variant
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +64,17 @@ def _show(x) -> str:
 
 
 class CheckContext:
+    """State of one check run.  cfg is the field the check is stated in,
+    the first of its catalog fields."""
+
     def __init__(self, check_id: str, n: int, d: int, qt: FieldConfig,
-                 r: FieldConfig, seed, cache: FamilyCache):
+                 r: FieldConfig, seed, cache: FamilyCache, field: str = "qt"):
         self.check_id = check_id
         self.n = n
         self.d = d
         self.qt = qt
         self.r = r
+        self.cfg = {"qt": qt, "r": r}[field]
         self.seed = seed
         self.cache = cache
         self.rng = random.Random(f"{seed}|{check_id}")
@@ -89,16 +92,15 @@ class CheckContext:
 
     def zero(self, instance: str, value):
         self.instances += 1
-        bad = not (value.is_zero() if hasattr(value, "is_zero") else value == 0)
-        if bad:
+        if not value.is_zero():
             self.failures.append({"instance": instance,
                                   "lhs": _show(value), "rhs": "0"})
 
-    def true(self, instance: str, flag: bool, lhs="false", rhs="true"):
+    def true(self, instance: str, flag: bool):
         self.instances += 1
         if not flag:
             self.failures.append({"instance": instance,
-                                  "lhs": _show(lhs), "rhs": _show(rhs)})
+                                  "lhs": "false", "rhs": "true"})
 
     # -- shared generators ------------------------------------------------------
 
@@ -123,38 +125,26 @@ class CheckContext:
 
     # -- evaluation parameter handling ---------------------------------------------
 
-    def a_symbolic_allowed(self, base: FieldConfig) -> bool:
-        return base.symbolic
-
     def symbolic_a(self, base: FieldConfig) -> Scalar:
         gens = tuple(g for g in ("q", "t", "r") if g in base.gens()) + ("a",)
         self.a_certification = "symbolic"
         return Scalar.generator("a", gens)
 
-    def sampled_a(self, k: int, reject: Optional[Callable] = None) -> list:
-        """k distinct pre-flighted rational values for a."""
+    def a_values(self, base: FieldConfig, k: int,
+                 reject: Optional[Callable] = None) -> list:
+        """Either [symbolic a] or, per the base field, k distinct seeded
+        rationals that reject (the pre-flight) lets through."""
+        if base.symbolic:
+            return [self.symbolic_a(base)]
         vals = []
         stream = seeded_rationals(self.rng)
-        tries = 0
         while len(vals) < k:
             cand = next(stream)
-            tries += 1
-            if tries > 200 * k:
-                raise SpecializationCollision(
-                    "could not pre-flight enough evaluation values")
-            if reject is not None and reject(cand):
-                continue
-            vals.append(cand)
+            if reject is None or not reject(cand):
+                vals.append(Scalar.from_fraction(cand))
         self._max_sampled = max(k, getattr(self, "_max_sampled", 0))
         self.a_certification = f"sampled(k<={self._max_sampled})"
         return vals
-
-    def a_values(self, base: FieldConfig, k: int,
-                 reject: Optional[Callable] = None) -> list:
-        """Either [symbolic a] or k sampled rationals, per the base field."""
-        if self.a_symbolic_allowed(base):
-            return [self.symbolic_a(base)]
-        return [Scalar.from_fraction(v) for v in self.sampled_a(k, reject)]
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +164,28 @@ def _cofactor_products(vals: list) -> list:
     return [pre[i] * suf[i + 1] for i in range(m)]
 
 
+def _check_expansion(ctx: CheckContext, instance: str, lhs: LaurentPoly,
+                     pos: int, terms: list, dens: list):
+    """lhs / dens[pos] == sum_j c_j P_j / dens[j] over terms = [(P_j, c_j)],
+    checked with the denominators cleared: lhs W_pos == sum_j c_j W_j P_j,
+    W_j the product of the dens other than dens[j]."""
+    cof = _cofactor_products(dens)
+    rhs = LaurentPoly.zero(ctx.n)
+    for (p, c), w in zip(terms, cof):
+        rhs = rhs + p.scale(c * w)
+    ctx.eq(instance, lhs * cof[pos], rhs)
+
+
+def _check_nonvanishing(ctx: CheckContext, label: str, down: list,
+                        dens: list):
+    for b, v in zip(down, dens):
+        ctx.true(f"{label}={b}", not v.is_zero())
+
+
 def _down_set(alpha: tuple, n: int) -> list:
     """All beta contained in alpha (beta <= |alpha|), graded-lex order."""
     return [b for b in enumerate_compositions(n, weight(alpha))
             if contains(alpha, b)]
-
-
-def _ones_point(n: int, cfg: FieldConfig) -> tuple:
-    return tuple(cfg.one() for _ in range(n))
 
 
 def _swap(v: tuple, i: int) -> tuple:
@@ -237,90 +241,48 @@ def check_sigma_braid(ctx: CheckContext):
             ctx.eq(f"f#{fi}, sigma({u.word})sigma({v.word})", lhs, rhs)
 
 
-def check_eigen_qt(ctx: CheckContext):
-    cfg = ctx.qt
+def check_eigen(ctx: CheckContext):
+    cfg = ctx.cfg
+    var = variant(cfg)
     for alpha in ctx.compositions():
         g = g_recursive(alpha, cfg, ctx.cache)
-        bar = spectral_qt(alpha, cfg)
+        bar = var.bar(alpha)
         for i in range(1, ctx.n + 1):
-            lhs = xi_qt(i, g, cfg)
-            rhs = g.scale(bar[i - 1].invert())
-            ctx.eq(f"alpha={alpha}, i={i}", lhs, rhs)
+            ctx.eq(f"alpha={alpha}, i={i}", var.xi(i, g),
+                   g.scale(var.eigenvalue(bar, i)))
 
 
-def check_eigen_r(ctx: CheckContext):
-    cfg = ctx.r
-    for alpha in ctx.compositions():
-        g = g_recursive(alpha, cfg, ctx.cache)
-        bar = spectral_r(alpha, cfg)
-        for i in range(1, ctx.n + 1):
-            lhs = xi_r(i, g, cfg)
-            rhs = g.scale(bar[i - 1])
-            ctx.eq(f"alpha={alpha}, i={i}", lhs, rhs)
-
-
-def check_discr_qt(ctx: CheckContext):
-    cfg = ctx.qt
-    t = cfg.gen("t")
-    tpow = cfg.gen_power("t", 1 - ctx.n)
+def check_discr(ctx: CheckContext):
+    cfg = ctx.cfg
+    var = variant(cfg)
+    base = var.base_point(ctx.n)
     fs = ctx.random_polys(cfg, count=2)
     for a in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
         for fi, f in enumerate(fs):
-            pf = phi_qt(f, cfg)
-            hf = [hecke(i, f, cfg) for i in range(1, ctx.n)]
+            pf = var.raise_op(f)
+            xf = [var.exchange_op(i, f) for i in range(1, ctx.n)]
             for v in ctx.compositions():
-                bar = spectral_qt(v, cfg)
-                pt = bar.scale(a)
+                bar = var.bar(v)
+                pt = var.act(bar, a)
                 lhs = pf.evaluate(pt)
-                rhs = (a * bar[-1] - tpow) * f.evaluate(
-                    spectral_qt(sharp(v), cfg).scale(a))
+                # the raising operator's factor x_n - tau_n (x_n - rho_n)
+                rhs = (pt[-1] - base[-1]) * f.evaluate(
+                    var.act(var.bar(sharp(v)), a))
                 ctx.eq(f"raise: f#{fi}, v={v}, a={a}", lhs, rhs)
                 fv = f.evaluate(pt)
                 for i in range(1, ctx.n):
-                    den = bar[i - 1] - bar[i]
-                    lhs = hf[i - 1].evaluate(pt)
-                    rhs = ((t - 1) * bar[i - 1] / den) * fv \
-                        + ((bar[i - 1] - t * bar[i]) / den) * f.evaluate(
-                            spectral_qt(_swap(v, i), cfg).scale(a))
+                    c_v, c_swap = var.discr_exchange(bar, i)
+                    lhs = xf[i - 1].evaluate(pt)
+                    rhs = c_v * fv + c_swap * f.evaluate(
+                        var.act(var.bar(_swap(v, i)), a))
                     ctx.eq(f"exchange: f#{fi}, v={v}, i={i}, a={a}", lhs, rhs)
 
 
-def check_discr_r(ctx: CheckContext):
-    cfg = ctx.r
-    r = cfg.gen("r")
-    fs = ctx.random_polys(cfg, count=2)
-    for a in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
-        for fi, f in enumerate(fs):
-            pf = phi_r(f, cfg)
-            sf = [sigma_op(i, f, cfg) for i in range(1, ctx.n)]
-            for v in ctx.compositions():
-                bar = spectral_r(v, cfg)
-                pt = bar.shift(a)
-                lhs = pf.evaluate(pt)
-                rhs = (a + bar[-1] + r * (ctx.n - 1)) * f.evaluate(
-                    spectral_r(sharp(v), cfg).shift(a))
-                ctx.eq(f"raise: f#{fi}, v={v}", lhs, rhs)
-                fv = f.evaluate(pt)
-                for i in range(1, ctx.n):
-                    den = bar[i - 1] - bar[i]
-                    lhs = sf[i - 1].evaluate(pt)
-                    rhs = (r / den) * fv + ((den - r) / den) * f.evaluate(
-                        spectral_r(_swap(v, i), cfg).shift(a))
-                    ctx.eq(f"exchange: f#{fi}, v={v}, i={i}", lhs, rhs)
-
-
-def check_recur_oracle_qt(ctx: CheckContext):
+def check_recur_oracle(ctx: CheckContext):
     for alpha in ctx.compositions():
         ctx.eq(f"alpha={alpha}",
-               g_recursive(alpha, ctx.qt, ctx.cache),
-               g_oracle(alpha, ctx.qt, ctx.cache))
-
-
-def check_recur_oracle_r(ctx: CheckContext):
-    for alpha in ctx.compositions():
-        ctx.eq(f"alpha={alpha}",
-               g_recursive(alpha, ctx.r, ctx.cache),
-               g_oracle(alpha, ctx.r, ctx.cache))
+               g_recursive(alpha, ctx.cfg, ctx.cache),
+               g_oracle(alpha, ctx.cfg, ctx.cache))
 
 
 def check_vanish_extra(ctx: CheckContext):
@@ -344,28 +306,16 @@ def check_spectral_closed_form(ctx: CheckContext):
             ctx.eq(f"alpha={alpha}, i={i+1}", bar[i], want)
 
 
-def check_eval_qt(ctx: CheckContext):
-    cfg = ctx.qt
-    tau = tau_point(ctx.n, cfg)
+def check_eval(ctx: CheckContext):
+    cfg = ctx.cfg
+    var = variant(cfg)
+    base = var.base_point(ctx.n)
     for alpha in ctx.compositions():
         g = g_recursive(alpha, cfg, ctx.cache)
         d_a = closed_d(alpha, cfg)
         e_a = closed_e(alpha, cfg)
         for a in ctx.a_values(cfg, k=weight(alpha) + 2):
-            lhs = d_a * g.evaluate(tau.scale(a))
-            rhs = e_a * closed_phi(alpha, cfg, a)
-            ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
-
-
-def check_eval_r(ctx: CheckContext):
-    cfg = ctx.r
-    rho = rho_point(ctx.n, cfg)
-    for alpha in ctx.compositions():
-        g = g_recursive(alpha, cfg, ctx.cache)
-        d_a = closed_d(alpha, cfg)
-        e_a = closed_e(alpha, cfg)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
-            lhs = d_a * g.evaluate(rho.shift(a))
+            lhs = d_a * g.evaluate(var.act(base, a))
             rhs = e_a * closed_phi(alpha, cfg, a)
             ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
 
@@ -388,7 +338,7 @@ def check_inva(ctx: CheckContext):
 
 def check_zerosp(ctx: CheckContext):
     cfg = ctx.qt
-    origin = tuple(cfg.zero() for _ in range(ctx.n))
+    origin = (cfg.zero(),) * ctx.n
     for alpha in ctx.compositions():
         lhs = closed_d(alpha, cfg) * g_recursive(
             alpha, cfg, ctx.cache).evaluate(origin)
@@ -397,28 +347,27 @@ def check_zerosp(ctx: CheckContext):
 
 
 def check_derecur(ctx: CheckContext):
-    cfg = ctx.qt
-    t = cfg.gen("t")
-    q = cfg.gen("q")
-    tn = cfg.gen_power("t", ctx.n)
-    tpow = cfg.gen_power("t", 1 - ctx.n)
+    cfg = ctx.cfg
+    var = variant(cfg)
     perms = list(all_permutations(ctx.n))
     for alpha in ctx.compositions():
-        bar = spectral_qt(alpha, cfg)
+        bar = var.bar(alpha)
         if alpha[-1] > 0:
             sa = sharp(alpha)
+            d_ratio, e_ratio, phi0_ratio = var.derecur_raise(alpha, bar, ctx.n)
             ctx.eq(f"d-raise alpha={alpha}", closed_d(alpha, cfg),
-                   (cfg.one() - tn * bar[-1]) * closed_d(sa, cfg))
+                   d_ratio * closed_d(sa, cfg))
             ctx.eq(f"e-raise alpha={alpha}", closed_e(alpha, cfg),
-                   (tpow - t * bar[-1]) * closed_e(sa, cfg))
-            ctx.eq(f"phi0-raise alpha={alpha}", closed_phi(alpha, cfg, 0),
-                   -(q ** (alpha[-1] - 1)) * closed_phi(sa, cfg, 0))
+                   e_ratio * closed_e(sa, cfg))
+            if phi0_ratio is not None:
+                ctx.eq(f"phi0-raise alpha={alpha}", closed_phi(alpha, cfg, 0),
+                       phi0_ratio * closed_phi(sa, cfg, 0))
         for i in range(1, ctx.n):
             if alpha[i - 1] > alpha[i]:
-                x = bar[i - 1] / bar[i]
+                lf, rf = var.derecur_exchange(bar, i)
                 ctx.eq(f"d-exchange alpha={alpha}, i={i}",
-                       closed_d(alpha, cfg) * (cfg.one() - t * x),
-                       (cfg.one() - x) * closed_d(_swap(alpha, i), cfg))
+                       closed_d(alpha, cfg) * lf,
+                       rf * closed_d(_swap(alpha, i), cfg))
         e_a = closed_e(alpha, cfg)
         for w in perms:
             beta = w.act(alpha)
@@ -432,45 +381,13 @@ def check_derecur(ctx: CheckContext):
                        closed_phi(beta, cfg, a), phi_a)
 
 
-def check_derecur2(ctx: CheckContext):
-    cfg = ctx.r
-    r = cfg.gen("r")
-    perms = list(all_permutations(ctx.n))
-    for alpha in ctx.compositions():
-        bar = spectral_r(alpha, cfg)
-        if alpha[-1] > 0:
-            sa = sharp(alpha)
-            ratio = r * ctx.n + bar[-1]
-            ctx.eq(f"d-raise alpha={alpha}", closed_d(alpha, cfg),
-                   ratio * closed_d(sa, cfg))
-            ctx.eq(f"e-raise alpha={alpha}", closed_e(alpha, cfg),
-                   ratio * closed_e(sa, cfg))
-        for i in range(1, ctx.n):
-            if alpha[i - 1] > alpha[i]:
-                x = bar[i - 1] - bar[i]
-                ctx.eq(f"d-exchange alpha={alpha}, i={i}",
-                       closed_d(alpha, cfg) * (x + r),
-                       x * closed_d(_swap(alpha, i), cfg))
-        e_a = closed_e(alpha, cfg)
-        for w in perms:
-            beta = w.act(alpha)
-            ctx.eq(f"e-invariance alpha={alpha}, w={w.word}",
-                   closed_e(beta, cfg), e_a)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
-            phi_a = closed_phi(alpha, cfg, a)
-            for w in perms:
-                beta = w.act(alpha)
-                ctx.eq(f"phi-invariance alpha={alpha}, w={w.word}",
-                       closed_phi(beta, cfg, a), phi_a)
-
-
-def _check_oko(ctx: CheckContext, cfg: FieldConfig):
+def check_oko(ctx: CheckContext):
     """Reciprocity, symbolically in a: construct the interpolating
     polynomial from the ratios at degree <= |alpha|, then verify it
     reproduces the ratio (denominator-cleared) at every gamma up to
     two degrees higher."""
-    qt = cfg.variant == "qt"
-    kind = "bar-inv" if qt else "bar"
+    cfg = ctx.cfg
+    kind = variant(cfg).o_kind
     a = ctx.symbolic_a(cfg)
     for alpha in ctx.compositions():
         deg = weight(alpha)
@@ -482,58 +399,29 @@ def _check_oko(ctx: CheckContext, cfg: FieldConfig):
             ctx.eq(f"alpha={alpha}, gamma={gamma}", lhs * den_g, num_g)
 
 
-def check_oko_qt(ctx: CheckContext):
-    _check_oko(ctx, ctx.qt)
-
-
-def check_oko_r(ctx: CheckContext):
-    _check_oko(ctx, ctx.r)
-
-
-def check_binom_qt(ctx: CheckContext):
-    cfg = ctx.qt
-    tau = tau_point(ctx.n, cfg)
+def check_binom(ctx: CheckContext):
+    cfg = ctx.cfg
+    var = variant(cfg)
+    base = var.base_point(ctx.n)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gps = [gprime(b, cfg, ctx.cache) for b in down]
-        coefs = [binom(alpha, b, cfg, ctx.cache, inverted=True) for b in down]
-        pos = down.index(alpha)
+        coefs = [binom(alpha, b, cfg, ctx.cache, inverted=var.binom_inverted)
+                 for b in down]
 
         def reject(cand: Fraction) -> bool:
             a0 = Scalar.from_fraction(cand)
             return any(g_recursive(b, cfg, ctx.cache)
-                       .evaluate(tau.scale(a0)).is_zero() for b in down)
+                       .evaluate(var.act(base, a0)).is_zero() for b in down)
 
         for a in ctx.a_values(cfg, k=weight(alpha) + 2, reject=reject):
-            dens = [g_recursive(b, cfg, ctx.cache).evaluate(tau.scale(a))
+            dens = [g_recursive(b, cfg, ctx.cache).evaluate(var.act(base, a))
                     for b in down]
-            cof = _cofactor_products(dens)
-            lhs = scale_all(g_a, a) * cof[pos]
-            rhs = LaurentPoly.zero(ctx.n)
-            for b, gp, c, w in zip(down, gps, coefs, cof):
-                rhs = rhs + gp.scale((a ** weight(b)) * c * w)
-            ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
-
-
-def check_binom_r(ctx: CheckContext):
-    cfg = ctx.r
-    rho = rho_point(ctx.n, cfg)
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        g_a = g_recursive(alpha, cfg, ctx.cache)
-        gps = [gprime(b, cfg, ctx.cache) for b in down]
-        coefs = [binom(alpha, b, cfg, ctx.cache) for b in down]
-        pos = down.index(alpha)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
-            dens = [g_recursive(b, cfg, ctx.cache).evaluate(rho.shift(a))
-                    for b in down]
-            cof = _cofactor_products(dens)
-            lhs = shift_all(g_a, a) * cof[pos]
-            rhs = LaurentPoly.zero(ctx.n)
-            for b, gp, c, w in zip(down, gps, coefs, cof):
-                rhs = rhs + gp.scale(c * w)
-            ctx.eq(f"alpha={alpha}", lhs, rhs)
+            terms = [(gp, var.binom_weight(a, weight(b)) * c)
+                     for b, gp, c in zip(down, gps, coefs)]
+            _check_expansion(ctx, f"alpha={alpha}, a={a}", var.act_all(g_a, a),
+                             down.index(alpha), terms, dens)
 
 
 def check_binom_sym_r(ctx: CheckContext):
@@ -545,34 +433,25 @@ def check_binom_sym_r(ctx: CheckContext):
         r_l = r_sym(lam, cfg, ctx.cache)
         rps = [rprime(m, cfg, ctx.cache) for m in down]
         coefs = [binom_sym(lam, m, cfg, ctx.cache) for m in down]
-        pos = down.index(lam)
         for a in ctx.a_values(cfg, k=weight(lam) + 2):
             dens = [r_sym(m, cfg, ctx.cache).evaluate(rho.shift(a))
                     for m in down]
-            cof = _cofactor_products(dens)
-            lhs = shift_all(r_l, a) * cof[pos]
-            rhs = LaurentPoly.zero(ctx.n)
-            for m, rp, c, w in zip(down, rps, coefs, cof):
-                rhs = rhs + rp.scale(c * w)
-            ctx.eq(f"lambda={lam}", lhs, rhs)
+            _check_expansion(ctx, f"lambda={lam}", shift_all(r_l, a),
+                             down.index(lam), list(zip(rps, coefs)), dens)
 
 
 def check_cor_first(ctx: CheckContext):
     cfg = ctx.qt
-    origin = tuple(cfg.zero() for _ in range(ctx.n))
+    origin = (cfg.zero(),) * ctx.n
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         dens = [g_recursive(b, cfg, ctx.cache).evaluate(origin) for b in down]
-        for b, v in zip(down, dens):
-            ctx.true(f"nonvanishing at 0: beta={b}", not v.is_zero())
-        cof = _cofactor_products(dens)
-        pos = down.index(alpha)
-        lhs = g_recursive(alpha, cfg, ctx.cache) * cof[pos]
-        rhs = LaurentPoly.zero(ctx.n)
-        for b, w in zip(down, cof):
-            c = binom(alpha, b, cfg, ctx.cache, inverted=True)
-            rhs = rhs + e_top(b, cfg, ctx.cache).scale(c * w)
-        ctx.eq(f"alpha={alpha}", lhs, rhs)
+        _check_nonvanishing(ctx, "nonvanishing at 0: beta", down, dens)
+        terms = [(e_top(b, cfg, ctx.cache),
+                  binom(alpha, b, cfg, ctx.cache, inverted=True)) for b in down]
+        _check_expansion(ctx, f"alpha={alpha}",
+                         g_recursive(alpha, cfg, ctx.cache),
+                         down.index(alpha), terms, dens)
 
 
 def check_cor_gprime(ctx: CheckContext):
@@ -581,35 +460,25 @@ def check_cor_gprime(ctx: CheckContext):
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         dens = [e_top(b, cfg, ctx.cache).evaluate(tau) for b in down]
-        for b, v in zip(down, dens):
-            ctx.true(f"nonvanishing at tau: beta={b}", not v.is_zero())
-        cof = _cofactor_products(dens)
-        pos = down.index(alpha)
-        lhs = e_top(alpha, cfg, ctx.cache) * cof[pos]
-        rhs = LaurentPoly.zero(ctx.n)
-        for b, w in zip(down, cof):
-            c = binom(alpha, b, cfg, ctx.cache, inverted=True)
-            rhs = rhs + gprime(b, cfg, ctx.cache).scale(c * w)
-        ctx.eq(f"alpha={alpha}", lhs, rhs)
+        _check_nonvanishing(ctx, "nonvanishing at tau: beta", down, dens)
+        terms = [(gprime(b, cfg, ctx.cache),
+                  binom(alpha, b, cfg, ctx.cache, inverted=True)) for b in down]
+        _check_expansion(ctx, f"alpha={alpha}", e_top(alpha, cfg, ctx.cache),
+                         down.index(alpha), terms, dens)
 
 
 def check_cor_las(ctx: CheckContext):
     cfg = ctx.r
-    ones = _ones_point(ctx.n, cfg)
-    one = cfg.one()
+    ones = (cfg.one(),) * ctx.n
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         dens = [e_top(b, cfg, ctx.cache).evaluate(ones) for b in down]
-        for b, v in zip(down, dens):
-            ctx.true(f"nonvanishing at ones: beta={b}", not v.is_zero())
-        cof = _cofactor_products(dens)
-        pos = down.index(alpha)
-        lhs = shift_all(e_top(alpha, cfg, ctx.cache), one) * cof[pos]
-        rhs = LaurentPoly.zero(ctx.n)
-        for b, w in zip(down, cof):
-            c = binom(alpha, b, cfg, ctx.cache)
-            rhs = rhs + e_top(b, cfg, ctx.cache).scale(c * w)
-        ctx.eq(f"alpha={alpha}", lhs, rhs)
+        _check_nonvanishing(ctx, "nonvanishing at ones: beta", down, dens)
+        terms = [(e_top(b, cfg, ctx.cache), binom(alpha, b, cfg, ctx.cache))
+                 for b in down]
+        _check_expansion(ctx, f"alpha={alpha}",
+                         shift_all(e_top(alpha, cfg, ctx.cache), cfg.one()),
+                         down.index(alpha), terms, dens)
 
 
 def check_cor_plus(ctx: CheckContext):
@@ -618,19 +487,15 @@ def check_cor_plus(ctx: CheckContext):
     wo = Permutation.longest(ctx.n)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
+        terms = [(gplus(b, cfg, ctx.cache).permute_vars(wo),
+                  binom(alpha, b, cfg, ctx.cache)) for b in down]
         for a in ctx.a_values(cfg, k=weight(alpha) + 2):
             dens = [g_recursive(b, cfg, ctx.cache).evaluate(rho.shift(a))
                     for b in down]
-            cof = _cofactor_products(dens)
-            pos = down.index(alpha)
             shifted = shift_all(g_recursive(alpha, cfg, ctx.cache), a)
-            lhs = sigma_word(wo, shifted, cfg) * cof[pos]
-            rhs = LaurentPoly.zero(ctx.n)
-            for b, w in zip(down, cof):
-                c = binom(alpha, b, cfg, ctx.cache)
-                gp = gplus(b, cfg, ctx.cache).permute_vars(wo)
-                rhs = rhs + gp.scale(c * w)
-            ctx.eq(f"alpha={alpha}", lhs, rhs)
+            _check_expansion(ctx, f"alpha={alpha}",
+                             sigma_word(wo, shifted, cfg), down.index(alpha),
+                             terms, dens)
 
 
 def check_cor_rel(ctx: CheckContext):
@@ -649,24 +514,17 @@ def check_cor_rel(ctx: CheckContext):
 def check_relate(ctx: CheckContext):
     cfg = ctx.r
     wo = Permutation.longest(ctx.n)
-    shift = cfg.gen("r") * (ctx.n - 1)
     for alpha in ctx.compositions():
-        g = g_recursive(alpha, cfg, ctx.cache)
-        h = negate_shift_all(g, shift).permute_vars(wo)
-        h = sigma_word(wo, h, cfg)
-        if weight(alpha) % 2:
-            h = -h
-        ctx.eq(f"alpha={alpha}", gprime(alpha, cfg, ctx.cache), h)
+        h = reflect(g_recursive(alpha, cfg, ctx.cache), weight(alpha), cfg)
+        ctx.eq(f"alpha={alpha}", gprime(alpha, cfg, ctx.cache),
+               sigma_word(wo, h.permute_vars(wo), cfg))
 
 
 def check_relate2(ctx: CheckContext):
     cfg = ctx.r
-    shift = cfg.gen("r") * (ctx.n - 1)
     for lam in partitions_upto(ctx.n, ctx.d):
-        h = negate_shift_all(r_sym(lam, cfg, ctx.cache), shift)
-        if weight(lam) % 2:
-            h = -h
-        ctx.eq(f"lambda={lam}", rprime(lam, cfg, ctx.cache), h)
+        ctx.eq(f"lambda={lam}", rprime(lam, cfg, ctx.cache),
+               reflect(r_sym(lam, cfg, ctx.cache), weight(lam), cfg))
 
 
 def check_dom(ctx: CheckContext):
@@ -718,28 +576,23 @@ def check_symm_lemma(ctx: CheckContext):
 
 def check_sym_binomial(ctx: CheckContext):
     cfg = ctx.r
-    ones = _ones_point(ctx.n, cfg)
-    one = cfg.one()
+    ones = (cfg.one(),) * ctx.n
     for lam in partitions_upto(ctx.n, ctx.d):
         down = [m for m in partitions_upto(ctx.n, weight(lam))
                 if contains(lam, m)]
         tops = [r_sym(m, cfg, ctx.cache).top_part(weight(m)) for m in down]
         dens = [p.evaluate(ones) for p in tops]
-        for m, v in zip(down, dens):
-            ctx.true(f"nonvanishing at ones: mu={m}", not v.is_zero())
-        cof = _cofactor_products(dens)
+        _check_nonvanishing(ctx, "nonvanishing at ones: mu", down, dens)
         pos = down.index(lam)
-        lhs = shift_all(tops[pos], one) * cof[pos]
-        rhs = LaurentPoly.zero(ctx.n)
-        for m, p, w in zip(down, tops, cof):
-            c = binom_sym(lam, m, cfg, ctx.cache)
-            rhs = rhs + p.scale(c * w)
-        ctx.eq(f"lambda={lam}", lhs, rhs)
+        terms = [(p, binom_sym(lam, m, cfg, ctx.cache))
+                 for m, p in zip(down, tops)]
+        _check_expansion(ctx, f"lambda={lam}", shift_all(tops[pos], cfg.one()),
+                         pos, terms, dens)
 
 
 def check_jack_eval_one(ctx: CheckContext):
     cfg = ctx.r
-    ones = _ones_point(ctx.n, cfg)
+    ones = (cfg.one(),) * ctx.n
     for alpha in ctx.compositions():
         lhs = closed_d(alpha, cfg) * e_top(alpha, cfg, ctx.cache).evaluate(ones)
         ctx.eq(f"alpha={alpha}", lhs, closed_e(alpha, cfg))
@@ -788,21 +641,21 @@ _CATALOG_ROWS = [
      "sigma_i^2 = 1, sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i "
      "sigma_{i+1}, sigma(uv) = sigma(u) sigma(v)", ("r",), check_sigma_braid),
     ("eigen-qt", "interpolation polynomials are joint eigenfunctions",
-     "Xi_i G_alpha = bar(alpha)_i^{-1} G_alpha", ("qt",), check_eigen_qt),
+     "Xi_i G_alpha = bar(alpha)_i^{-1} G_alpha", ("qt",), check_eigen),
     ("eigen-r", "the r-variant eigen-equations",
-     "Xi~_i G_alpha = bar(alpha)(r)_i G_alpha", ("r",), check_eigen_r),
+     "Xi~_i G_alpha = bar(alpha)(r)_i G_alpha", ("r",), check_eigen),
     ("discr-qt", "operator evaluations at scaled spectral points",
      "Phi f(a v-bar) = (a v-bar_n - t^{1-n}) f(a (v#)-bar); two-term "
-     "H_i evaluation rule", ("qt",), check_discr_qt),
+     "H_i evaluation rule", ("qt",), check_discr),
     ("discr-r", "operator evaluations at shifted spectral points",
      "Phi~ f(a + v-bar) = (a + v-bar_n + nr - r) f(a + (v#)-bar); two-term "
-     "sigma_i evaluation rule", ("r",), check_discr_r),
+     "sigma_i evaluation rule", ("r",), check_discr),
     ("recur-oracle-qt", "recursion equals the vanishing-condition solve",
      "G via raising/exchange recursion == G via exact linear solve",
-     ("qt",), check_recur_oracle_qt),
+     ("qt",), check_recur_oracle),
     ("recur-oracle-r", "r-variant recursion equals the solve",
      "G via raising/exchange recursion == G via exact linear solve",
-     ("r",), check_recur_oracle_r),
+     ("r",), check_recur_oracle),
     ("vanish-extra", "vanishing beyond the defining degree",
      "G_alpha(beta-bar) = 0 unless alpha fits inside beta",
      ("qt",), check_vanish_extra),
@@ -810,10 +663,10 @@ _CATALOG_ROWS = [
      "bar(alpha)_i = q^{alpha_i} t^{-k_i}", ("qt",),
      check_spectral_closed_form),
     ("eval-qt", "principal evaluation in product form",
-     "d_alpha G_alpha(a tau) = e_alpha phi_alpha(a)", ("qt",), check_eval_qt),
+     "d_alpha G_alpha(a tau) = e_alpha phi_alpha(a)", ("qt",), check_eval),
     ("eval-r", "r-variant principal evaluation",
      "d_alpha(r) G_alpha(a + rho) = e_alpha(r) phi_alpha(a; r)", ("r",),
-     check_eval_r),
+     check_eval),
     ("inva", "d-weighted principal values are symmetric in the index",
      "d_{w alpha} G_{w alpha}(a tau) = d_alpha G_alpha(a tau)", ("qt",),
      check_inva),
@@ -824,20 +677,20 @@ _CATALOG_ROWS = [
      check_derecur),
     ("derecur2", "r-variant scalar ratio recursions",
      "d_alpha(r)/d_{alpha#}(r) = rn + bar(alpha)(r)_n = e ratio", ("r",),
-     check_derecur2),
+     check_derecur),
     ("oko-qt", "reciprocity: one polynomial interpolates all ratios",
      "O_alpha(beta-bar^{-1}) = G_beta(a alpha~)/G_beta(a tau) also at "
-     "|beta| = |alpha|+1, |alpha|+2", ("qt",), check_oko_qt),
+     "|beta| = |alpha|+1, |alpha|+2", ("qt",), check_oko),
     ("oko-r", "r-variant reciprocity",
      "O_alpha(beta-bar) = G_beta(a + alpha~)/G_beta(a + rho) also at "
-     "|beta| = |alpha|+1, |alpha|+2", ("r",), check_oko_r),
+     "|beta| = |alpha|+1, |alpha|+2", ("r",), check_oko),
     ("binom-qt", "the binomial expansion of scaled polynomials",
      "G_alpha(ax)/G_alpha(a tau) = sum over beta inside alpha of a^{|beta|} "
      "[alpha,beta]_{1/q,1/t} G'_beta(x)/G_beta(a tau)", ("qt",),
-     check_binom_qt),
+     check_binom),
     ("binom-r", "the r-variant binomial expansion",
      "G_alpha(a+x)/G_alpha(a+rho) = sum [alpha,beta]_r G'_beta(x)/"
-     "G_beta(a+rho)", ("r",), check_binom_r),
+     "G_beta(a+rho)", ("r",), check_binom),
     ("binom-sym-r", "the symmetric r-variant binomial expansion",
      "R_lambda(a+x)/R_lambda(a+rho) = sum (lambda,mu)_r R'_mu(x)/"
      "R_mu(a+rho)", ("r",), check_binom_sym_r),
@@ -890,11 +743,6 @@ CATALOG = {row[0]: CheckDef(*row) for row in _CATALOG_ROWS}
 # runner
 # ---------------------------------------------------------------------------
 
-def default_fields(qt: Optional[FieldConfig] = None,
-                   r: Optional[FieldConfig] = None) -> tuple:
-    return (qt or qt_config(2, 3), r or r_config())
-
-
 def run_check(check_id: str, n: int, d: int, cfg: Optional[FieldConfig] = None,
               seed=0, cache: Optional[FamilyCache] = None,
               qt: Optional[FieldConfig] = None,
@@ -906,24 +754,17 @@ def run_check(check_id: str, n: int, d: int, cfg: Optional[FieldConfig] = None,
     cdef = CATALOG.get(check_id)
     if cdef is None:
         raise UsageError(f"unknown check id {check_id!r}")
+    fields = {"qt": qt or qt_config(2, 3), "r": r or r_config()}
     if cfg is not None:
-        if cfg.variant in ("qt", "qta"):
-            qt = cfg.family_config()
-        else:
-            r = cfg.family_config()
-    qt_cfg, r_cfg = default_fields(qt, r)
+        fields[cfg.variant] = cfg
     cache = cache if cache is not None else FamilyCache()
-    ctx = CheckContext(check_id, n, d, qt_cfg, r_cfg, seed, cache)
+    ctx = CheckContext(check_id, n, d, fields["qt"], fields["r"], seed, cache,
+                       field=cdef.fields[0])
     start = time.perf_counter()
     cdef.fn(ctx)
     elapsed = (time.perf_counter() - start) * 1000.0
-    config = {"n": n, "deg": d, "seed": str(seed)}
-    used = {}
-    if "qt" in cdef.fields:
-        used["qt"] = qt_cfg.describe()
-    if "r" in cdef.fields:
-        used["r"] = r_cfg.describe()
-    config["field"] = used
+    config = {"n": n, "deg": d, "seed": str(seed),
+              "field": {f: fields[f].describe() for f in cdef.fields}}
     if ctx.a_certification:
         config["a_certification"] = ctx.a_certification
     return CheckReport(check_id, config, ctx.instances, ctx.failures, elapsed)

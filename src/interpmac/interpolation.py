@@ -21,20 +21,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import DivisionByZero, SpecializationCollision, UsageError
-from .operators import hecke, phi_qt, phi_r, sigma_op
+# The recursion's operators run through `variant`; `hecke` stays a name of
+# this module because perfbench/test_perfbench.py checks that the tracer
+# patches it here as well.
+from .operators import hecke  # noqa: F401
 from .polyring import LaurentPoly, negate_shift_all
 from .scalars import FieldConfig, Scalar, dumps_canonical
 from .shapes import (SpectralPoint, diagram_stats, enumerate_compositions,
                      is_composition, is_partition, partitions_upto,
-                     rearrangements, sharp, spectral, tilde,
-                     reciprocal_point, weight)
+                     rearrangements, sharp, reciprocal_point, weight)
+from .variant import variant
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +137,14 @@ class FamilyKey:
 class FamilyCache:
     """Memo for constructed polynomials and factored point systems.
 
-    Reads are lock-free; writes take a lock so concurrent checks can
-    share one cache.  Polynomials are additionally persisted to disk
-    when a directory is configured (one JSON file per family key,
-    content-addressed)."""
+    Polynomials are additionally persisted to disk when a directory is
+    configured (one JSON file per family key, content-addressed).  Files
+    are replaced atomically, so concurrent writers of one key leave one
+    whole file; an unreadable file, or one stored under another key, is
+    rebuilt and rewritten."""
 
     def __init__(self, disk_dir: Optional[str] = None):
         self._mem: dict = {}
-        self._lock = threading.Lock()
         self.disk_dir = Path(disk_dir) if disk_dir else None
         if self.disk_dir:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
@@ -149,9 +152,7 @@ class FamilyCache:
     def memo(self, key: tuple, thunk: Callable):
         got = self._mem.get(key)
         if got is None:
-            got = thunk()
-            with self._lock:
-                self._mem.setdefault(key, got)
+            got = self._mem[key] = thunk()
         return got
 
     # -- disk layer (polynomials only) -------------------------------------
@@ -161,25 +162,39 @@ class FamilyCache:
             dumps_canonical(fk.describe()).encode()).hexdigest()
         return self.disk_dir / f"{digest}.json"
 
+    def _read(self, fk: FamilyKey) -> Optional[LaurentPoly]:
+        """The stored polynomial, or None without a readable file that
+        holds exactly this key."""
+        try:
+            data = json.loads(self._path(fk).read_text())
+            if data["key"] == fk.describe():
+                return LaurentPoly.from_json(data["poly"])
+        except (OSError, ValueError, LookupError, TypeError, AttributeError,
+                ArithmeticError):
+            pass
+        return None
+
+    def _write(self, fk: FamilyKey, poly: LaurentPoly):
+        path = self._path(fk)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(dumps_canonical({"key": fk.describe(),
+                                            "poly": poly.to_json()}))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
     def poly(self, fk: FamilyKey, build: Callable) -> LaurentPoly:
         key = ("poly", fk)
         got = self._mem.get(key)
-        if got is not None:
-            return got
-        if self.disk_dir:
-            path = self._path(fk)
-            if path.exists():
-                data = json.loads(path.read_text())
-                got = LaurentPoly.from_json(data["poly"])
-                with self._lock:
-                    self._mem.setdefault(key, got)
-                return got
-        got = build()
-        with self._lock:
-            self._mem.setdefault(key, got)
-        if self.disk_dir:
-            payload = {"key": fk.describe(), "poly": got.to_json()}
-            self._path(fk).write_text(dumps_canonical(payload))
+        if got is None and self.disk_dir:
+            got = self._read(fk)
+        if got is None:
+            got = build()
+            if self.disk_dir:
+                self._write(fk, got)
+        self._mem[key] = got
         return got
 
 
@@ -190,11 +205,11 @@ class FamilyCache:
 def _point(kind: str, v: tuple, cfg: FieldConfig, cache: FamilyCache) -> SpectralPoint:
     key = ("pt", kind, cfg.cache_token(), v)
     if kind == "bar":
-        return cache.memo(key, lambda: spectral(v, cfg))
+        return cache.memo(key, lambda: variant(cfg).bar(v))
     if kind == "tilde":
-        return cache.memo(key, lambda: tilde(v, cfg))
+        return cache.memo(key, lambda: variant(cfg).tilde(v))
     if kind == "bar-inv":
-        return cache.memo(key, lambda: reciprocal_point(spectral(v, cfg)))
+        return cache.memo(key, lambda: reciprocal_point(variant(cfg).bar(v)))
     raise UsageError(f"unknown point kind {kind}")
 
 
@@ -269,10 +284,6 @@ def _inverse_system(kind: str, n: int, deg: int, cfg: FieldConfig,
 # family constructors
 # ---------------------------------------------------------------------------
 
-def _family_cfg(cfg: FieldConfig) -> FieldConfig:
-    return cfg.family_config()
-
-
 def _validate_index(index: Sequence[int], partition: bool = False) -> tuple:
     index = tuple(int(x) for x in index)
     if not is_composition(index):
@@ -282,17 +293,18 @@ def _validate_index(index: Sequence[int], partition: bool = False) -> tuple:
     return index
 
 
-def _recheck_vanishing(poly: LaurentPoly, alpha: tuple, kind: str,
+def _recheck_vanishing(poly: LaurentPoly, alpha: tuple, indices: list,
                        cfg: FieldConfig, cache: FamilyCache):
-    """Defining conditions, re-verified on the freshly built polynomial."""
-    deg = weight(alpha)
-    if poly.total_degree() > deg:
+    """Defining conditions, re-verified on the freshly built polynomial:
+    degree <= |alpha| and a zero at the spectral point of every other
+    index."""
+    if poly.total_degree() > weight(alpha):
         raise SpecializationCollision(
             f"degree bound violated for index {alpha}")
-    for beta in enumerate_compositions(len(alpha), deg):
+    for beta in indices:
         if beta == alpha:
             continue
-        if not poly.evaluate(_point(kind, beta, cfg, cache)).is_zero():
+        if not poly.evaluate(_point("bar", beta, cfg, cache)).is_zero():
             raise SpecializationCollision(
                 f"vanishing failed at {beta} for index {alpha}")
 
@@ -301,38 +313,72 @@ def g_recursive(alpha: Sequence[int], cfg: FieldConfig,
                 cache: FamilyCache) -> LaurentPoly:
     """Interpolation polynomial for alpha via the raising/exchange
     recursion (memoized; the construction used by default)."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
     n = len(alpha)
-    qt = cfg.variant == "qt"
     fk = FamilyKey("G", cfg.variant, alpha, cfg.cache_token())
 
     def build():
+        var = variant(cfg)
         if not any(alpha):
             return LaurentPoly.constant(n, cfg.one())
         if alpha[-1] > 0:
-            sub = g_recursive(sharp(alpha), cfg, cache)
-            if qt:
-                return phi_qt(sub, cfg).scale(cfg.gen_power("q", alpha[-1] - 1))
-            return phi_r(sub, cfg)
+            return var.raise_step(g_recursive(sharp(alpha), cfg, cache), alpha)
         i = max(j for j in range(1, n) if alpha[j - 1] > alpha[j])
         swapped = list(alpha)
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
         sub = g_recursive(tuple(swapped), cfg, cache)
-        bar = spectral(alpha, cfg)
-        if qt:
-            d = cfg.one() - bar[i - 1] / bar[i]
-            if d.is_zero():
-                raise SpecializationCollision(
-                    f"exchange denominator vanished at index {alpha}, i={i}")
-            return hecke(i, sub, cfg) + sub.scale((cfg.one() - cfg.gen("t")) / d)
-        d = bar[i - 1] - bar[i]
+        d = var.exchange_den(var.bar(alpha), i)
         if d.is_zero():
             raise SpecializationCollision(
                 f"exchange denominator vanished at index {alpha}, i={i}")
-        return sigma_op(i, sub, cfg) + sub.scale(cfg.gen("r") / d)
+        return var.exchange_op(i, sub) + sub.scale(var.exchange_num / d)
 
     return cache.poly(fk, build)
+
+
+def _basis_sum(n: int, indices: Sequence[tuple], coeffs: Sequence[Scalar],
+               symmetric: bool) -> LaurentPoly:
+    """sum_j coeffs[j] * x^indices[j], or with symmetric the monomial
+    symmetric polynomials m_indices[j]: the rearrangements of distinct
+    partitions do not overlap, so this is one term dict."""
+    return LaurentPoly(n, {e: c for mu, c in zip(indices, coeffs)
+                           for e in (rearrangements(mu) if symmetric
+                                     else (mu,))})
+
+
+def _normalized_interpolant(index: tuple, cfg: FieldConfig,
+                            cache: FamilyCache, symmetric: bool) -> LaurentPoly:
+    """The polynomial of degree <= |index| in the (symmetric) monomial
+    basis that vanishes at the spectral points of every other index of
+    that degree and has coefficient 1 at the basis element of index."""
+    indices, inv_cols = _inverse_system("bar", len(index), weight(index), cfg,
+                                        cache, symmetric)
+    pos = indices.index(index)
+    u = inv_cols[pos]
+    if u[pos].is_zero():
+        raise SpecializationCollision(
+            f"normalization impossible for index {index}")
+    scale = u[pos].invert()
+    return _basis_sum(len(index), indices, [c * scale for c in u], symmetric)
+
+
+def _primed(index: tuple, top: LaurentPoly, cfg: FieldConfig,
+            cache: FamilyCache, symmetric: bool) -> LaurentPoly:
+    """top plus the lower-degree part, in the (symmetric) monomial basis,
+    that makes it vanish at the tilde points of every smaller degree."""
+    deg = weight(index)
+    if deg == 0:
+        return top
+    indices, inv_cols = _inverse_system("tilde", len(index), deg - 1, cfg,
+                                        cache, symmetric)
+    rhs = [-top.evaluate(_point("tilde", b, cfg, cache)) for b in indices]
+    coeffs = _matvec_inv(inv_cols, rhs)
+    poly = top + _basis_sum(len(index), indices, coeffs, symmetric)
+    for beta in indices:
+        if not poly.evaluate(_point("tilde", beta, cfg, cache)).is_zero():
+            raise SpecializationCollision(
+                f"tilde vanishing failed at {beta} for index {index}")
+    return poly
 
 
 def g_oracle(alpha: Sequence[int], cfg: FieldConfig,
@@ -340,22 +386,13 @@ def g_oracle(alpha: Sequence[int], cfg: FieldConfig,
     """Interpolation polynomial for alpha built directly from its
     vanishing conditions by an exact linear solve; independent of the
     recursion and used to cross-check it."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
-    n = len(alpha)
     fk = FamilyKey("G-oracle", cfg.variant, alpha, cfg.cache_token())
 
     def build():
-        deg = weight(alpha)
-        indices, inv_cols = _inverse_system("bar", n, deg, cfg, cache)
-        pos = indices.index(alpha)
-        u = inv_cols[pos]
-        if u[pos].is_zero():
-            raise SpecializationCollision(
-                f"normalization impossible for index {alpha}")
-        scale = u[pos].invert()
-        poly = LaurentPoly(n, {e: c * scale for e, c in zip(indices, u)})
-        _recheck_vanishing(poly, alpha, "bar", cfg, cache)
+        poly = _normalized_interpolant(alpha, cfg, cache, symmetric=False)
+        _recheck_vanishing(poly, alpha, enumerate_compositions(
+            len(alpha), weight(alpha)), cfg, cache)
         one = cfg.one()
         if poly.coefficient(alpha, cfg.zero()) != one:
             raise SpecializationCollision(
@@ -376,77 +413,39 @@ def gprime(alpha: Sequence[int], cfg: FieldConfig,
            cache: FamilyCache) -> LaurentPoly:
     """Same top part as G, vanishing on the tilde points of all strictly
     smaller degrees."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
-    n = len(alpha)
     fk = FamilyKey("Gprime", cfg.variant, alpha, cfg.cache_token())
-
-    def build():
-        deg = weight(alpha)
-        top = e_top(alpha, cfg, cache)
-        if deg == 0:
-            return top
-        indices, inv_cols = _inverse_system("tilde", n, deg - 1, cfg, cache)
-        rhs = [-top.evaluate(_point("tilde", b, cfg, cache)) for b in indices]
-        coeffs = _matvec_inv(inv_cols, rhs)
-        poly = top + LaurentPoly(n, {e: c for e, c in zip(indices, coeffs)})
-        for beta in indices:
-            if not poly.evaluate(_point("tilde", beta, cfg, cache)).is_zero():
-                raise SpecializationCollision(
-                    f"tilde vanishing failed at {beta} for index {alpha}")
-        return poly
-
-    return cache.poly(fk, build)
+    return cache.poly(fk, lambda: _primed(alpha, e_top(alpha, cfg, cache),
+                                          cfg, cache, symmetric=False))
 
 
 def gplus(alpha: Sequence[int], cfg: FieldConfig,
           cache: FamilyCache) -> LaurentPoly:
     """(-1)^{|alpha|} G_alpha(-x - (n-1)r) in the r variant."""
-    cfg = _family_cfg(cfg)
     if cfg.variant != "r":
         raise UsageError("Gplus is an r-variant family")
     alpha = _validate_index(alpha)
     fk = FamilyKey("Gplus", cfg.variant, alpha, cfg.cache_token())
+    return cache.poly(fk, lambda: reflect(g_recursive(alpha, cfg, cache),
+                                          weight(alpha), cfg))
 
-    def build():
-        g = g_recursive(alpha, cfg, cache)
-        shift = cfg.gen("r") * (len(alpha) - 1)
-        out = negate_shift_all(g, shift)
-        if weight(alpha) % 2:
-            out = -out
-        return out
 
-    return cache.poly(fk, build)
+def reflect(f: LaurentPoly, deg: int, cfg: FieldConfig) -> LaurentPoly:
+    """(-1)^deg f(-x - (n-1)r), the reflection between r-variant families."""
+    out = negate_shift_all(f, cfg.gen("r") * (f.n - 1))
+    return -out if deg % 2 else out
 
 
 def r_sym(lam: Sequence[int], cfg: FieldConfig,
           cache: FamilyCache) -> LaurentPoly:
     """Symmetric interpolation polynomial for a partition index."""
-    cfg = _family_cfg(cfg)
     lam = _validate_index(lam, partition=True)
-    n = len(lam)
     fk = FamilyKey("R", cfg.variant, lam, cfg.cache_token())
 
     def build():
-        deg = weight(lam)
-        indices, inv_cols = _inverse_system("bar", n, deg, cfg, cache,
-                                            symmetric=True)
-        pos = indices.index(lam)
-        u = inv_cols[pos]
-        if u[pos].is_zero():
-            raise SpecializationCollision(
-                f"normalization impossible for index {lam}")
-        scale = u[pos].invert()
-        one = cfg.one()
-        poly = LaurentPoly.zero(n)
-        for mu, c in zip(indices, u):
-            poly = poly + mono_sym(n, mu, one).scale(c * scale)
-        for mu in indices:
-            if mu == lam:
-                continue
-            if not poly.evaluate(_point("bar", mu, cfg, cache)).is_zero():
-                raise SpecializationCollision(
-                    f"vanishing failed at {mu} for index {lam}")
+        poly = _normalized_interpolant(lam, cfg, cache, symmetric=True)
+        _recheck_vanishing(poly, lam, partitions_upto(len(lam), weight(lam)),
+                           cfg, cache)
         return poly
 
     return cache.poly(fk, build)
@@ -456,33 +455,13 @@ def rprime(lam: Sequence[int], cfg: FieldConfig,
            cache: FamilyCache) -> LaurentPoly:
     """Symmetric polynomial with the top part of R, vanishing on the
     tilde points of smaller degree (r variant)."""
-    cfg = _family_cfg(cfg)
     if cfg.variant != "r":
         raise UsageError("Rprime is an r-variant family")
     lam = _validate_index(lam, partition=True)
-    n = len(lam)
     fk = FamilyKey("Rprime", cfg.variant, lam, cfg.cache_token())
-
-    def build():
-        deg = weight(lam)
-        top = r_sym(lam, cfg, cache).top_part(deg)
-        if deg == 0:
-            return top
-        indices, inv_cols = _inverse_system("tilde", n, deg - 1, cfg, cache,
-                                            symmetric=True)
-        rhs = [-top.evaluate(_point("tilde", mu, cfg, cache)) for mu in indices]
-        coeffs = _matvec_inv(inv_cols, rhs)
-        one = cfg.one()
-        poly = top
-        for mu, c in zip(indices, coeffs):
-            poly = poly + mono_sym(n, mu, one).scale(c)
-        for mu in indices:
-            if not poly.evaluate(_point("tilde", mu, cfg, cache)).is_zero():
-                raise SpecializationCollision(
-                    f"tilde vanishing failed at {mu} for index {lam}")
-        return poly
-
-    return cache.poly(fk, build)
+    return cache.poly(fk, lambda: _primed(
+        lam, r_sym(lam, cfg, cache).top_part(weight(lam)), cfg, cache,
+        symmetric=True))
 
 
 def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
@@ -492,14 +471,11 @@ def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
 
     cfg is the base polynomial field; a is the evaluation parameter as a
     field element (symbolic generator or exact rational)."""
-    base = _family_cfg(cfg)
     alpha = _validate_index(alpha)
     n = len(alpha)
-    deg = weight(alpha)
-    qt = base.variant == "qt"
-    kind = "bar-inv" if qt else "bar"
-    indices, inv_cols = _inverse_system(kind, n, deg, base, cache)
-    rhs = [okounkov_value(alpha, beta, base, a, cache) for beta in indices]
+    indices, inv_cols = _inverse_system(variant(cfg).o_kind, n, weight(alpha),
+                                        cfg, cache)
+    rhs = [okounkov_value(alpha, beta, cfg, a, cache) for beta in indices]
     coeffs = _matvec_inv(inv_cols, rhs)
     return LaurentPoly(n, {e: c for e, c in zip(indices, coeffs)})
 
@@ -509,13 +485,11 @@ def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,
     """(num, den) of the prescribed ratio at beta: G_beta at the
     a-shifted (or a-scaled) tilde point of alpha, and at the base point.
     Kept unreduced so that denominators stay free of a."""
-    base = _family_cfg(cfg)
-    g = g_recursive(beta, base, cache)
-    t_alpha = _point("tilde", alpha, base, cache)
-    origin = _point("bar", (0,) * len(alpha), base, cache)
-    if base.variant == "qt":
-        return g.evaluate(t_alpha.scale(a)), g.evaluate(origin.scale(a))
-    return g.evaluate(t_alpha.shift(a)), g.evaluate(origin.shift(a))
+    var = variant(cfg)
+    g = g_recursive(beta, cfg, cache)
+    t_alpha = _point("tilde", alpha, cfg, cache)
+    origin = _point("bar", (0,) * len(alpha), cfg, cache)
+    return g.evaluate(var.act(t_alpha, a)), g.evaluate(var.act(origin, a))
 
 
 def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
@@ -534,95 +508,66 @@ def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
 
 def closed_d(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (arm, leg) hook factor."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
+    var = variant(cfg)
     out = cfg.one()
-    if cfg.variant == "qt":
-        for s in diagram_stats(alpha):
-            out = out * (cfg.one() - cfg.gen_power("q", s.arm + 1)
-                         * cfg.gen_power("t", s.leg + 1))
-    else:
-        r = cfg.gen("r")
-        for s in diagram_stats(alpha):
-            out = out * (cfg.scalar(s.arm + 1) + r * (s.leg + 1))
+    for s in diagram_stats(alpha):
+        out = out * var.d_cell(s)
     return out
 
 
 def closed_e(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (coarm, coleg) cofactor."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
-    n = len(alpha)
+    var = variant(cfg)
     out = cfg.one()
-    if cfg.variant == "qt":
-        tpow = cfg.gen_power("t", 1 - n)
-        for s in diagram_stats(alpha):
-            out = out * (tpow - cfg.gen_power("q", s.coarm + 1)
-                         * cfg.gen_power("t", 1 - s.coleg))
-    else:
-        r = cfg.gen("r")
-        for s in diagram_stats(alpha):
-            out = out * (cfg.scalar(s.coarm + 1) + r * (n - s.coleg))
+    for s in diagram_stats(alpha):
+        out = out * var.e_cell(s, len(alpha))
     return out
 
 
 def closed_phi(alpha: Sequence[int], cfg: FieldConfig, a) -> Scalar:
     """Product over diagram cells of the evaluation factor in a."""
-    base = _family_cfg(cfg)
     alpha = _validate_index(alpha)
     if not isinstance(a, Scalar):
         a = Scalar.from_fraction(Fraction(a))
-    out = base.one() * Scalar.one(a.gens)
-    if base.variant == "qt":
-        for s in diagram_stats(alpha):
-            out = out * (a * base.gen_power("t", s.coleg)
-                         - base.gen_power("q", s.coarm))
-    else:
-        r = base.gen("r")
-        for s in diagram_stats(alpha):
-            out = out * (a - s.coarm + r * s.coleg)
+    var = variant(cfg)
+    out = cfg.one() * Scalar.one(a.gens)
+    for s in diagram_stats(alpha):
+        out = out * var.phi_cell(s, a)
     return out
+
+
+def _binomial(poly: LaurentPoly, upper: tuple, lower: tuple,
+              cfg: FieldConfig, cache: FamilyCache, what: str) -> Scalar:
+    """poly, the interpolation polynomial of lower, at the spectral point
+    of upper over its value at the point of lower."""
+    num = poly.evaluate(_point("bar", upper, cfg, cache))
+    den = poly.evaluate(_point("bar", lower, cfg, cache))
+    if den.is_zero():
+        raise DivisionByZero(f"{what} denominator vanished at index {lower}")
+    return num / den
 
 
 def binom(alpha: Sequence[int], beta: Sequence[int], cfg: FieldConfig,
           cache: FamilyCache, inverted: bool = False) -> Scalar:
     """G_beta at the spectral point of alpha over G_beta at its own
     point; inverted computes the coefficient at reciprocal q, t."""
-    cfg = _family_cfg(cfg)
     alpha = _validate_index(alpha)
     beta = _validate_index(beta)
     use = cfg.with_inverted() if inverted else cfg
-    key = ("binom", use.cache_token(), alpha, beta)
-
-    def build():
-        g = g_recursive(beta, use, cache)
-        num = g.evaluate(_point("bar", alpha, use, cache))
-        den = g.evaluate(_point("bar", beta, use, cache))
-        if den.is_zero():
-            raise DivisionByZero(
-                f"binomial denominator vanished at index {beta}")
-        return num / den
-
-    return cache.memo(key, build)
+    return cache.memo(("binom", use.cache_token(), alpha, beta),
+                      lambda: _binomial(g_recursive(beta, use, cache), alpha,
+                                        beta, use, cache, "binomial"))
 
 
 def binom_sym(lam: Sequence[int], mu: Sequence[int], cfg: FieldConfig,
               cache: FamilyCache) -> Scalar:
     """Symmetric r-variant binomial coefficient on partition indices."""
-    cfg = _family_cfg(cfg)
     if cfg.variant != "r":
         raise UsageError("symmetric binomials are r-variant")
     lam = _validate_index(lam, partition=True)
     mu = _validate_index(mu, partition=True)
-    key = ("binom-sym", cfg.cache_token(), lam, mu)
-
-    def build():
-        rp = r_sym(mu, cfg, cache)
-        num = rp.evaluate(_point("bar", lam, cfg, cache))
-        den = rp.evaluate(_point("bar", mu, cfg, cache))
-        if den.is_zero():
-            raise DivisionByZero(
-                f"symmetric binomial denominator vanished at index {mu}")
-        return num / den
-
-    return cache.memo(key, build)
+    return cache.memo(("binom-sym", cfg.cache_token(), lam, mu),
+                      lambda: _binomial(r_sym(mu, cfg, cache), lam, mu, cfg,
+                                        cache, "symmetric binomial"))

@@ -10,10 +10,6 @@ from .scalars import Scalar, evaluate_laurent
 from .shapes import Permutation, SpectralPoint
 
 
-def _grlex_key(e: tuple) -> tuple:
-    return (sum(e), e)
-
-
 class LaurentPoly:
     """Map from integer exponent vectors to nonzero Scalars."""
 

@@ -64,12 +64,6 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
     return out
 
 
-def _dict_scale(a: Terms, c: int) -> Terms:
-    if c == 0:
-        return {}
-    return {e: c * x for e, x in a.items()}
-
-
 def _grlex_key(e: tuple) -> tuple:
     return (sum(e), e)
 
@@ -79,19 +73,6 @@ def _leading_coeff(a: Terms) -> int:
     if not a:
         return 0
     return a[max(a, key=_grlex_key)]
-
-
-def _content(a: Terms) -> int:
-    g = 0
-    for c in a.values():
-        g = int_gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g
-
-
-def _dict_divexact_int(a: Terms, c: int) -> Terms:
-    return {e: x // c for e, x in a.items()}
 
 
 def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
@@ -545,7 +526,7 @@ class Scalar:
                     frozenset((e, sign * c) for e, c in den.items())))
         return self._hash
 
-    # -- specialization and substitutions -------------------------------------
+    # -- specialization ---------------------------------------------------------
 
     def specialize(self, assignments: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at the assignment; raises
@@ -560,19 +541,6 @@ class Scalar:
             raise SpecializationCollision(
                 f"denominator vanishes at {dict(assignments)}")
         return _dict_eval(self.num, self.gens, assignments) / den
-
-    def substitute_reciprocal(self, names: Iterable[str]) -> "Scalar":
-        """Apply g -> 1/g for each named generator, clearing powers so the
-        result is again a reduced polynomial fraction."""
-        num, den = self.num, self.den
-        for name in names:
-            if name not in self.gens:
-                continue
-            i = self.gens.index(name)
-            d = max(_dict_degree_in(num, i), _dict_degree_in(den, i))
-            flip = lambda t: {e[:i] + (d - e[i],) + e[i + 1:]: c for e, c in t.items()}
-            num, den = flip(num), flip(den)
-        return Scalar(self.gens, num, den)
 
     # -- presentation ----------------------------------------------------------
 
@@ -823,11 +791,6 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar],
     return _reduce_over(gens, total, pieces)
 
 
-def reduce(num: Scalar, den: Scalar) -> Scalar:
-    """Canonical reduced fraction num/den of two polynomial scalars."""
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # field configuration
 # ---------------------------------------------------------------------------
@@ -835,8 +798,6 @@ def reduce(num: Scalar, den: Scalar) -> Scalar:
 VARIANT_GENS = {
     "qt": ("q", "t"),
     "r": ("r",),
-    "qta": ("q", "t", "a"),
-    "ra": ("r", "a"),
 }
 
 
@@ -848,7 +809,7 @@ class FieldConfig:
     (name, Fraction) pairs covering exactly that set) switch from the
     symbolic fraction field to exact rational specialization.  The
     inverted flag replaces every occurrence of q, t by its reciprocal
-    and is only meaningful for the qt/qta variants.
+    and is only meaningful for the qt variant.
     """
 
     variant: str
@@ -858,7 +819,7 @@ class FieldConfig:
     def __post_init__(self):
         if self.variant not in VARIANT_GENS:
             raise UsageError(f"unknown field variant {self.variant!r}")
-        if self.inverted and self.variant not in ("qt", "qta"):
+        if self.inverted and self.variant != "qt":
             raise UsageError("inverted parameters only apply to q,t fields")
         if self.assignments is not None:
             got = tuple(sorted(name for name, _ in self.assignments))
@@ -882,9 +843,6 @@ class FieldConfig:
     def gens(self) -> tuple:
         return VARIANT_GENS[self.variant] if self.symbolic else ()
 
-    def assignment_map(self) -> dict:
-        return {} if self.symbolic else {n: Fraction(v) for n, v in self.assignments}
-
     def scalar(self, x) -> Scalar:
         return Scalar.from_fraction(x, self.gens())
 
@@ -900,30 +858,16 @@ class FieldConfig:
         if name not in VARIANT_GENS[self.variant]:
             raise UsageError(f"generator {name!r} not in variant {self.variant!r}")
         if not self.symbolic:
-            v = self.assignment_map()[name]
-            if self.inverted and name in ("q", "t"):
-                v = 1 / v
-            return Scalar.from_fraction(v)
+            v = Fraction(dict(self.assignments)[name])
+            return Scalar.from_fraction(1 / v if self.inverted else v)
         g = Scalar.generator(name, self.gens())
-        if self.inverted and name in ("q", "t"):
-            return g.invert()
-        return g
+        return g.invert() if self.inverted else g
 
     def gen_power(self, name: str, k: int) -> Scalar:
         return self.gen(name) ** k
 
     def with_inverted(self) -> "FieldConfig":
         return FieldConfig(self.variant, self.assignments, not self.inverted)
-
-    def family_config(self) -> "FieldConfig":
-        """Drop the evaluation parameter a, keeping the polynomial field."""
-        base = {"qta": "qt", "ra": "r"}.get(self.variant, self.variant)
-        if base == self.variant:
-            return self
-        if self.symbolic:
-            return FieldConfig(base, None, self.inverted)
-        kept = tuple((n, v) for n, v in self.assignments if n != "a")
-        return FieldConfig(base, kept, self.inverted)
 
     def cache_token(self) -> str:
         if self.symbolic:
@@ -958,28 +902,22 @@ def r_config(r=None) -> FieldConfig:
     return FieldConfig("r", (("r", Fraction(r)),))
 
 
-def with_a(cfg: FieldConfig, a=None) -> FieldConfig:
-    """Extend a qt/r config by the evaluation parameter a (symbolic when
-    a is None and cfg is symbolic; otherwise both must be specialized)."""
-    target = {"qt": "qta", "r": "ra"}[cfg.variant]
-    if cfg.symbolic:
-        if a is not None:
-            raise UsageError("cannot mix a symbolic base field with specialized a")
-        return FieldConfig(target, None, cfg.inverted)
-    if a is None:
-        raise UsageError("specialized base field requires a value for a")
-    return FieldConfig(target, cfg.assignments + (("a", Fraction(a)),), cfg.inverted)
+# the values seeded_rationals draws from: p/q with 2 <= p <= 99, 1 <= q <= 9
+_CANDIDATES = len({Fraction(p, q) for p in range(2, 100) for q in range(1, 10)})
 
 
 def seeded_rationals(rng) -> Iterable[Fraction]:
-    """Deterministic stream of candidate specialization values."""
+    """Deterministic stream of distinct candidate specialization values;
+    raises SpecializationCollision once every candidate has been drawn."""
     seen = set()
-    while True:
+    while len(seen) < _CANDIDATES:
         v = Fraction(rng.randint(2, 99), rng.randint(1, 9))
         if v in seen:
             continue
         seen.add(v)
         yield v
+    raise SpecializationCollision(
+        f"all {_CANDIDATES} candidate specialization values are used up")
 
 
 def dumps_canonical(obj) -> str:

@@ -9,9 +9,6 @@ from typing import Iterator, Sequence
 from .errors import DimensionError, UsageError
 from .scalars import FieldConfig
 
-IntVector = tuple  # entries may be negative
-Composition = tuple  # nonnegative entries
-
 
 def weight(v: Sequence[int]) -> int:
     return sum(v)
@@ -43,19 +40,6 @@ class Permutation:
         for i, w in enumerate(word):
             inv[w - 1] = i + 1
         self._inv = tuple(inv)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(range(1, n + 1))
-
-    @staticmethod
-    def transposition(i: int, n: int) -> "Permutation":
-        """The simple transposition s_i."""
-        if not 1 <= i <= n - 1:
-            raise UsageError(f"s_{i} undefined for n={n}")
-        w = list(range(1, n + 1))
-        w[i - 1], w[i] = w[i], w[i - 1]
-        return Permutation(w)
 
     @staticmethod
     def longest(n: int) -> "Permutation":
@@ -218,7 +202,6 @@ def contains(beta: Sequence[int], alpha: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class SpectralPoint:
     coords: tuple
-    kind: str
 
     def __iter__(self):
         return iter(self.coords)
@@ -230,39 +213,38 @@ class SpectralPoint:
         return self.coords[i]
 
     def scale(self, c) -> "SpectralPoint":
-        return SpectralPoint(tuple(x * c for x in self.coords), self.kind)
+        return SpectralPoint(tuple(x * c for x in self.coords))
 
     def shift(self, c) -> "SpectralPoint":
-        return SpectralPoint(tuple(x + c for x in self.coords), self.kind)
+        return SpectralPoint(tuple(x + c for x in self.coords))
 
 
 def tau_point(n: int, cfg: FieldConfig) -> SpectralPoint:
     """tau = (1, t^{-1}, ..., t^{1-n})."""
-    return SpectralPoint(tuple(cfg.gen_power("t", 1 - j) for j in range(1, n + 1)),
-                         "qt-bar")
+    return SpectralPoint(tuple(cfg.gen_power("t", 1 - j) for j in range(1, n + 1)))
 
 
 def rho_point(n: int, cfg: FieldConfig) -> SpectralPoint:
     """rho = r*(0, -1, ..., 1-n)."""
     r = cfg.gen("r")
-    return SpectralPoint(tuple(r * (1 - j) for j in range(1, n + 1)), "r-bar")
+    return SpectralPoint(tuple(r * (1 - j) for j in range(1, n + 1)))
 
 
 def spectral_qt(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
     """v-bar with coordinates q^{v_i} (w_v tau)_i."""
-    if cfg.variant not in ("qt", "qta"):
+    if cfg.variant != "qt":
         raise UsageError("spectral_qt needs a q,t field")
     _, w = dominant_sort(v)
     winv = w.inverse()
     coords = tuple(
         cfg.gen_power("q", v[i - 1]) * cfg.gen_power("t", 1 - winv.apply(i))
         for i in range(1, len(v) + 1))
-    return SpectralPoint(coords, "qt-bar")
+    return SpectralPoint(coords)
 
 
 def spectral_r(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
     """v-bar(r) = v + w_v rho."""
-    if cfg.variant not in ("r", "ra"):
+    if cfg.variant != "r":
         raise UsageError("spectral_r needs an r field")
     _, w = dominant_sort(v)
     winv = w.inverse()
@@ -270,21 +252,8 @@ def spectral_r(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
     coords = tuple(
         cfg.scalar(v[i - 1]) + r * (1 - winv.apply(i))
         for i in range(1, len(v) + 1))
-    return SpectralPoint(coords, "r-bar")
-
-
-def spectral(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
-    if cfg.variant in ("qt", "qta"):
-        return spectral_qt(v, cfg)
-    return spectral_r(v, cfg)
-
-
-def tilde(beta: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
-    """The spectral point of -w_o(beta)."""
-    u = tuple(-x for x in reversed(beta))
-    p = spectral(u, cfg)
-    return SpectralPoint(p.coords, p.kind.replace("bar", "tilde"))
+    return SpectralPoint(coords)
 
 
 def reciprocal_point(p: SpectralPoint) -> SpectralPoint:
-    return SpectralPoint(tuple(x.invert() for x in p.coords), p.kind + "-inv")
+    return SpectralPoint(tuple(x.invert() for x in p.coords))

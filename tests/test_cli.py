@@ -152,6 +152,32 @@ def test_cache_commands(tmp_path, capsys):
     assert out.startswith("0 ")
 
 
+def test_cache_rebuilds_bad_files(tmp_path, capsys):
+    cache_dir = tmp_path / "polys"
+    cmd = ["compute", "G", "--alpha", "2,1", "--cache-dir", str(cache_dir)]
+    code, want, _ = run_cli(cmd, capsys)
+    assert code == 0
+    files = sorted(cache_dir.glob("*.json"))
+    assert len(files) >= 2
+    for f in files:
+        f.write_text(f.read_text()[:len(f.read_text()) // 2])
+    assert run_cli(cmd, capsys)[:2] == (0, want)
+    index = {tuple(json.loads(f.read_text())["key"]["index"]): f
+             for f in files}
+    assert len(index) == len(files)
+    # a file holding another key's polynomial is rebuilt as well
+    index[(2, 1)].write_text(index[(1, 0)].read_text())
+    assert run_cli(cmd, capsys)[:2] == (0, want)
+    assert json.loads(index[(2, 1)].read_text())["key"]["index"] == [2, 1]
+    assert sorted(cache_dir.iterdir()) == files
+
+
+def test_compute_negative_rational_with_space(capsys):
+    code, out, _ = run_cli(["compute", "G", "--alpha", "1,0", "--variant",
+                            "r", "--r", "-1/2"], capsys)
+    assert (code, out.strip()) == (0, "1/2 + x1 - x2")
+
+
 def test_cache_dir_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run_cli(["compute", "G", "--n", "1", "--alpha", "2"], capsys)

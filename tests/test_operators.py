@@ -61,7 +61,7 @@ def test_sigma_examples():
 
 def test_sigma_word_examples():
     f = x(1, cfg=R)
-    assert sigma_word(Permutation.identity(2), f, R) == f
+    assert sigma_word(Permutation((1, 2)), f, R) == f
     expected = x(2, cfg=R) + const(R.gen("r"))
     assert sigma_word(Permutation((2, 1)), f, R) == expected
     assert sigma_word(Permutation.longest(2), f, R) == expected

@@ -81,7 +81,7 @@ def test_ring_axioms_randomized():
 
 def test_permute_vars_examples():
     f = x(1) + x(2).scale(QT.scalar(2))
-    assert f.permute_vars(Permutation.identity(2)) == f
+    assert f.permute_vars(Permutation((1, 2))) == f
     assert x(1).permute_vars(Permutation((2, 1))) == x(2)
     assert f.permute_vars(Permutation.longest(2)) == \
         x(2) + x(1).scale(QT.scalar(2))
