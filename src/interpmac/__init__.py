@@ -5,7 +5,7 @@ identities relating them."""
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      InterpmacError, SpecializationCollision,
                      UnsupportedSubstitution, UsageError)
-from .identities import CATALOG, CheckReport, run_all, run_check
+from .identities import CATALOG, CheckReport, run_check
 from .interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                             closed_d, closed_e, closed_phi, e_top, g_oracle,
                             g_recursive, gplus, gprime, okounkov, r_sym,

@@ -223,7 +223,7 @@ def _check_configs(args) -> tuple:
 
 
 def _report_data(report) -> dict:
-    return {"report": report.to_json(include_timing=False),
+    return {"report": report.to_json(),
             "elapsed_ms": report.elapsed_ms,
             "passed": report.passed}
 

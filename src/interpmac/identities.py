@@ -15,8 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import UsageError
 from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
@@ -49,12 +48,9 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {"id": self.id, "config": self.config,
-               "instances": self.instances, "failures": self.failures}
-        if include_timing:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
+    def to_json(self) -> dict:
+        return {"id": self.id, "config": self.config,
+                "instances": self.instances, "failures": self.failures}
 
 
 def _show(x) -> str:
@@ -131,17 +127,24 @@ class CheckContext:
         return Scalar.generator("a", gens)
 
     def a_values(self, base: FieldConfig, k: int,
-                 reject: Optional[Callable] = None) -> list:
+                 nonzero: Sequence[LaurentPoly] = ()) -> list:
         """Either [symbolic a] or, per the base field, k distinct seeded
-        rationals that reject (the pre-flight) lets through."""
+        rationals a that pass the pre-flight: no polynomial of nonzero
+        vanishes at a acting on the base point, so an expansion over
+        those values never reduces to 0 == 0."""
         if base.symbolic:
             return [self.symbolic_a(base)]
+        var = variant(base)
+        origin = var.base_point(self.n) if nonzero else None
         vals = []
         stream = seeded_rationals(self.rng)
         while len(vals) < k:
-            cand = next(stream)
-            if reject is None or not reject(cand):
-                vals.append(Scalar.from_fraction(cand))
+            a = Scalar.from_fraction(next(stream))
+            if nonzero:
+                point = var.act(origin, a)
+                if any(p.evaluate(point).is_zero() for p in nonzero):
+                    continue
+            vals.append(a)
         self._max_sampled = max(k, getattr(self, "_max_sampled", 0))
         self.a_certification = f"sampled(k<={self._max_sampled})"
         return vals
@@ -406,18 +409,13 @@ def check_binom(ctx: CheckContext):
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         g_a = g_recursive(alpha, cfg, ctx.cache)
+        gs = [g_recursive(b, cfg, ctx.cache) for b in down]
         gps = [gprime(b, cfg, ctx.cache) for b in down]
         coefs = [binom(alpha, b, cfg, ctx.cache, inverted=var.binom_inverted)
                  for b in down]
-
-        def reject(cand: Fraction) -> bool:
-            a0 = Scalar.from_fraction(cand)
-            return any(g_recursive(b, cfg, ctx.cache)
-                       .evaluate(var.act(base, a0)).is_zero() for b in down)
-
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2, reject=reject):
-            dens = [g_recursive(b, cfg, ctx.cache).evaluate(var.act(base, a))
-                    for b in down]
+        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
+            point = var.act(base, a)
+            dens = [g.evaluate(point) for g in gs]
             terms = [(gp, var.binom_weight(a, weight(b)) * c)
                      for b, gp, c in zip(down, gps, coefs)]
             _check_expansion(ctx, f"alpha={alpha}, a={a}", var.act_all(g_a, a),
@@ -431,54 +429,47 @@ def check_binom_sym_r(ctx: CheckContext):
         down = [m for m in partitions_upto(ctx.n, weight(lam))
                 if contains(lam, m)]
         r_l = r_sym(lam, cfg, ctx.cache)
+        rs = [r_sym(m, cfg, ctx.cache) for m in down]
         rps = [rprime(m, cfg, ctx.cache) for m in down]
         coefs = [binom_sym(lam, m, cfg, ctx.cache) for m in down]
-        for a in ctx.a_values(cfg, k=weight(lam) + 2):
-            dens = [r_sym(m, cfg, ctx.cache).evaluate(rho.shift(a))
-                    for m in down]
+        for a in ctx.a_values(cfg, k=weight(lam) + 2, nonzero=rs):
+            point = rho.shift(a)
+            dens = [p.evaluate(point) for p in rs]
             _check_expansion(ctx, f"lambda={lam}", shift_all(r_l, a),
                              down.index(lam), list(zip(rps, coefs)), dens)
 
 
-def check_cor_first(ctx: CheckContext):
-    cfg = ctx.qt
-    origin = (cfg.zero(),) * ctx.n
+def _check_cor(ctx: CheckContext, where: str, point: tuple, den_family,
+               basis_family, lhs: Callable):
+    """lhs(alpha)/D_alpha(point) == sum over beta inside alpha of
+    [alpha,beta] B_beta(x)/D_beta(point), D the den family and B the basis
+    family, once the D_beta(point) are seen to be nonzero."""
+    cfg = ctx.cfg
+    inverted = variant(cfg).binom_inverted
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
-        dens = [g_recursive(b, cfg, ctx.cache).evaluate(origin) for b in down]
-        _check_nonvanishing(ctx, "nonvanishing at 0: beta", down, dens)
-        terms = [(e_top(b, cfg, ctx.cache),
-                  binom(alpha, b, cfg, ctx.cache, inverted=True)) for b in down]
-        _check_expansion(ctx, f"alpha={alpha}",
-                         g_recursive(alpha, cfg, ctx.cache),
+        dens = [den_family(b, cfg, ctx.cache).evaluate(point) for b in down]
+        _check_nonvanishing(ctx, f"nonvanishing at {where}: beta", down, dens)
+        terms = [(basis_family(b, cfg, ctx.cache),
+                  binom(alpha, b, cfg, ctx.cache, inverted=inverted))
+                 for b in down]
+        _check_expansion(ctx, f"alpha={alpha}", lhs(alpha, cfg, ctx.cache),
                          down.index(alpha), terms, dens)
+
+
+def check_cor_first(ctx: CheckContext):
+    _check_cor(ctx, "0", (ctx.cfg.zero(),) * ctx.n, g_recursive, e_top,
+               g_recursive)
 
 
 def check_cor_gprime(ctx: CheckContext):
-    cfg = ctx.qt
-    tau = tau_point(ctx.n, cfg)
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        dens = [e_top(b, cfg, ctx.cache).evaluate(tau) for b in down]
-        _check_nonvanishing(ctx, "nonvanishing at tau: beta", down, dens)
-        terms = [(gprime(b, cfg, ctx.cache),
-                  binom(alpha, b, cfg, ctx.cache, inverted=True)) for b in down]
-        _check_expansion(ctx, f"alpha={alpha}", e_top(alpha, cfg, ctx.cache),
-                         down.index(alpha), terms, dens)
+    _check_cor(ctx, "tau", tau_point(ctx.n, ctx.cfg), e_top, gprime, e_top)
 
 
 def check_cor_las(ctx: CheckContext):
-    cfg = ctx.r
-    ones = (cfg.one(),) * ctx.n
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        dens = [e_top(b, cfg, ctx.cache).evaluate(ones) for b in down]
-        _check_nonvanishing(ctx, "nonvanishing at ones: beta", down, dens)
-        terms = [(e_top(b, cfg, ctx.cache), binom(alpha, b, cfg, ctx.cache))
-                 for b in down]
-        _check_expansion(ctx, f"alpha={alpha}",
-                         shift_all(e_top(alpha, cfg, ctx.cache), cfg.one()),
-                         down.index(alpha), terms, dens)
+    _check_cor(ctx, "ones", (ctx.cfg.one(),) * ctx.n, e_top, e_top,
+               lambda alpha, cfg, cache: shift_all(e_top(alpha, cfg, cache),
+                                                   cfg.one()))
 
 
 def check_cor_plus(ctx: CheckContext):
@@ -487,11 +478,12 @@ def check_cor_plus(ctx: CheckContext):
     wo = Permutation.longest(ctx.n)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
+        gs = [g_recursive(b, cfg, ctx.cache) for b in down]
         terms = [(gplus(b, cfg, ctx.cache).permute_vars(wo),
                   binom(alpha, b, cfg, ctx.cache)) for b in down]
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
-            dens = [g_recursive(b, cfg, ctx.cache).evaluate(rho.shift(a))
-                    for b in down]
+        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
+            point = rho.shift(a)
+            dens = [g.evaluate(point) for g in gs]
             shifted = shift_all(g_recursive(alpha, cfg, ctx.cache), a)
             _check_expansion(ctx, f"alpha={alpha}",
                              sigma_word(wo, shifted, cfg), down.index(alpha),
@@ -563,7 +555,7 @@ def check_symm_lemma(ctx: CheckContext):
         rp_l = rprime(lam, cfg, ctx.cache)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gp_a = gprime(alpha, cfg, ctx.cache)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=(r_l, g_a)):
             val_r = r_l.evaluate(rho.shift(a))
             val_g = g_a.evaluate(rho.shift(a))
             lhs = symmetrize(shift_all(g_a, a), cfg).scale(val_r)
@@ -743,20 +735,15 @@ CATALOG = {row[0]: CheckDef(*row) for row in _CATALOG_ROWS}
 # runner
 # ---------------------------------------------------------------------------
 
-def run_check(check_id: str, n: int, d: int, cfg: Optional[FieldConfig] = None,
-              seed=0, cache: Optional[FamilyCache] = None,
+def run_check(check_id: str, n: int, d: int, seed=0,
+              cache: Optional[FamilyCache] = None,
               qt: Optional[FieldConfig] = None,
               r: Optional[FieldConfig] = None) -> CheckReport:
-    """Execute one catalog entry over every instance in range.
-
-    cfg, when given, overrides the configuration of its own variant
-    (qt-type configs steer qt checks, r-type configs steer r checks)."""
+    """Execute one catalog entry over every instance in range."""
     cdef = CATALOG.get(check_id)
     if cdef is None:
         raise UsageError(f"unknown check id {check_id!r}")
     fields = {"qt": qt or qt_config(2, 3), "r": r or r_config()}
-    if cfg is not None:
-        fields[cfg.variant] = cfg
     cache = cache if cache is not None else FamilyCache()
     ctx = CheckContext(check_id, n, d, fields["qt"], fields["r"], seed, cache,
                        field=cdef.fields[0])
@@ -768,12 +755,3 @@ def run_check(check_id: str, n: int, d: int, cfg: Optional[FieldConfig] = None,
     if ctx.a_certification:
         config["a_certification"] = ctx.a_certification
     return CheckReport(check_id, config, ctx.instances, ctx.failures, elapsed)
-
-
-def run_all(n: int, d: int, seed=0, cache: Optional[FamilyCache] = None,
-            qt: Optional[FieldConfig] = None,
-            r: Optional[FieldConfig] = None, ids: Optional[list] = None):
-    """Run the whole catalog (or the given ids) in stable order."""
-    cache = cache if cache is not None else FamilyCache()
-    for check_id in (ids or list(CATALOG)):
-        yield run_check(check_id, n, d, seed=seed, cache=cache, qt=qt, r=r)

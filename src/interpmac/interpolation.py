@@ -13,8 +13,8 @@ Families (CLI spellings in parentheses):
 * O      reciprocity interpolation polynomial (needs the parameter a)
 
 All linear systems are solved by exact fraction-free Gaussian
-elimination with first-nonzero pivoting; each family re-checks its
-defining vanishing conditions after construction.
+elimination with first-nonzero pivoting; G, R, Gprime and Rprime
+re-check degree, vanishing and normalization after construction.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .polyring import LaurentPoly, negate_shift_all
 from .scalars import FieldConfig, Scalar, dumps_canonical
 from .shapes import (SpectralPoint, diagram_stats, enumerate_compositions,
                      is_composition, is_partition, partitions_upto,
-                     rearrangements, sharp, reciprocal_point, weight)
+                     rearrangements, sharp, weight)
 from .variant import variant
 
 
@@ -106,14 +106,14 @@ def invert_matrix(rows: Sequence[Sequence[Scalar]], context: str) -> list:
 
 
 def _matvec_inv(inv_cols: list, rhs: Sequence[Scalar]) -> list:
-    """A^{-1} rhs given the columns of A^{-1}."""
-    m = len(rhs)
+    """A^{-1} rhs given the columns of A^{-1}, skipping the columns where
+    rhs is zero."""
+    used = [j for j, c in enumerate(rhs) if not c.is_zero()] or [0]
     out = []
-    for i in range(m):
-        acc = None
-        for j in range(m):
-            term = inv_cols[j][i] * rhs[j]
-            acc = term if acc is None else acc + term
+    for i in range(len(rhs)):
+        acc = inv_cols[used[0]][i] * rhs[used[0]]
+        for j in used[1:]:
+            acc = acc + inv_cols[j][i] * rhs[j]
         out.append(acc)
     return out
 
@@ -199,48 +199,52 @@ class FamilyCache:
 
 
 # ---------------------------------------------------------------------------
-# spectral point tables and factored interpolation systems
+# interpolation systems: point kind, basis, matrix, solve, re-check
 # ---------------------------------------------------------------------------
 
 def _point(kind: str, v: tuple, cfg: FieldConfig, cache: FamilyCache) -> SpectralPoint:
-    key = ("pt", kind, cfg.cache_token(), v)
-    if kind == "bar":
-        return cache.memo(key, lambda: variant(cfg).bar(v))
-    if kind == "tilde":
-        return cache.memo(key, lambda: variant(cfg).tilde(v))
-    if kind == "bar-inv":
-        return cache.memo(key, lambda: reciprocal_point(variant(cfg).bar(v)))
-    raise UsageError(f"unknown point kind {kind}")
+    """The point of index v; kind names a Variant point method (bar,
+    tilde, bar_inv)."""
+    return cache.memo(("pt", kind, cfg.cache_token(), v),
+                      lambda: getattr(variant(cfg), kind)(v))
 
 
-def _power_table(point: SpectralPoint, exps: Sequence[tuple]) -> list:
-    cachepow: dict = {}
+def _basis(n: int, deg: int, symmetric: bool) -> tuple:
+    """(indices, groups) of the basis of degree <= deg: one monomial x^e
+    per composition, or with symmetric the monomial symmetric polynomial
+    of each partition, its group being the partition's rearrangements."""
+    if symmetric:
+        indices = partitions_upto(n, deg)
+        return indices, [rearrangements(mu) for mu in indices]
+    indices = enumerate_compositions(n, deg)
+    return indices, [(e,) for e in indices]
 
-    def power(i, k):
-        got = cachepow.get((i, k))
-        if got is None:
-            got = point[i] ** k
-            cachepow[(i, k)] = got
-        return got
 
+def monomial_matrix(indices: Sequence[tuple], groups: Sequence[Sequence[tuple]],
+                    kind: str, cfg: FieldConfig, cache: FamilyCache) -> list:
+    """One row per index: entry j is the sum of point^e over the exponents
+    e of groups[j], from one table of coordinate powers per point."""
     rows = []
-    for e in exps:
-        acc = None
-        for i, k in enumerate(e):
-            if k:
-                p = power(i, k)
-                acc = p if acc is None else acc * p
-        if acc is None:
-            some = point[0]
-            acc = some.__class__.one(some.gens)
-        rows.append(acc)
+    for v in indices:
+        point = _point(kind, v, cfg, cache)
+        one = Scalar.one(point[0].gens)
+        powers: dict = {}
+        row = []
+        for group in groups:
+            total = None
+            for e in group:
+                acc = None
+                for i, k in enumerate(e):
+                    if k:
+                        p = powers.get((i, k))
+                        if p is None:
+                            p = powers[(i, k)] = point[i] ** k
+                        acc = p if acc is None else acc * p
+                acc = one if acc is None else acc
+                total = acc if total is None else total + acc
+            row.append(total)
+        rows.append(row)
     return rows
-
-
-def monomial_matrix(indices: Sequence[tuple], exps: Sequence[tuple], kind: str,
-                    cfg: FieldConfig, cache: FamilyCache) -> list:
-    """Rows of point^exp over the given index/exponent lists."""
-    return [_power_table(_point(kind, v, cfg, cache), exps) for v in indices]
 
 
 def mono_sym(n: int, mu: tuple, one: Scalar) -> LaurentPoly:
@@ -248,36 +252,50 @@ def mono_sym(n: int, mu: tuple, one: Scalar) -> LaurentPoly:
     return LaurentPoly(n, {e: one for e in rearrangements(mu)}, _clean=True)
 
 
-def _sym_matrix(indices: Sequence[tuple], basis: Sequence[tuple], kind: str,
-                cfg: FieldConfig, cache: FamilyCache) -> list:
-    one = cfg.one()
-    n = len(indices[0]) if indices else 0
-    polys = [mono_sym(n, mu, one) for mu in basis]
-    rows = []
-    for v in indices:
-        p = _point(kind, v, cfg, cache)
-        rows.append([m.evaluate(p) for m in polys])
-    return rows
-
-
-def _inverse_system(kind: str, n: int, deg: int, cfg: FieldConfig,
-                    cache: FamilyCache, symmetric: bool = False) -> tuple:
-    """(indices, inverse columns) for one interpolation point family."""
+def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
+            symmetric: bool) -> tuple:
+    """(indices, groups, inverse columns) of the basis of degree <= deg
+    evaluated at the kind points of its indices."""
     token = cfg.cache_token()
-    key = ("inv", kind, symmetric, token, n, deg)
 
     def build():
-        if symmetric:
-            indices = partitions_upto(n, deg)
-            rows = _sym_matrix(indices, indices, kind, cfg, cache)
-        else:
-            indices = enumerate_compositions(n, deg)
-            rows = monomial_matrix(indices, indices, kind, cfg, cache)
+        indices, groups = _basis(n, deg, symmetric)
+        rows = monomial_matrix(indices, groups, kind, cfg, cache)
         ctx = (f"{'symmetric ' if symmetric else ''}{kind} interpolation, "
                f"n={n} degree {deg}, field {token}")
-        return indices, invert_matrix(rows, ctx)
+        return indices, groups, invert_matrix(rows, ctx)
 
-    return cache.memo(key, build)
+    return cache.memo(("inv", kind, symmetric, token, n, deg), build)
+
+
+def _solve(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
+           symmetric: bool, rhs: Callable) -> tuple:
+    """(indices, p): p of degree <= deg in the (symmetric) monomial basis
+    with p = rhs(beta) at the kind point of every index beta.  The basis
+    elements of distinct indices share no monomial, so p is one term dict."""
+    indices, groups, inv_cols = _system(kind, n, deg, cfg, cache, symmetric)
+    coeffs = _matvec_inv(inv_cols, [rhs(beta) for beta in indices])
+    return indices, LaurentPoly(n, {e: c for group, c in zip(groups, coeffs)
+                                    for e in group})
+
+
+def _recheck(poly: LaurentPoly, index: tuple, kind: str, indices: list,
+             cfg: FieldConfig, cache: FamilyCache) -> LaurentPoly:
+    """The defining conditions, re-verified on a freshly built polynomial:
+    degree <= |index|, a zero at the kind point of every other index of
+    its system, and coefficient 1 at x^index."""
+    if poly.total_degree() > weight(index):
+        raise SpecializationCollision(
+            f"degree bound violated for index {index}")
+    for beta in indices:
+        if beta != index and not poly.evaluate(
+                _point(kind, beta, cfg, cache)).is_zero():
+            raise SpecializationCollision(
+                f"{kind} vanishing failed at {beta} for index {index}")
+    if poly.coefficient(index, cfg.zero()) != cfg.one():
+        raise SpecializationCollision(
+            f"normalization failed for index {index}")
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +309,6 @@ def _validate_index(index: Sequence[int], partition: bool = False) -> tuple:
     if partition and not is_partition(index):
         raise UsageError(f"not a partition: {index}")
     return index
-
-
-def _recheck_vanishing(poly: LaurentPoly, alpha: tuple, indices: list,
-                       cfg: FieldConfig, cache: FamilyCache):
-    """Defining conditions, re-verified on the freshly built polynomial:
-    degree <= |alpha| and a zero at the spectral point of every other
-    index."""
-    if poly.total_degree() > weight(alpha):
-        raise SpecializationCollision(
-            f"degree bound violated for index {alpha}")
-    for beta in indices:
-        if beta == alpha:
-            continue
-        if not poly.evaluate(_point("bar", beta, cfg, cache)).is_zero():
-            raise SpecializationCollision(
-                f"vanishing failed at {beta} for index {alpha}")
 
 
 def g_recursive(alpha: Sequence[int], cfg: FieldConfig,
@@ -336,30 +338,19 @@ def g_recursive(alpha: Sequence[int], cfg: FieldConfig,
     return cache.poly(fk, build)
 
 
-def _basis_sum(n: int, indices: Sequence[tuple], coeffs: Sequence[Scalar],
-               symmetric: bool) -> LaurentPoly:
-    """sum_j coeffs[j] * x^indices[j], or with symmetric the monomial
-    symmetric polynomials m_indices[j]: the rearrangements of distinct
-    partitions do not overlap, so this is one term dict."""
-    return LaurentPoly(n, {e: c for mu, c in zip(indices, coeffs)
-                           for e in (rearrangements(mu) if symmetric
-                                     else (mu,))})
-
-
 def _normalized_interpolant(index: tuple, cfg: FieldConfig,
                             cache: FamilyCache, symmetric: bool) -> LaurentPoly:
     """The polynomial of degree <= |index| in the (symmetric) monomial
     basis that vanishes at the spectral points of every other index of
-    that degree and has coefficient 1 at the basis element of index."""
-    indices, inv_cols = _inverse_system("bar", len(index), weight(index), cfg,
-                                        cache, symmetric)
-    pos = indices.index(index)
-    u = inv_cols[pos]
-    if u[pos].is_zero():
+    that degree and has coefficient 1 at x^index."""
+    one, zero = cfg.one(), cfg.zero()
+    indices, p = _solve("bar", len(index), weight(index), cfg, cache,
+                        symmetric, lambda beta: one if beta == index else zero)
+    lead = p.coefficient(index, zero)
+    if lead.is_zero():
         raise SpecializationCollision(
             f"normalization impossible for index {index}")
-    scale = u[pos].invert()
-    return _basis_sum(len(index), indices, [c * scale for c in u], symmetric)
+    return _recheck(p.scale(lead.invert()), index, "bar", indices, cfg, cache)
 
 
 def _primed(index: tuple, top: LaurentPoly, cfg: FieldConfig,
@@ -369,16 +360,10 @@ def _primed(index: tuple, top: LaurentPoly, cfg: FieldConfig,
     deg = weight(index)
     if deg == 0:
         return top
-    indices, inv_cols = _inverse_system("tilde", len(index), deg - 1, cfg,
-                                        cache, symmetric)
-    rhs = [-top.evaluate(_point("tilde", b, cfg, cache)) for b in indices]
-    coeffs = _matvec_inv(inv_cols, rhs)
-    poly = top + _basis_sum(len(index), indices, coeffs, symmetric)
-    for beta in indices:
-        if not poly.evaluate(_point("tilde", beta, cfg, cache)).is_zero():
-            raise SpecializationCollision(
-                f"tilde vanishing failed at {beta} for index {index}")
-    return poly
+    indices, low = _solve(
+        "tilde", len(index), deg - 1, cfg, cache, symmetric,
+        lambda beta: -top.evaluate(_point("tilde", beta, cfg, cache)))
+    return _recheck(top + low, index, "tilde", indices, cfg, cache)
 
 
 def g_oracle(alpha: Sequence[int], cfg: FieldConfig,
@@ -388,18 +373,8 @@ def g_oracle(alpha: Sequence[int], cfg: FieldConfig,
     recursion and used to cross-check it."""
     alpha = _validate_index(alpha)
     fk = FamilyKey("G-oracle", cfg.variant, alpha, cfg.cache_token())
-
-    def build():
-        poly = _normalized_interpolant(alpha, cfg, cache, symmetric=False)
-        _recheck_vanishing(poly, alpha, enumerate_compositions(
-            len(alpha), weight(alpha)), cfg, cache)
-        one = cfg.one()
-        if poly.coefficient(alpha, cfg.zero()) != one:
-            raise SpecializationCollision(
-                f"normalization failed for index {alpha}")
-        return poly
-
-    return cache.poly(fk, build)
+    return cache.poly(fk, lambda: _normalized_interpolant(
+        alpha, cfg, cache, symmetric=False))
 
 
 def e_top(alpha: Sequence[int], cfg: FieldConfig,
@@ -441,14 +416,8 @@ def r_sym(lam: Sequence[int], cfg: FieldConfig,
     """Symmetric interpolation polynomial for a partition index."""
     lam = _validate_index(lam, partition=True)
     fk = FamilyKey("R", cfg.variant, lam, cfg.cache_token())
-
-    def build():
-        poly = _normalized_interpolant(lam, cfg, cache, symmetric=True)
-        _recheck_vanishing(poly, lam, partitions_upto(len(lam), weight(lam)),
-                           cfg, cache)
-        return poly
-
-    return cache.poly(fk, build)
+    return cache.poly(fk, lambda: _normalized_interpolant(
+        lam, cfg, cache, symmetric=True))
 
 
 def rprime(lam: Sequence[int], cfg: FieldConfig,
@@ -472,12 +441,9 @@ def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
     cfg is the base polynomial field; a is the evaluation parameter as a
     field element (symbolic generator or exact rational)."""
     alpha = _validate_index(alpha)
-    n = len(alpha)
-    indices, inv_cols = _inverse_system(variant(cfg).o_kind, n, weight(alpha),
-                                        cfg, cache)
-    rhs = [okounkov_value(alpha, beta, cfg, a, cache) for beta in indices]
-    coeffs = _matvec_inv(inv_cols, rhs)
-    return LaurentPoly(n, {e: c for e, c in zip(indices, coeffs)})
+    _, o = _solve(variant(cfg).o_kind, len(alpha), weight(alpha), cfg, cache,
+                  False, lambda beta: okounkov_value(alpha, beta, cfg, a, cache))
+    return o
 
 
 def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,

@@ -187,37 +187,23 @@ def _uni_gcd_int(a: dict, b: dict) -> dict:
     return {d: c * x for d, x in f.items()}
 
 
-def _uni_mul(a: Mapping[int, Terms], b: Mapping[int, Terms]) -> dict:
-    out: dict[int, Terms] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            prod = _dict_mul(ca, cb)
-            out[d] = _dict_add(out[d], prod) if d in out else prod
-    return {d: c for d, c in out.items() if c}
-
-
-def _uni_sub(a: Mapping[int, Terms], b: Mapping[int, Terms]) -> dict:
-    out = {d: dict(c) for d, c in a.items()}
-    for d, c in b.items():
-        s = _dict_add(out.get(d, {}), _dict_neg(c))
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
 def _pseudo_rem(f: dict, g: dict, k: int) -> dict:
     """Pseudo-remainder of univariate polys with k-generator coefficients."""
     dg = max(g)
-    lcg = {0: g[dg]}
+    lcg = g[dg]
     r = f
     while r and max(r) >= dg:
         dr = max(r)
         lcr = r[dr]
-        shifted = {d + dr - dg: c for d, c in g.items()}
-        r = _uni_sub(_uni_mul(r, lcg), _uni_mul(shifted, {0: lcr}))
+        nr = {d: _dict_mul(c, lcg) for d, c in r.items()}
+        for d, c in g.items():
+            dd = d + dr - dg
+            s = _dict_add(nr.get(dd, {}), _dict_neg(_dict_mul(c, lcr)))
+            if s:
+                nr[dd] = s
+            else:
+                nr.pop(dd, None)
+        r = nr
     return r
 
 
@@ -336,7 +322,10 @@ class Scalar:
 
     def __init__(self, gens: tuple, num: Terms, den: Terms, _canonical=False):
         if not _canonical:
-            gens, num, den = _reduce_parts(gens, num, den)
+            if not den:
+                raise DivisionByZero("zero denominator")
+            reduced = _reduce_over(gens, num, [den])
+            num, den = reduced.num, reduced.den
         self.gens = gens
         self.num = num
         self.den = den
@@ -601,30 +590,6 @@ class Scalar:
         dec = lambda t: {tuple(int(x) for x in e.split(",")) if e else (): int(c)
                          for e, c in t.items()}
         return Scalar(gens, dec(data["num"]), dec(data["den"]))
-
-
-def _reduce_parts(gens: tuple, num: Terms, den: Terms) -> tuple:
-    """Canonicalize a raw fraction of term dicts."""
-    if not den:
-        raise DivisionByZero("zero denominator")
-    k = len(gens)
-    if not num:
-        return gens, {}, _dict_const(1, k)
-    if den == _dict_const(1, k):
-        return gens, num, den
-    if k == 0:
-        p, q = num[()], den[()]
-        g = int_gcd(p, q)
-        if q < 0:
-            g = -g
-        return gens, {(): p // g}, {(): q // g}
-    g = _poly_gcd(num, den, k)
-    if g != _dict_const(1, k):
-        num = _dict_divexact(num, g, k)
-        den = _dict_divexact(den, g, k)
-    if _leading_coeff(den) < 0:
-        num, den = _dict_neg(num), _dict_neg(den)
-    return gens, num, den
 
 
 def _common_gens(values: Sequence[Scalar]) -> tuple:

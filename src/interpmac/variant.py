@@ -14,14 +14,14 @@ from typing import Sequence
 
 from . import operators, polyring
 from .scalars import FieldConfig, Scalar
-from .shapes import (CellStats, SpectralPoint, rho_point, spectral_qt,
-                     spectral_r, tau_point)
+from .shapes import (CellStats, SpectralPoint, reciprocal_point, rho_point,
+                     spectral_qt, spectral_r, tau_point)
 
 
 class Variant:
     """What the q,t and r code paths differ in, for one field config."""
 
-    o_kind: str             # point kind the reciprocity polynomial lives on
+    o_kind: str             # point method the reciprocity polynomial lives on
     binom_inverted: bool    # expansions use the binomials at 1/q, 1/t
 
     def __init__(self, cfg: FieldConfig):
@@ -36,7 +36,7 @@ class Variant:
 class QtVariant(Variant):
     """q,t: a scales points, Hecke operators, Xi eigenvalues bar^{-1}."""
 
-    o_kind = "bar-inv"
+    o_kind = "bar_inv"
     binom_inverted = True
 
     def __init__(self, cfg: FieldConfig):
@@ -46,6 +46,10 @@ class QtVariant(Variant):
 
     def bar(self, v: Sequence[int]) -> SpectralPoint:
         return spectral_qt(v, self.cfg)
+
+    def bar_inv(self, v: Sequence[int]) -> SpectralPoint:
+        """The coordinatewise reciprocal of bar(v)."""
+        return reciprocal_point(self.bar(v))
 
     def base_point(self, n: int) -> SpectralPoint:
         return tau_point(n, self.cfg)

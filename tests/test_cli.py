@@ -105,6 +105,17 @@ def test_check_json_reports_have_schema(capsys):
     assert data["id"] == "zerosp"
 
 
+def test_check_timings_json_adds_only_elapsed(capsys):
+    argv = ["check", "all", "--n", "1", "--deg", "2", "--json"]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, timed, _ = run_cli(argv + ["--timings"], capsys)
+    assert code == 0
+    reports = [json.loads(line) for line in timed.splitlines()]
+    assert all(isinstance(rep.pop("elapsed_ms"), float) for rep in reports)
+    assert reports == [json.loads(line) for line in plain.splitlines()]
+
+
 def test_check_failure_exit_code(capsys):
     def failing(ctx):
         ctx.eq("forced", 1, 2)

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from interpmac import interpolation
 from interpmac.errors import SpecializationCollision, UsageError
 from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                                      closed_d, closed_e, closed_phi, e_top,
@@ -335,6 +336,47 @@ def test_mono_sym():
     m = mono_sym(3, (2, 1, 0), Scalar.one())
     assert len(m.terms) == 6
     assert m.swap_adjacent(1) == m and m.swap_adjacent(2) == m
+
+
+# -- re-check of the defining conditions -------------------------------------
+
+def _raise_degree(p, cfg):
+    return p + LaurentPoly.variable(p.n, 1, cfg.one()) ** (p.total_degree() + 1)
+
+
+def _lift_off_zero(p, cfg):
+    return p + LaurentPoly.constant(p.n, cfg.one())
+
+
+def _double(p, cfg):
+    return p.scale(cfg.scalar(2))
+
+
+@pytest.mark.parametrize("family, index, cfg, kind", [
+    (g_oracle, (1, 1), qt_config(2, 3), "bar"),
+    (r_sym, (2, 1), qt_config(2, 3), "bar"),
+    (gprime, (1, 1), qt_config(2, 3), "tilde"),
+    (rprime, (2, 1), r_config(Fraction(1, 2)), "tilde"),
+], ids=["G", "R", "Gprime", "Rprime"])
+@pytest.mark.parametrize("broken, message", [
+    (_raise_degree, "degree bound violated"),
+    (_lift_off_zero, "{kind} vanishing failed"),
+    (_double, "normalization failed"),
+], ids=["degree", "vanishing", "normalization"])
+def test_recheck_rejects_a_broken_build(monkeypatch, family, index, cfg, kind,
+                                        broken, message):
+    # break the polynomial a constructor hands to its re-check of the
+    # given point kind; an R built on the way to R' is left intact
+    recheck = interpolation._recheck
+
+    def breaking(poly, index_, kind_, *rest):
+        return recheck(broken(poly, cfg) if kind_ == kind else poly, index_,
+                       kind_, *rest)
+
+    monkeypatch.setattr(interpolation, "_recheck", breaking)
+    with pytest.raises(SpecializationCollision,
+                       match=message.format(kind=kind)):
+        family(index, cfg, FamilyCache())
 
 
 # -- disk cache ----------------------------------------------------------------
