@@ -27,7 +27,7 @@ from .polyring import LaurentPoly, exact_div_check, shift_all
 from .scalars import FieldConfig, Scalar, qt_config, r_config, seeded_rationals
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
-                     rearrangements, rho_point, sharp, spectral_qt,
+                     rearrangements, sharp, spectral_qt,
                      spectral_r, tau_point, weight)
 from .variant import tilde, variant
 
@@ -128,26 +128,31 @@ class CheckContext:
 
     def a_values(self, base: FieldConfig, k: int,
                  nonzero: Sequence[LaurentPoly] = ()) -> list:
-        """Either [symbolic a] or, per the base field, k distinct seeded
-        rationals a that pass the pre-flight: no polynomial of nonzero
-        vanishes at a acting on the base point, so an expansion over
-        those values never reduces to 0 == 0."""
-        if base.symbolic:
-            return [self.symbolic_a(base)]
+        """Pairs (a, values): either the symbolic a or, per the base
+        field, k distinct seeded rationals a that pass the pre-flight, and
+        the values of the nonzero polynomials at a acting on the base
+        point.  No sampled a makes one of those values zero, so an
+        expansion over them never reduces to 0 == 0."""
         var = variant(base)
         origin = var.base_point(self.n) if nonzero else None
-        vals = []
+
+        def values(a):
+            point = var.act(origin, a) if nonzero else None
+            return [p.evaluate(point) for p in nonzero]
+
+        if base.symbolic:
+            a = self.symbolic_a(base)
+            return [(a, values(a))]
+        out = []
         stream = seeded_rationals(self.rng)
-        while len(vals) < k:
+        while len(out) < k:
             a = Scalar.from_fraction(next(stream))
-            if nonzero:
-                point = var.act(origin, a)
-                if any(p.evaluate(point).is_zero() for p in nonzero):
-                    continue
-            vals.append(a)
+            vals = values(a)
+            if not any(v.is_zero() for v in vals):
+                out.append((a, vals))
         self._max_sampled = max(k, getattr(self, "_max_sampled", 0))
         self.a_certification = f"sampled(k<={self._max_sampled})"
-        return vals
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +265,7 @@ def check_discr(ctx: CheckContext):
     var = variant(cfg)
     base = var.base_point(ctx.n)
     fs = ctx.random_polys(cfg, count=2)
-    for a in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
+    for a, _ in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
         for fi, f in enumerate(fs):
             pf = var.raise_op(f)
             xf = [var.exchange_op(i, f) for i in range(1, ctx.n)]
@@ -317,7 +322,7 @@ def check_eval(ctx: CheckContext):
         g = g_recursive(alpha, cfg, ctx.cache)
         d_a = closed_d(alpha, cfg)
         e_a = closed_e(alpha, cfg)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
             lhs = d_a * g.evaluate(var.act(base, a))
             rhs = e_a * closed_phi(alpha, cfg, a)
             ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
@@ -330,7 +335,7 @@ def check_inva(ctx: CheckContext):
     for alpha in ctx.compositions():
         d_a = closed_d(alpha, cfg)
         g_a = g_recursive(alpha, cfg, ctx.cache)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
             base = d_a * g_a.evaluate(tau.scale(a))
             for w in perms:
                 beta = w.act(alpha)
@@ -376,7 +381,7 @@ def check_derecur(ctx: CheckContext):
             beta = w.act(alpha)
             ctx.eq(f"e-invariance alpha={alpha}, w={w.word}",
                    closed_e(beta, cfg), e_a)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
             phi_a = closed_phi(alpha, cfg, a)
             for w in perms:
                 beta = w.act(alpha)
@@ -405,7 +410,6 @@ def check_oko(ctx: CheckContext):
 def check_binom(ctx: CheckContext):
     cfg = ctx.cfg
     var = variant(cfg)
-    base = var.base_point(ctx.n)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         g_a = g_recursive(alpha, cfg, ctx.cache)
@@ -413,9 +417,7 @@ def check_binom(ctx: CheckContext):
         gps = [gprime(b, cfg, ctx.cache) for b in down]
         coefs = [binom(alpha, b, cfg, ctx.cache, inverted=var.binom_inverted)
                  for b in down]
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
-            point = var.act(base, a)
-            dens = [g.evaluate(point) for g in gs]
+        for a, dens in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
             terms = [(gp, var.binom_weight(a, weight(b)) * c)
                      for b, gp, c in zip(down, gps, coefs)]
             _check_expansion(ctx, f"alpha={alpha}, a={a}", var.act_all(g_a, a),
@@ -424,7 +426,6 @@ def check_binom(ctx: CheckContext):
 
 def check_binom_sym_r(ctx: CheckContext):
     cfg = ctx.r
-    rho = rho_point(ctx.n, cfg)
     for lam in partitions_upto(ctx.n, ctx.d):
         down = [m for m in partitions_upto(ctx.n, weight(lam))
                 if contains(lam, m)]
@@ -432,10 +433,8 @@ def check_binom_sym_r(ctx: CheckContext):
         rs = [r_sym(m, cfg, ctx.cache) for m in down]
         rps = [rprime(m, cfg, ctx.cache) for m in down]
         coefs = [binom_sym(lam, m, cfg, ctx.cache) for m in down]
-        for a in ctx.a_values(cfg, k=weight(lam) + 2, nonzero=rs):
-            point = rho.shift(a)
-            dens = [p.evaluate(point) for p in rs]
-            _check_expansion(ctx, f"lambda={lam}", shift_all(r_l, a),
+        for a, dens in ctx.a_values(cfg, k=weight(lam) + 2, nonzero=rs):
+            _check_expansion(ctx, f"lambda={lam}, a={a}", shift_all(r_l, a),
                              down.index(lam), list(zip(rps, coefs)), dens)
 
 
@@ -474,18 +473,15 @@ def check_cor_las(ctx: CheckContext):
 
 def check_cor_plus(ctx: CheckContext):
     cfg = ctx.r
-    rho = rho_point(ctx.n, cfg)
     wo = Permutation.longest(ctx.n)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         gs = [g_recursive(b, cfg, ctx.cache) for b in down]
         terms = [(gplus(b, cfg, ctx.cache).permute_vars(wo),
                   binom(alpha, b, cfg, ctx.cache)) for b in down]
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
-            point = rho.shift(a)
-            dens = [g.evaluate(point) for g in gs]
+        for a, dens in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
             shifted = shift_all(g_recursive(alpha, cfg, ctx.cache), a)
-            _check_expansion(ctx, f"alpha={alpha}",
+            _check_expansion(ctx, f"alpha={alpha}, a={a}",
                              sigma_word(wo, shifted, cfg), down.index(alpha),
                              terms, dens)
 
@@ -548,22 +544,20 @@ def check_sym_lemma(ctx: CheckContext):
 
 def check_symm_lemma(ctx: CheckContext):
     cfg = ctx.r
-    rho = rho_point(ctx.n, cfg)
     for alpha in ctx.compositions():
         lam, _ = dominant_sort(alpha)
         r_l = r_sym(lam, cfg, ctx.cache)
         rp_l = rprime(lam, cfg, ctx.cache)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gp_a = gprime(alpha, cfg, ctx.cache)
-        for a in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=(r_l, g_a)):
-            val_r = r_l.evaluate(rho.shift(a))
-            val_g = g_a.evaluate(rho.shift(a))
+        for a, (val_r, val_g) in ctx.a_values(cfg, k=weight(alpha) + 2,
+                                              nonzero=(r_l, g_a)):
             lhs = symmetrize(shift_all(g_a, a), cfg).scale(val_r)
             rhs = shift_all(r_l, a).scale(val_g)
-            ctx.eq(f"shifted: alpha={alpha}", lhs, rhs)
+            ctx.eq(f"shifted: alpha={alpha}, a={a}", lhs, rhs)
             lhs = symmetrize(gp_a, cfg).scale(val_r)
             rhs = rp_l.scale(val_g)
-            ctx.eq(f"primed: alpha={alpha}", lhs, rhs)
+            ctx.eq(f"primed: alpha={alpha}, a={a}", lhs, rhs)
 
 
 def check_sym_binomial(ctx: CheckContext):

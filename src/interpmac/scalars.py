@@ -218,9 +218,96 @@ def _monomial_gcd(mono: Terms, other: Terms) -> Terms:
     return {tuple(min(x, y) for x, y in zip(em, exps)): g}
 
 
+# --- modular coprimality certificate ---------------------------------------
+
+_P = (1 << 61) - 1
+# fixed evaluation point, one value per generator position (k <= 4)
+_XI = (1234567891011, 987654321987654, 271828182845904, 314159265358979)
+_XI_SHIFTS = 3
+
+
+def _image_mod_p(a: Terms, i: int, deg: int, pows: list) -> list:
+    """a(x_i; xi) mod p as dense coefficients in x_i, pows[j][d] being
+    xi_j^d mod p."""
+    out = [0] * (deg + 1)
+    for e, c in a.items():
+        for j, x in enumerate(e):
+            if x and j != i:
+                c = c * pows[j][x] % _P
+        out[e[i]] += c
+    return [c % _P for c in out]
+
+
+def _uni_gcd_degree_mod_p(f: list, g: list) -> int:
+    """Degree of gcd(f, g) over F_p, for dense f and g with f[-1] != 0."""
+    while g and not g[-1]:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, _P)
+        dg = len(g) - 1
+        while len(f) > dg:
+            c = f[-1] * inv % _P
+            off = len(f) - 1 - dg
+            for j in range(dg):
+                f[off + j] = (f[off + j] - c * g[j]) % _P
+            f.pop()
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_certificate(a: Terms, b: Terms, k: int):
+    """{(0,...,0): c} with c the gcd of every integer coefficient of a and
+    b when gcd(a, b) is proved to be that integer, else None."""
+    dega = [_dict_degree_in(a, j) for j in range(k)]
+    degb = [_dict_degree_in(b, j) for j in range(k)]
+    todo = [i for i in range(k) if dega[i] and degb[i]]
+    for shift in range(_XI_SHIFTS):
+        if not todo:
+            break
+        pows = []
+        for j in range(k):
+            x = _XI[j] + shift
+            row = [1]
+            for _ in range(max(dega[j], degb[j])):
+                row.append(row[-1] * x % _P)
+            pows.append(row)
+        missed = []
+        for i in todo:
+            fa = _image_mod_p(a, i, dega[i], pows)
+            if not fa[-1]:
+                missed.append(i)
+            elif _uni_gcd_degree_mod_p(fa, _image_mod_p(b, i, degb[i], pows)):
+                return None
+        todo = missed
+    if todo:
+        return None
+    c = 0
+    for t in (a, b):
+        for x in t.values():
+            c = int_gcd(c, x)
+            if c == 1:
+                return _dict_const(1, k)
+    return _dict_const(c, k)
+
+
 def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     """gcd of integer-coefficient polys in k generators, with positive
-    graded-lex leading coefficient."""
+    graded-lex leading coefficient.
+
+    For k >= 2 non-monomial operands a modular certificate runs first.
+    Let g = gcd(a, b) and fix a generator x_i.  Map Z[gens] to F_p[x_i]
+    (p = 2^61 - 1) by sending every other generator x_j to a fixed xi_j.
+    If the x_i-leading coefficient of a does not vanish there, then
+    neither does that of its factor g, so the image of g keeps degree
+    deg_i g and divides the images of a and b; a constant F_p gcd of the
+    two images therefore proves deg_i g = 0.  A generator in which a or b
+    has degree 0 needs no test.  Once every generator is proved absent,
+    g is the integer gcd of all coefficients.  When an image gcd is not
+    constant, or the leading coefficient still vanishes after a few
+    shifts of xi, the primitive pseudo-remainder sequence below decides.
+    """
     if not a:
         g = dict(b)
     elif not b:
@@ -236,6 +323,9 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
                          {e[0]: c for e, c in b.items()})
         return {(d,): c for d, c in g.items()}
     else:
+        cert = _coprime_certificate(a, b, k)
+        if cert is not None:
+            return cert
         da = max(e[-1] for e in a)
         db = max(e[-1] for e in b)
         if da == 0 or db == 0:

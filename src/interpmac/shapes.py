@@ -63,11 +63,6 @@ class Permutation:
     def act(self, v: Sequence) -> tuple:
         return tuple(v[self._inv[i] - 1] for i in range(len(v)))
 
-    def length(self) -> int:
-        w = self.word
-        return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-                   if w[i] > w[j])
-
     def reduced_word(self) -> list:
         """Indices i1..ik with self = s_{i1} * s_{i2} * ... * s_{ik}."""
         w = list(self.word)

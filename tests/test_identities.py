@@ -101,6 +101,24 @@ def test_sampled_a_never_makes_an_instance_vacuous(check_id, monkeypatch):
     assert vacuous == []
 
 
+@pytest.mark.parametrize("check_id,name,broken", [
+    ("binom-sym-r", "shift_all", lambda real: lambda f, a: real(f, a + 1)),
+    ("cor-plus", "shift_all", lambda real: lambda f, a: real(f, a + 1)),
+    ("symm-lemma", "symmetrize", lambda real: lambda f, cfg: f),
+], ids=["binom-sym-r", "cor-plus", "symm-lemma"])
+def test_failure_labels_name_the_sampled_a(check_id, name, broken,
+                                           monkeypatch):
+    # with one step of the check broken every instance fails, and under a
+    # specialized r each failure must say which sampled a it was
+    monkeypatch.setattr(identities, name, broken(getattr(identities, name)))
+    rep = run_check(check_id, 2, 2, seed=0, r=r_config(Fraction(1, 2)),
+                    cache=FamilyCache())
+    labels = [f["instance"] for f in rep.failures]
+    assert labels
+    assert all(", a=" in label for label in labels)
+    assert len(set(labels)) == len(labels)
+
+
 @pytest.mark.parametrize("check_id", sorted(CATALOG))
 def test_each_check_passes_small(check_id, cache):
     rep = run_check(check_id, 2, 2, seed=11, cache=cache)

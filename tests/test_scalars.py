@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interpmac import scalars
 from interpmac.errors import (DivisionByZero, SpecializationCollision,
                               UsageError)
 from interpmac.scalars import (GEN_ORDER, FieldConfig, Scalar,
@@ -226,3 +227,141 @@ def test_integer_coercion():
     assert 2 * T == T + T
     assert (T - T) == 0
     assert 1 / T == T.invert()
+
+
+# --- modular coprimality certificate in _poly_gcd ----------------------------
+
+def _prs_gcd(a, b, k):
+    """_poly_gcd with the certificate disabled: the pseudo-remainder
+    sequence alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalars, "_coprime_certificate", lambda a, b, k: None)
+        return scalars._poly_gcd(a, b, k)
+
+
+def _mul(*factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = scalars._dict_mul(out, f)
+    return out
+
+
+def _unit(k, j):
+    return tuple(int(i == j) for i in range(k))
+
+
+def _minus_xi(k, j, shift=0):
+    """x_j - (xi_j + shift), zero at the certificate's point."""
+    return {_unit(k, j): 1, (0,) * k: -(scalars._XI[j] + shift)}
+
+
+def _polys(k, deg, size):
+    return st.dictionaries(st.tuples(*[st.integers(0, deg)] * k),
+                           st.integers(-5, 5).filter(bool),
+                           min_size=1, max_size=size)
+
+
+@st.composite
+def _gcd_cases(draw):
+    """(a, b, k, planted): two polynomials in k generators and the common
+    factor of positive degree planted in both, or None."""
+    k = draw(st.sampled_from([2, 3]))
+    a = draw(_polys(k, 3 if k == 2 else 2, 4))
+    b = draw(_polys(k, 3 if k == 2 else 2, 4))
+    j = draw(st.integers(0, k - 1))
+    i = (j + 1) % k
+    kind = draw(st.sampled_from(["random", "planted", "content", "one-gen",
+                                 "lc-vanishes", "lc-vanishes-shared",
+                                 "lc-vanishes-always"]))
+    planted = None
+    if kind == "planted":
+        planted = draw(_polys(k, 1, 3).filter(lambda f: any(map(any, f))))
+    elif kind == "content":
+        a = {e: 2 * c for e, c in a.items()}
+        b = {e: 4 * c for e, c in b.items()}
+    elif kind == "one-gen":
+        planted = scalars._dict_add({_unit(k, j): draw(st.integers(1, 3))},
+                                    {(0,) * k: draw(st.integers(-3, 3))})
+    elif kind == "lc-vanishes":
+        a = _mul(a, _minus_xi(k, j), {_unit(k, i): 1, (0,) * k: 1})
+    elif kind == "lc-vanishes-shared":
+        # both leading coefficients vanish at xi: every image of this
+        # factor is constant there
+        planted = scalars._dict_add(_mul(_minus_xi(k, j), _minus_xi(k, i)),
+                                    {(0,) * k: draw(st.integers(1, 3))})
+    else:
+        a = _mul(a, *[_minus_xi(k, j, s) for s in range(scalars._XI_SHIFTS)],
+                 {_unit(k, i): 1})
+    if planted is not None:
+        a, b = _mul(a, planted), _mul(b, planted)
+    return a, b, k, planted
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gcd_cases())
+def test_poly_gcd_matches_prs(case):
+    a, b, k, planted = case
+    assert scalars._poly_gcd(a, b, k) == _prs_gcd(a, b, k)
+    if planted is not None:
+        assert scalars._coprime_certificate(a, b, k) is None
+
+
+def test_certificate_examples():
+    two_q = {(1, 0): 2, (0, 0): 2}
+    four_t = {(0, 1): 4, (0, 0): 2}
+    assert scalars._coprime_certificate(two_q, four_t, 2) == {(0, 0): 2}
+    assert scalars._poly_gcd(two_q, four_t, 2) == {(0, 0): 2}
+    # a's leading coefficient in q vanishes at xi: certified after a shift
+    a = scalars._dict_add(_mul(_minus_xi(2, 1), {(1, 0): 1}), {(0, 0): 1})
+    b = {(1, 0): 1, (0, 1): 1}
+    assert scalars._coprime_certificate(a, b, 2) == {(0, 0): 1}
+    # it vanishes at every shift: the pseudo-remainder sequence decides
+    a = scalars._dict_add(
+        _mul(*[_minus_xi(2, 1, s) for s in range(scalars._XI_SHIFTS)],
+             {(1, 0): 1}), {(0, 0): 1})
+    assert scalars._coprime_certificate(a, b, 2) is None
+    assert scalars._poly_gcd(a, b, 2) == {(0, 0): 1}
+    # a common factor is never certified away
+    a, f = {(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1}
+    assert scalars._coprime_certificate(a, b, 2) == {(0, 0): 1}
+    assert scalars._coprime_certificate(_mul(a, f), _mul(b, f), 2) is None
+
+
+def test_poly_gcd_and_canonical_forms_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8)
+    for gens in (("q", "t"), ("r", "a")):
+        syms = sympy.symbols(gens)
+        k = len(gens)
+
+        def poly(terms):
+            return sympy.Poly.from_dict(terms or {(0,) * k: 0}, *syms)
+
+        def rand_terms(size, deg):
+            terms = {}
+            for _ in range(size):
+                e = tuple(rng.randint(0, deg) for _ in range(k))
+                terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
+            return {e: c for e, c in terms.items() if c} or {(0,) * k: 1}
+
+        for _ in range(40):
+            f = rand_terms(rng.randint(1, 3), 1)
+            a = _mul(rand_terms(rng.randint(1, 4), 2), f)
+            b = _mul(rand_terms(rng.randint(1, 4), 2), f)
+            g = poly(scalars._poly_gcd(a, b, k))
+            want = sympy.gcd(poly(a), poly(b))
+            assert g in (want, -want), (a, b)
+
+            c, d = rand_terms(3, 2), rand_terms(3, 2)
+            x, y = Scalar(gens, a, b), Scalar(gens, c, d)
+            ex = poly(a).as_expr() / poly(b).as_expr()
+            ey = poly(c).as_expr() / poly(d).as_expr()
+            for value, expr in ((x, ex), (x + y, ex + ey), (x * y, ex * ey)):
+                # same value as sympy's reduced form, coprime over Z,
+                # positive graded-lex leading coefficient
+                p, q = (sympy.Poly(e, *syms, domain="QQ")
+                        for e in sympy.fraction(sympy.cancel(expr)))
+                num, den = poly(value.num), poly(value.den)
+                assert num * q == den * p, (a, b, c, d)
+                assert sympy.gcd(num, den) in (1, -1), (a, b, c, d)
+                assert den.LC(order="grlex") > 0
