@@ -24,7 +24,8 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             reflect, rprime, _point)
 from .operators import hecke, sigma_op, sigma_word, symmetrize
 from .polyring import LaurentPoly, exact_div_check, shift_all
-from .scalars import FieldConfig, Scalar, qt_config, r_config, seeded_rationals
+from .scalars import (FieldConfig, Scalar, linear_combination, qt_config,
+                      r_config, seeded_rationals)
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, sharp, spectral_qt,
@@ -178,9 +179,9 @@ def _check_expansion(ctx: CheckContext, instance: str, lhs: LaurentPoly,
     checked with the denominators cleared: lhs W_pos == sum_j c_j W_j P_j,
     W_j the product of the dens other than dens[j]."""
     cof = _cofactor_products(dens)
-    rhs = LaurentPoly.zero(ctx.n)
-    for (p, c), w in zip(terms, cof):
-        rhs = rhs + p.scale(c * w)
+    rhs = LaurentPoly(ctx.n, linear_combination(
+        [c * w for (_, c), w in zip(terms, cof)], [p.terms for p, _ in terms]),
+        _clean=True)
     ctx.eq(instance, lhs * cof[pos], rhs)
 
 

@@ -12,9 +12,12 @@ Families (CLI spellings in parentheses):
 * Rprime symmetric analogue of Gprime
 * O      reciprocity interpolation polynomial (needs the parameter a)
 
-All linear systems are solved by exact fraction-free Gaussian
-elimination with first-nonzero pivoting; G, R, Gprime and Rprime
-re-check degree, vanishing and normalization after construction.
+The oracle G, R, Gprime and Rprime solve a dense interpolation system
+by exact fraction-free Gaussian elimination with first-nonzero pivoting,
+and re-check degree, vanishing and normalization after construction.
+O needs no inverse: it is built by Newton forward substitution in a
+basis of recursive G polynomials, whose interpolation matrix is first
+certified to be triangular by degree with a nonzero diagonal.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .errors import DivisionByZero, SpecializationCollision, UsageError
 # patches it here as well.
 from .operators import hecke  # noqa: F401
 from .polyring import LaurentPoly, negate_shift_all
-from .scalars import FieldConfig, Scalar, dumps_canonical
+from .scalars import (FieldConfig, Scalar, _common_gens, dumps_canonical,
+                      linear_combination)
 from .shapes import (SpectralPoint, diagram_stats, enumerate_compositions,
                      is_composition, is_partition, partitions_upto,
                      rearrangements, sharp, weight)
@@ -105,19 +109,6 @@ def invert_matrix(rows: Sequence[Sequence[Scalar]], context: str) -> list:
     return solve_square(rows, identity, context)
 
 
-def _matvec_inv(inv_cols: list, rhs: Sequence[Scalar]) -> list:
-    """A^{-1} rhs given the columns of A^{-1}, skipping the columns where
-    rhs is zero."""
-    used = [j for j, c in enumerate(rhs) if not c.is_zero()] or [0]
-    out = []
-    for i in range(len(rhs)):
-        acc = inv_cols[used[0]][i] * rhs[used[0]]
-        for j in used[1:]:
-            acc = acc + inv_cols[j][i] * rhs[j]
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
@@ -134,14 +125,20 @@ class FamilyKey:
                 "index": list(self.index), "config": self.config}
 
 
+# Version of the disk-cache format.  Raise it whenever what a stored key
+# stands for or how its polynomial is written changes: files of another
+# version are then neither found nor read as current, but rebuilt.
+CACHE_SCHEMA = 2
+
+
 class FamilyCache:
     """Memo for constructed polynomials and factored point systems.
 
     Polynomials are additionally persisted to disk when a directory is
-    configured (one JSON file per family key, content-addressed).  Files
-    are replaced atomically, so concurrent writers of one key leave one
-    whole file; an unreadable file, or one stored under another key, is
-    rebuilt and rewritten."""
+    configured (one JSON file per family key and CACHE_SCHEMA,
+    content-addressed).  Files are replaced atomically, so concurrent
+    writers of one key leave one whole file; an unreadable file, or one
+    stored under another key or schema, is rebuilt and rewritten."""
 
     def __init__(self, disk_dir: Optional[str] = None):
         self._mem: dict = {}
@@ -160,14 +157,14 @@ class FamilyCache:
     def _path(self, fk: FamilyKey) -> Path:
         digest = hashlib.sha256(
             dumps_canonical(fk.describe()).encode()).hexdigest()
-        return self.disk_dir / f"{digest}.json"
+        return self.disk_dir / f"v{CACHE_SCHEMA}-{digest}.json"
 
     def _read(self, fk: FamilyKey) -> Optional[LaurentPoly]:
         """The stored polynomial, or None without a readable file that
-        holds exactly this key."""
+        holds exactly this key under the current schema."""
         try:
             data = json.loads(self._path(fk).read_text())
-            if data["key"] == fk.describe():
+            if data["schema"] == CACHE_SCHEMA and data["key"] == fk.describe():
                 return LaurentPoly.from_json(data["poly"])
         except (OSError, ValueError, LookupError, TypeError, AttributeError,
                 ArithmeticError):
@@ -178,7 +175,8 @@ class FamilyCache:
         path = self._path(fk)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(dumps_canonical({"key": fk.describe(),
+            tmp.write_text(dumps_canonical({"schema": CACHE_SCHEMA,
+                                            "key": fk.describe(),
                                             "poly": poly.to_json()}))
             os.replace(tmp, path)
         except BaseException:
@@ -274,9 +272,13 @@ def _solve(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
     with p = rhs(beta) at the kind point of every index beta.  The basis
     elements of distinct indices share no monomial, so p is one term dict."""
     indices, groups, inv_cols = _system(kind, n, deg, cfg, cache, symmetric)
-    coeffs = _matvec_inv(inv_cols, [rhs(beta) for beta in indices])
-    return indices, LaurentPoly(n, {e: c for group, c in zip(groups, coeffs)
-                                    for e in group})
+    values = [rhs(beta) for beta in indices]
+    used = [j for j, v in enumerate(values) if not v.is_zero()]
+    coeffs = linear_combination(
+        [values[j] for j in used],
+        [dict(enumerate(inv_cols[j])) for j in used]) if used else {}
+    return indices, LaurentPoly(n, {e: c for i, c in coeffs.items()
+                                    for e in groups[i]}, _clean=True)
 
 
 def _recheck(poly: LaurentPoly, index: tuple, kind: str, indices: list,
@@ -433,29 +435,106 @@ def rprime(lam: Sequence[int], cfg: FieldConfig,
         symmetric=True))
 
 
+def _o_basis_at(gamma: tuple, beta: tuple, cfg: FieldConfig,
+                cache: FamilyCache) -> Scalar:
+    """G_gamma of the O basis field at the O point of beta."""
+    var = variant(cfg)
+    return cache.memo(
+        ("o-basis-at", cfg.cache_token(), gamma, beta),
+        lambda: g_recursive(gamma, var.o_basis, cache).evaluate(
+            _point(var.o_kind, beta, cfg, cache)))
+
+
+def _o_basis_layer(n: int, d: int, cfg: FieldConfig,
+                   cache: FamilyCache) -> dict:
+    """{gamma: G_gamma at its own O point} over the indices of degree d,
+    once it is certified that each such G_gamma of the O basis field has
+    degree <= d, vanishes at the O point of every other index of degree
+    <= d, and does not vanish at its own.  The layers up to degree d then
+    form a triangular interpolation matrix with a nonzero diagonal, so
+    they are a basis of the polynomials of degree <= d and interpolation
+    at those points has exactly one solution."""
+    var = variant(cfg)
+
+    def build():
+        points = enumerate_compositions(n, d)
+        diagonal = {}
+        for gamma in points:
+            if weight(gamma) < d:
+                continue
+            g = g_recursive(gamma, var.o_basis, cache)
+            if g.total_degree() > d:
+                raise SpecializationCollision(
+                    f"O basis degree bound violated for index {gamma}")
+            for beta in points:
+                value = g.evaluate(_point(var.o_kind, beta, cfg, cache))
+                if beta == gamma:
+                    if value.is_zero():
+                        raise SpecializationCollision(
+                            f"O basis G_{gamma} vanishes at its own "
+                            f"{var.o_kind} point")
+                    diagonal[gamma] = value
+                elif not value.is_zero():
+                    raise SpecializationCollision(
+                        f"O basis G_{gamma} does not vanish at the "
+                        f"{var.o_kind} point of {beta}")
+        return diagonal
+
+    return cache.memo(("o-basis", cfg.cache_token(), n, d), build)
+
+
 def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
              cache: FamilyCache) -> LaurentPoly:
     """The reciprocity polynomial: degree <= |alpha|, interpolating the
     prescribed evaluation ratios over all indices of degree <= |alpha|.
 
     cfg is the base polynomial field; a is the evaluation parameter as a
-    field element (symbolic generator or exact rational)."""
+    field element (symbolic generator or exact rational).
+
+    Built by Newton forward substitution in the G basis of
+    `variant(cfg).o_basis`: with the indices ordered by degree,
+    c_beta = (v_beta - sum_{|gamma| < |beta|} c_gamma G_gamma(beta))
+    / G_beta(beta) and O = sum c_beta G_beta.  `_o_basis_layer` certifies
+    the triangular structure this relies on, so O is the unique
+    interpolant that a dense solve on the same points would give."""
     alpha = _validate_index(alpha)
-    _, o = _solve(variant(cfg).o_kind, len(alpha), weight(alpha), cfg, cache,
-                  False, lambda beta: okounkov_value(alpha, beta, cfg, a, cache))
-    return o
+    var = variant(cfg)
+    n = len(alpha)
+    coeffs: dict = {}
+    values = [cfg.one()]
+    for d in range(weight(alpha) + 1):
+        layer = {}
+        for beta, diag in _o_basis_layer(n, d, cfg, cache).items():
+            acc = okounkov_value(alpha, beta, cfg, a, cache)
+            if not acc.is_zero():
+                values.append(acc)
+            for gamma, c in coeffs.items():
+                acc = acc - c * _o_basis_at(gamma, beta, cfg, cache)
+            if not acc.is_zero():
+                layer[beta] = acc / diag
+        coeffs.update(layer)
+    # every coefficient carries the generators of all the values, as
+    # those of a dense solve with these right-hand sides do
+    return LaurentPoly(n, linear_combination(
+        list(coeffs.values()),
+        [g_recursive(beta, var.o_basis, cache).terms for beta in coeffs],
+        _common_gens(values)), _clean=True)
 
 
 def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,
                          a: Scalar, cache: FamilyCache) -> tuple:
     """(num, den) of the prescribed ratio at beta: G_beta at the
     a-shifted (or a-scaled) tilde point of alpha, and at the base point.
-    Kept unreduced so that denominators stay free of a."""
+    Kept unreduced so that denominators stay free of a.  The base value
+    does not depend on alpha and is memoized."""
     var = variant(cfg)
     g = g_recursive(beta, cfg, cache)
     t_alpha = _point("tilde", alpha, cfg, cache)
-    origin = _point("bar", (0,) * len(alpha), cfg, cache)
-    return g.evaluate(var.act(t_alpha, a)), g.evaluate(var.act(origin, a))
+    den = cache.memo(
+        ("oko-den", cfg.cache_token(), a.gens, a, beta),
+        lambda: g.evaluate(var.act(_point("bar", (0,) * len(alpha), cfg,
+                                          cache), a)))
+    return g.evaluate(var.act(t_alpha, a)), den
 
 
 def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,

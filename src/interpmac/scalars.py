@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DivisionByZero, SpecializationCollision, UsageError
 
@@ -774,6 +774,33 @@ def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
                 acc[e] = s
             else:
                 del acc[e]
+
+
+def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
+                       gens: Optional[tuple] = None) -> dict:
+    """{key: sum_j weights[j] * rows[j][key]} over the keys of the rows,
+    as canonical Scalars on gens, zero sums left out.  gens defaults to
+    the union of the generators of the weights and of the entries.
+
+    The weights are put over one common denominator once, the entries
+    under each key over theirs, and each sum is reduced once."""
+    if gens is None:
+        gens = _common_gens(list(weights)
+                            + [v for row in rows for v in row.values()])
+    wnums, wpieces = clear_denominators(weights, gens)
+    by_key: dict = {}
+    for wnum, row in zip(wnums, rows):
+        for key, v in row.items():
+            by_key.setdefault(key, []).append((wnum, v))
+    out = {}
+    for key, pairs in by_key.items():
+        nums, pieces = clear_denominators([v for _, v in pairs], gens)
+        total: Terms = {}
+        for (wnum, _), num in zip(pairs, nums):
+            _dict_addmul(total, wnum, num)
+        if total:
+            out[key] = _reduce_over(gens, total, wpieces + pieces)
+    return out
 
 
 def evaluate_laurent(terms: Mapping[tuple, Scalar],

@@ -1,6 +1,6 @@
 """`check all --json --seed 42` at n=1 and n=2 (degree 4) and n=3
-(degree 2) must reproduce the recorded sha256 of every report line byte
-for byte."""
+(degree 2), and with symbolic q,t at n=2 (degree 3), must reproduce the
+recorded sha256 of every report line byte for byte."""
 
 import hashlib
 import json
@@ -14,14 +14,24 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEGREE = {1: 4, 2: 4, 3: 2}
 
 
+def _digests(args, capsys) -> tuple:
+    code = cli.main(["check", "all", *args, "--seed", "42", "--json"])
+    out = capsys.readouterr().out
+    return code, [f"{hashlib.sha256(line.encode()).hexdigest()}  "
+                  f"{json.loads(line)['id']}" for line in out.splitlines()]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_check_all_reports_match_golden(n, capsys):
     deg = DEGREE[n]
-    code = cli.main(["check", "all", "--n", str(n), "--deg", str(deg),
-                     "--seed", "42", "--json"])
-    out = capsys.readouterr().out
-    got = [f"{hashlib.sha256(line.encode()).hexdigest()}  "
-           f"{json.loads(line)['id']}" for line in out.splitlines()]
+    code, got = _digests(["--n", str(n), "--deg", str(deg)], capsys)
     want = (GOLDEN / f"check_all_n{n}_deg{deg}_seed42.sha256").read_text()
+    assert code == 0
+    assert got == want.splitlines()
+
+
+def test_check_all_symbolic_reports_match_golden(capsys):
+    code, got = _digests(["--n", "2", "--deg", "3", "--symbolic"], capsys)
+    want = (GOLDEN / "check_all_n2_deg3_symbolic_seed42.sha256").read_text()
     assert code == 0
     assert got == want.splitlines()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -12,9 +14,10 @@ from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                                      r_sym, rprime, solve_square, _point)
 from interpmac.operators import hecke, sigma_op
 from interpmac.polyring import LaurentPoly
-from interpmac.scalars import Scalar, qt_config, r_config
+from interpmac.scalars import Scalar, dumps_canonical, qt_config, r_config
 from interpmac.shapes import (enumerate_compositions, spectral_qt,
                               spectral_r, tau_point, weight)
+from interpmac.variant import variant
 
 QT = qt_config()
 R = r_config()
@@ -293,6 +296,76 @@ def test_okounkov_surplus_small(cache):
         assert lhs == okounkov_value(alpha, gamma, R, a, cache)
 
 
+O_FIELDS = {"qt(2,3)": qt_config(2, 3), "qt": QT, "r": R,
+            "r(1/2)": r_config(Fraction(1, 2))}
+
+
+@pytest.mark.parametrize("symbolic_a", [True, False], ids=["a", "a=7/2"])
+@pytest.mark.parametrize("field", sorted(O_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_okounkov_newton_matches_dense_solve(n, field, symbolic_a):
+    # the dense solve on the O points is the reference; the canonical
+    # JSON also compares the generators every coefficient carries
+    cfg = O_FIELDS[field]
+    cache = FamilyCache()
+    a = (Scalar.generator("a", cfg.gens() + ("a",)) if symbolic_a
+         else Scalar.from_fraction(Fraction(7, 2)))
+    for alpha in enumerate_compositions(n, 2):
+        _, want = interpolation._solve(
+            variant(cfg).o_kind, n, weight(alpha), cfg, cache, False,
+            lambda beta: okounkov_value(alpha, beta, cfg, a, cache))
+        got = okounkov(alpha, cfg, a, cache)
+        assert got.to_json() == want.to_json(), alpha
+
+
+def _unit(g):
+    return Scalar.one(next(iter(g.terms.values())).gens)
+
+
+def _plus_one(g, gamma):
+    return g + LaurentPoly.constant(g.n, _unit(g))
+
+
+def _to_zero(g, gamma):
+    return LaurentPoly.zero(g.n)
+
+
+def _raise_to(g, gamma):
+    return g + LaurentPoly.variable(g.n, 1, _unit(g)) ** (weight(gamma) + 1)
+
+
+@pytest.mark.parametrize("cfg", [qt_config(2, 3), R], ids=["qt", "r"])
+@pytest.mark.parametrize("broken, message", [
+    (_plus_one, r"O basis G_\(1, 0\) does not vanish at the \w+ point of"),
+    (_to_zero, r"O basis G_\(1, 0\) vanishes at its own"),
+    (_raise_to, r"O basis degree bound violated for index \(1, 0\)"),
+], ids=["vanishing", "diagonal", "degree"])
+def test_okounkov_certifies_its_basis(monkeypatch, cfg, broken, message):
+    # break G_(1,0) wherever the recursion hands it out; the triangular
+    # certificate of the O basis must name it
+    build = interpolation.g_recursive
+    gamma = (1, 0)
+
+    def breaking(alpha, cfg_, cache):
+        g = build(alpha, cfg_, cache)
+        return broken(g, gamma) if tuple(alpha) == gamma else g
+
+    monkeypatch.setattr(interpolation, "g_recursive", breaking)
+    a = Scalar.generator("a", cfg.gens() + ("a",))
+    with pytest.raises(SpecializationCollision, match=message):
+        okounkov((1, 1), cfg, a, FamilyCache())
+
+
+def test_okounkov_base_values_are_shared_across_alpha():
+    cache = FamilyCache()
+    a = Scalar.generator("a", ("r", "a"))
+    okounkov((1, 0), R, a, cache)
+    before = {k for k in cache._mem if k[0] in ("oko-den", "o-basis")}
+    okounkov((0, 1), R, a, cache)
+    after = {k for k in cache._mem if k[0] in ("oko-den", "o-basis")}
+    assert before == after and len(after) == 3 + 2
+
+
 # -- nonvanishing needed by the expansion checks ------------------------------
 
 def test_denominators_nonvanishing(cache):
@@ -388,6 +461,25 @@ def test_disk_cache_round_trip(tmp_path):
     assert files
     fresh = FamilyCache(str(tmp_path))
     assert g_recursive((1, 1), QT, fresh) == g
+
+
+def test_disk_cache_rebuilds_files_of_another_schema(tmp_path):
+    store = FamilyCache(str(tmp_path))
+    g = g_recursive((1, 1), QT, store)
+    fk = FamilyKey("G", "qt", (1, 1), QT.cache_token())
+    path = store._path(fk)
+    assert path.name.startswith(f"v{interpolation.CACHE_SCHEMA}-")
+    wrong = LaurentPoly.constant(2, QT.one()).to_json()
+    # an older schema's file under the current name is not read as current
+    data = json.loads(path.read_text())
+    data.update(schema=interpolation.CACHE_SCHEMA - 1, poly=wrong)
+    path.write_text(dumps_canonical(data))
+    # nor is a file named as before the schema was versioned
+    digest = hashlib.sha256(dumps_canonical(fk.describe()).encode())
+    (tmp_path / f"{digest.hexdigest()}.json").write_text(
+        dumps_canonical({"key": fk.describe(), "poly": wrong}))
+    assert g_recursive((1, 1), QT, FamilyCache(str(tmp_path))) == g
+    assert json.loads(path.read_text())["schema"] == interpolation.CACHE_SCHEMA
 
 
 def test_family_key_describe():

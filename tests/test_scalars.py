@@ -306,6 +306,44 @@ def test_poly_gcd_matches_prs(case):
         assert scalars._coprime_certificate(a, b, k) is None
 
 
+@st.composite
+def _combinations(draw):
+    """Weights and rows of scalars over subsets of one generator set."""
+    gens = draw(st.sampled_from([(), ("a",), ("r", "a"), ("q", "t", "a")]))
+
+    def scalar():
+        sub = tuple(g for g in gens if draw(st.booleans()))
+        poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(sub)),
+                               st.integers(-3, 3), max_size=3)
+        num = {e: c for e, c in draw(poly).items() if c}
+        den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(sub): 1}
+        return Scalar(sub, num, den)
+
+    m = draw(st.integers(1, 4))
+    weights = [scalar() for _ in range(m)]
+    rows = [{key: scalar() for key in draw(st.sets(st.integers(0, 3),
+                                                   max_size=3))}
+            for _ in range(m)]
+    return weights, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_combinations())
+def test_linear_combination_matches_termwise(case):
+    weights, rows = case
+    want: dict = {}
+    for w, row in zip(weights, rows):
+        for key, v in row.items():
+            want[key] = w * v if key not in want else want[key] + w * v
+    want = {key: v for key, v in want.items() if not v.is_zero()}
+    assert scalars.linear_combination(weights, rows) == want
+    # with the generators given, every entry lives on exactly those
+    gens = GEN_ORDER
+    got = scalars.linear_combination(weights, rows, gens)
+    assert {key: dumps_canonical(v.to_json()) for key, v in got.items()} == \
+        {key: dumps_canonical(v.lift(gens).to_json()) for key, v in want.items()}
+
+
 def test_certificate_examples():
     two_q = {(1, 0): 2, (0, 0): 2}
     four_t = {(0, 1): 4, (0, 0): 2}
