@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -19,8 +20,9 @@ from .errors import (DivisionByZero, InterpmacError, SpecializationCollision,
                      UsageError)
 from .identities import CATALOG, run_check
 from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
-                            closed_phi, e_top, g_recursive, gplus, gprime,
-                            okounkov, r_sym, rprime)
+                            closed_phi, disk_cache_files, e_top,
+                            g_recursive, gplus, gprime, okounkov, r_sym,
+                            rprime)
 from .scalars import (FieldConfig, Scalar, dumps_canonical, qt_config,
                       r_config)
 
@@ -306,16 +308,17 @@ def cmd_cache(args) -> int:
     root = _cache_dir(args)
     if not root:
         raise UsageError("cache command needs --cache-dir or CACHE_DIR")
-    import pathlib
     path = pathlib.Path(root)
-    files = sorted(path.glob("*.json")) if path.exists() else []
+    current, stale = disk_cache_files(path)
     if args.action == "info":
-        total = sum(f.stat().st_size for f in files)
-        print(f"{len(files)} cached polynomials, {total} bytes, at {path}")
+        size = lambda files: sum(f.stat().st_size for f in files)
+        print(f"{len(current)} cached polynomials, {size(current)} bytes, "
+              f"at {path}; {len(stale)} stale files, {size(stale)} bytes")
     else:
-        for f in files:
-            f.unlink()
-        print(f"removed {len(files)} cached polynomials from {path}")
+        for f in current + stale:
+            f.unlink(missing_ok=True)
+        print(f"removed {len(current)} cached polynomials and "
+              f"{len(stale)} stale files from {path}")
     return 0
 
 

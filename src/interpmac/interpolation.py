@@ -12,9 +12,11 @@ Families (CLI spellings in parentheses):
 * Rprime symmetric analogue of Gprime
 * O      reciprocity interpolation polynomial (needs the parameter a)
 
-The oracle G, R, Gprime and Rprime solve a dense interpolation system
-by exact fraction-free Gaussian elimination with first-nonzero pivoting,
-and re-check degree, vanishing and normalization after construction.
+The oracle G, R, Gprime and Rprime solve a dense interpolation system:
+its matrix is factored once per field by exact fraction-free Gaussian
+elimination with first-nonzero pivoting, the elimination is memoized and
+replayed on each right-hand side, and degree, vanishing and
+normalization are re-checked after construction.
 O needs no inverse: it is built by Newton forward substitution in a
 basis of recursive G polynomials, whose interpolation matrix is first
 certified to be triangular by degree with a nonzero diagonal.
@@ -48,65 +50,108 @@ from .variant import variant
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def solve_square(rows: Sequence[Sequence[Scalar]],
-                 rhs_cols: Sequence[Sequence[Scalar]],
-                 context: str = "linear system") -> list:
-    """Solve A x = b for every right-hand column at once.
+@dataclass(frozen=True)
+class Elimination:
+    """The fraction-free forward elimination of a square matrix, recorded
+    so that it can be replayed on any right-hand side.
 
-    Fraction-free (Bareiss) forward elimination with first-nonzero
-    pivoting; divisions along the way are exact.  Raises
-    SpecializationCollision when the matrix is singular.
-    """
+    steps[col] is (pivot row, pivot, heads, prev) of the elimination of
+    column col: the row swapped into place, its pivot, the entries below
+    the pivot when the column was eliminated, and the previous pivot that
+    divides each update.  upper[i] holds the entries of row i from
+    column i on after the elimination; gens is the union of the
+    generators of the matrix entries."""
+    gens: tuple
+    steps: tuple
+    upper: tuple
+
+    def solve(self, b: Sequence[Scalar]) -> list:
+        """x with A x = b, on the union of the generators of b and of the
+        matrix: the recorded steps applied to b, then back substitution.
+        The values are those of eliminating the augmented matrix
+        [A | b]."""
+        m = len(self.upper)
+        gens = _common_gens(list(b) + [Scalar.zero(self.gens)])
+        zero = Scalar.zero(gens)
+        b = [zero if v.is_zero() else v.lift(gens) for v in b]
+        for col, (pivot_row, pivot, heads, prev) in enumerate(self.steps):
+            if pivot_row != col:
+                b[col], b[pivot_row] = b[pivot_row], b[col]
+            top = b[col]
+            for r, head in enumerate(heads, col + 1):
+                if head.is_zero() or top.is_zero():
+                    if b[r].is_zero() or (head.is_zero() and prev.is_one()):
+                        continue
+                    b[r] = (pivot * b[r]) / prev
+                else:
+                    b[r] = (pivot * b[r] - head * top) / prev
+        x = [zero] * m
+        for i in range(m - 1, -1, -1):
+            row = self.upper[i]
+            acc = b[i]
+            for c in range(i + 1, m):
+                if not x[c].is_zero() and not row[c - i].is_zero():
+                    acc = acc - row[c - i] * x[c]
+            x[i] = acc / row[0]
+        return x
+
+
+def factor_square(rows: Sequence[Sequence[Scalar]],
+                  context: str = "linear system") -> Elimination:
+    """Fraction-free (Bareiss) forward elimination of the square matrix
+    rows with first-nonzero pivoting; divisions along the way are exact.
+    Raises SpecializationCollision when the matrix is singular."""
     m = len(rows)
-    k = len(rhs_cols)
     if m == 0:
-        return [[] for _ in range(k)]
-    aug = [list(row) + [col[i] for col in rhs_cols]
-           for i, row in enumerate(rows)]
-    width = m + k
-    some = aug[0][0]
-    one = some.__class__.one(some.gens)
-    prev = one
+        return Elimination((), (), ())
+    a = [list(row) for row in rows]
+    gens = _common_gens([v for row in a for v in row])
+    prev = Scalar.one(a[0][0].gens)
+    steps = []
     for col in range(m):
-        pivot_row = next((r for r in range(col, m) if not aug[r][col].is_zero()),
+        pivot_row = next((r for r in range(col, m) if not a[r][col].is_zero()),
                          None)
         if pivot_row is None:
             raise SpecializationCollision(f"singular system in {context}")
         if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(col + 1, m):
-            head = aug[r][col]
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+        pivot = a[col][col]
+        heads = tuple(a[r][col] for r in range(col + 1, m))
+        for r, head in enumerate(heads, col + 1):
             if head.is_zero():
                 if prev.is_one():
                     continue
-                for c in range(col + 1, width):
-                    aug[r][c] = (pivot * aug[r][c]) / prev
+                for c in range(col + 1, m):
+                    a[r][c] = (pivot * a[r][c]) / prev
             else:
-                for c in range(col + 1, width):
-                    aug[r][c] = (pivot * aug[r][c] - head * aug[col][c]) / prev
-            aug[r][col] = some.__class__.zero(some.gens)
+                for c in range(col + 1, m):
+                    a[r][c] = (pivot * a[r][c] - head * a[col][c]) / prev
+        steps.append((pivot_row, pivot, heads, prev))
         prev = pivot
-    solutions = []
-    for j in range(k):
-        x = [None] * m
-        for i in range(m - 1, -1, -1):
-            acc = aug[i][m + j]
-            for c in range(i + 1, m):
-                acc = acc - aug[i][c] * x[c]
-            x[i] = acc / aug[i][i]
-        solutions.append(x)
-    return solutions
+    return Elimination(gens, tuple(steps),
+                       tuple(tuple(a[i][i:]) for i in range(m)))
+
+
+def solve_square(rows: Sequence[Sequence[Scalar]],
+                 rhs_cols: Sequence[Sequence[Scalar]],
+                 context: str = "linear system") -> list:
+    """Solve A x = b for every right-hand column: the matrix is
+    factored once (`factor_square`) and the elimination replayed on each
+    column (`Elimination.solve`).  Raises SpecializationCollision when
+    the matrix is singular."""
+    elim = factor_square(rows, context)
+    return [elim.solve(col) for col in rhs_cols]
 
 
 def invert_matrix(rows: Sequence[Sequence[Scalar]], context: str) -> list:
-    """Columns of the inverse matrix."""
+    """Columns of the inverse matrix.  No construction of the package
+    needs the inverse; interpolation systems are factored and solved
+    per right-hand side."""
     m = len(rows)
     some = rows[0][0]
-    one = some.__class__.one(some.gens)
-    zero = some.__class__.zero(some.gens)
-    identity = [[one if i == j else zero for i in range(m)] for j in range(m)]
-    return solve_square(rows, identity, context)
+    one, zero = Scalar.one(some.gens), Scalar.zero(some.gens)
+    return solve_square(rows, [[one if i == j else zero for i in range(m)]
+                               for j in range(m)], context)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +241,37 @@ class FamilyCache:
         return got
 
 
+def _writer_running(tmp: Path) -> bool:
+    """Whether the process named in a temporary file's name
+    (<file>.<pid>.tmp, see FamilyCache._write) may still be writing it."""
+    try:
+        pid = int(tmp.name.split(".")[-2])
+        if pid <= 0:
+            return False
+        os.kill(pid, 0)
+    except (ValueError, IndexError, OverflowError, ProcessLookupError):
+        return False
+    except PermissionError:
+        return True  # the process exists but belongs to another user
+    return True
+
+
+def disk_cache_files(disk_dir: Path) -> tuple:
+    """(current, stale) files of a disk cache directory, sorted: the
+    polynomial files of CACHE_SCHEMA, and the files that are never read
+    again, namely polynomial files of another schema and temporary files
+    whose writer is no longer running."""
+    if not disk_dir.is_dir():
+        return [], []
+    prefix = f"v{CACHE_SCHEMA}-"
+    current, stale = [], []
+    for f in sorted(disk_dir.glob("*.json")):
+        (current if f.name.startswith(prefix) else stale).append(f)
+    stale += [f for f in sorted(disk_dir.glob("*.tmp"))
+              if not _writer_running(f)]
+    return current, stale
+
+
 # ---------------------------------------------------------------------------
 # interpolation systems: point kind, basis, matrix, solve, re-check
 # ---------------------------------------------------------------------------
@@ -252,8 +328,10 @@ def mono_sym(n: int, mu: tuple, one: Scalar) -> LaurentPoly:
 
 def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
             symmetric: bool) -> tuple:
-    """(indices, groups, inverse columns) of the basis of degree <= deg
-    evaluated at the kind points of its indices."""
+    """(indices, groups, elimination) of the basis of degree <= deg
+    evaluated at the kind points of its indices: the matrix is factored
+    once per field and memoized, and every right-hand side of the
+    system is solved by replaying that one elimination."""
     token = cfg.cache_token()
 
     def build():
@@ -261,7 +339,7 @@ def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
         rows = monomial_matrix(indices, groups, kind, cfg, cache)
         ctx = (f"{'symmetric ' if symmetric else ''}{kind} interpolation, "
                f"n={n} degree {deg}, field {token}")
-        return indices, groups, invert_matrix(rows, ctx)
+        return indices, groups, factor_square(rows, ctx)
 
     return cache.memo(("inv", kind, symmetric, token, n, deg), build)
 
@@ -269,16 +347,15 @@ def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
 def _solve(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
            symmetric: bool, rhs: Callable) -> tuple:
     """(indices, p): p of degree <= deg in the (symmetric) monomial basis
-    with p = rhs(beta) at the kind point of every index beta.  The basis
-    elements of distinct indices share no monomial, so p is one term dict."""
-    indices, groups, inv_cols = _system(kind, n, deg, cfg, cache, symmetric)
-    values = [rhs(beta) for beta in indices]
-    used = [j for j, v in enumerate(values) if not v.is_zero()]
-    coeffs = linear_combination(
-        [values[j] for j in used],
-        [dict(enumerate(inv_cols[j])) for j in used]) if used else {}
-    return indices, LaurentPoly(n, {e: c for i, c in coeffs.items()
-                                    for e in groups[i]}, _clean=True)
+    with p = rhs(beta) at the kind point of every index beta, from one
+    replay of the memoized elimination of the system on those values.
+    The basis elements of distinct indices share no monomial, so p is
+    one term dict."""
+    indices, groups, elim = _system(kind, n, deg, cfg, cache, symmetric)
+    coeffs = elim.solve([rhs(beta) for beta in indices])
+    return indices, LaurentPoly(n, {e: c for c, group in zip(coeffs, groups)
+                                    if not c.is_zero() for e in group},
+                                _clean=True)
 
 
 def _recheck(poly: LaurentPoly, index: tuple, kind: str, indices: list,

@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 
 from interpmac import cli
+from interpmac.interpolation import CACHE_SCHEMA
 from interpmac.identities import CATALOG, CheckDef
 from interpmac.polyring import LaurentPoly
 
@@ -161,6 +163,36 @@ def test_cache_commands(tmp_path, capsys):
     code, out, _ = run_cli(["cache", "info", "--cache-dir", cache_dir],
                            capsys)
     assert out.startswith("0 ")
+
+
+def test_cache_commands_separate_stale_files(tmp_path, capsys):
+    cache_dir = tmp_path / "polys"
+    code, _, _ = run_cli(["compute", "G", "--alpha", "1,0",
+                          "--cache-dir", str(cache_dir)], capsys)
+    assert code == 0
+    current = sorted(cache_dir.glob(f"v{CACHE_SCHEMA}-*.json"))
+    assert current and current == sorted(cache_dir.glob("*.json"))
+    name = current[0].name
+    older = cache_dir / f"v{CACHE_SCHEMA - 1}-{name.split('-', 1)[1]}"
+    unversioned = cache_dir / name.split("-", 1)[1]
+    # above any pid_max, so no process can be writing it
+    orphan = cache_dir / f"{name}.99999999.tmp"
+    writing = cache_dir / f"{name}.{os.getpid()}.tmp"
+    for f in (older, unversioned, orphan, writing):
+        f.write_text("{}")
+    code, out, _ = run_cli(["cache", "info", "--cache-dir", str(cache_dir)],
+                           capsys)
+    assert code == 0 and int(out.split()[0]) == len(current)
+    assert out.rstrip().endswith("; 3 stale files, 6 bytes")
+    code, out, _ = run_cli(["cache", "clear", "--cache-dir", str(cache_dir)],
+                           capsys)
+    assert code == 0
+    assert out.startswith(
+        f"removed {len(current)} cached polynomials and 3 stale files ")
+    assert list(cache_dir.iterdir()) == [writing]
+    code, out, _ = run_cli(["cache", "info", "--cache-dir", str(cache_dir)],
+                           capsys)
+    assert out.startswith("0 ") and "; 0 stale files" in out
 
 
 def test_cache_rebuilds_bad_files(tmp_path, capsys):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interpmac import interpolation
 from interpmac.errors import SpecializationCollision, UsageError
@@ -14,7 +16,8 @@ from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                                      r_sym, rprime, solve_square, _point)
 from interpmac.operators import hecke, sigma_op
 from interpmac.polyring import LaurentPoly
-from interpmac.scalars import Scalar, dumps_canonical, qt_config, r_config
+from interpmac.scalars import (Scalar, dumps_canonical, linear_combination,
+                               qt_config, r_config)
 from interpmac.shapes import (enumerate_compositions, spectral_qt,
                               spectral_r, tau_point, weight)
 from interpmac.variant import variant
@@ -380,6 +383,70 @@ def test_denominators_nonvanishing(cache):
 
 # -- exact solver ------------------------------------------------------------
 
+def _augmented_solve(rows, rhs_cols, context="linear system"):
+    """Reference for `solve_square`: Bareiss elimination of the augmented
+    matrix [A | b_1 ... b_k], then back substitution per column."""
+    m = len(rows)
+    k = len(rhs_cols)
+    if m == 0:
+        return [[] for _ in range(k)]
+    aug = [list(row) + [col[i] for col in rhs_cols]
+           for i, row in enumerate(rows)]
+    width = m + k
+    some = aug[0][0]
+    prev = Scalar.one(some.gens)
+    for col in range(m):
+        pivot_row = next((r for r in range(col, m)
+                          if not aug[r][col].is_zero()), None)
+        if pivot_row is None:
+            raise SpecializationCollision(f"singular system in {context}")
+        if pivot_row != col:
+            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        pivot = aug[col][col]
+        for r in range(col + 1, m):
+            head = aug[r][col]
+            if head.is_zero():
+                if prev.is_one():
+                    continue
+                for c in range(col + 1, width):
+                    aug[r][c] = (pivot * aug[r][c]) / prev
+            else:
+                for c in range(col + 1, width):
+                    aug[r][c] = (pivot * aug[r][c]
+                                 - head * aug[col][c]) / prev
+            aug[r][col] = Scalar.zero(some.gens)
+        prev = pivot
+    solutions = []
+    for j in range(k):
+        x = [None] * m
+        for i in range(m - 1, -1, -1):
+            acc = aug[i][m + j]
+            for c in range(i + 1, m):
+                acc = acc - aug[i][c] * x[c]
+            x[i] = acc / aug[i][i]
+        solutions.append(x)
+    return solutions
+
+
+def _inverse_solve(kind, n, deg, cfg, cache, symmetric, rhs):
+    """Reference for `interpolation._solve`: the inverse of the system
+    from `_augmented_solve`, applied to the values by
+    `linear_combination`."""
+    indices, groups = interpolation._basis(n, deg, symmetric)
+    rows = interpolation.monomial_matrix(indices, groups, kind, cfg, cache)
+    one, zero = Scalar.one(rows[0][0].gens), Scalar.zero(rows[0][0].gens)
+    inv_cols = _augmented_solve(
+        rows, [[one if i == j else zero for i in range(len(rows))]
+               for j in range(len(rows))])
+    values = [rhs(beta) for beta in indices]
+    used = [j for j, v in enumerate(values) if not v.is_zero()]
+    coeffs = linear_combination(
+        [values[j] for j in used],
+        [dict(enumerate(inv_cols[j])) for j in used]) if used else {}
+    return indices, LaurentPoly(n, {e: c for i, c in coeffs.items()
+                                    for e in groups[i]}, _clean=True)
+
+
 def test_solve_square_small():
     one = Scalar.one()
     two = Scalar.from_fraction(2)
@@ -392,8 +459,128 @@ def test_solve_square_small():
 def test_solve_square_singular_raises():
     one = Scalar.one()
     rows = [[one, one], [one, one]]
-    with pytest.raises(SpecializationCollision):
+    with pytest.raises(SpecializationCollision, match="in unit test"):
         solve_square(rows, [[one, one]], context="unit test")
+
+
+SOLVE_GENS = {"Q": (), "Q(q,t)": ("q", "t"), "Q(r)": ("r",)}
+
+
+def _nonzero_terms(k):
+    """A nonzero integer polynomial in k generators: up to two terms of
+    degree <= 1 in each generator."""
+    def collect(pairs):
+        out = {}
+        for e, c in pairs:
+            out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c} or dict(pairs[:1])
+    return st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * k),
+                              st.sampled_from([1, -1, 2, -2, 3, -3])),
+                    min_size=1, max_size=2).map(collect)
+
+
+@st.composite
+def _field_elements(draw, gens):
+    """Zero, or a small reduced fraction over gens."""
+    if draw(st.integers(0, 4)) == 0:
+        return Scalar.zero(gens)
+    k = len(gens)
+    return Scalar(gens, draw(_nonzero_terms(k)), draw(_nonzero_terms(k)))
+
+
+@st.composite
+def _square_systems(draw, m):
+    """(rows, rhs_cols, singular): an m x m matrix over one field, with
+    zero leading entries often enough that rows get swapped, and
+    right-hand columns that are zero or over the field or over Q."""
+    gens = SOLVE_GENS[draw(st.sampled_from(sorted(SOLVE_GENS)))]
+    rows = [[draw(_field_elements(gens)) for _ in range(m)] for _ in range(m)]
+    zero = Scalar.zero(gens)
+    for i in range(draw(st.integers(0, m - 1))):
+        rows[i][0] = zero
+    singular = m > 1 and draw(st.booleans())
+    if singular:
+        # a row that is a multiple of another
+        i, j = draw(st.permutations(range(m)))[:2]
+        c = draw(_field_elements(gens))
+        rows[i] = [c * v for v in rows[j]]
+    cols = []
+    for _ in range(draw(st.integers(1, 3))):
+        col_gens = draw(st.sampled_from([gens, ()]))
+        if draw(st.booleans()):
+            cols.append([Scalar.zero(col_gens)] * m)
+        else:
+            cols.append([draw(_field_elements(col_gens)) for _ in range(m)])
+    return rows, cols, singular
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_square_matches_augmented_elimination(m, data):
+    rows, cols, singular = data.draw(_square_systems(m))
+    try:
+        want = _augmented_solve(rows, cols, "drawn system")
+    except SpecializationCollision as exc:
+        with pytest.raises(SpecializationCollision) as got:
+            solve_square(rows, cols, "drawn system")
+        assert str(got.value) == str(exc) == "singular system in drawn system"
+        return
+    assert not singular
+    got = solve_square(rows, cols, "drawn system")
+    # to_json carries the generators, so they must agree as well
+    assert [[v.to_json() for v in x] for x in got] == \
+        [[v.to_json() for v in x] for x in want]
+    for x, b in zip(got, cols):
+        for row, v in zip(rows, b):
+            assert sum((a * xi for a, xi in zip(row, x)), Scalar.zero()) == v
+
+
+SOLVE_FIELDS = {"qt(2,3)": qt_config(2, 3), "qt": QT, "r": R,
+                "r(1/2)": r_config(Fraction(1, 2))}
+
+
+def _dense_families(n, cfg, cache):
+    """Every family built by `interpolation._solve` at n variables and
+    degree <= 2, as canonical JSON."""
+    out = {}
+    for alpha in enumerate_compositions(n, 2):
+        out["G", alpha] = g_oracle(alpha, cfg, cache).to_json()
+        out["Gprime", alpha] = gprime(alpha, cfg, cache).to_json()
+    for lam in (mu for mu in enumerate_compositions(n, 2)
+                if list(mu) == sorted(mu, reverse=True)):
+        out["R", lam] = r_sym(lam, cfg, cache).to_json()
+        if cfg.variant == "r":
+            out["Rprime", lam] = rprime(lam, cfg, cache).to_json()
+    return out
+
+
+@pytest.mark.parametrize("field", sorted(SOLVE_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_factored_solve_matches_inverse(monkeypatch, n, field):
+    cfg = SOLVE_FIELDS[field]
+    got = _dense_families(n, cfg, FamilyCache())
+    monkeypatch.setattr(interpolation, "_solve", _inverse_solve)
+    assert got == _dense_families(n, cfg, FamilyCache())
+
+
+def test_one_factorization_per_system(monkeypatch):
+    calls = []
+    factor = interpolation.factor_square
+
+    def counting(rows, context="linear system"):
+        calls.append(context)
+        return factor(rows, context)
+
+    monkeypatch.setattr(interpolation, "factor_square", counting)
+    store = FamilyCache()
+    indices = [alpha for alpha in enumerate_compositions(3, 2)
+               if weight(alpha) == 2]
+    for alpha in indices:
+        g_oracle(alpha, QT, store)
+    assert len(indices) == 6 and len(calls) == 1
+    assert [k for k in store._mem if k[0] == "inv"] == [
+        ("inv", "bar", False, QT.cache_token(), 3, 2)]
 
 
 def test_specialization_collision_in_families():
