@@ -142,6 +142,15 @@ def _a_scalar(args, cfg: FieldConfig) -> Scalar:
     return Scalar.generator("a", cfg.gens() + ("a",))
 
 
+def _lower_index(text: str, option: str, upper: tuple, upper_option: str):
+    """The lower index of a binomial; it must be as long as the upper."""
+    lower = _index(text)
+    if len(lower) != len(upper):
+        raise UsageError(f"{option} has length {len(lower)} but "
+                         f"{upper_option} has length {len(upper)}")
+    return lower
+
+
 def cmd_compute(args) -> int:
     family = args.family
     if args.json and args.pretty:
@@ -149,8 +158,9 @@ def cmd_compute(args) -> int:
     cfg = _compute_configs(args)
     cache = FamilyCache(_cache_dir(args))
     partitions = family in ("R", "Rprime", "binom-sym")
-    raw = args.lam if partitions or (args.lam and not args.alpha) \
-        else args.alpha
+    raw_option = "--lambda" if partitions or (args.lam and not args.alpha) \
+        else "--alpha"
+    raw = args.lam if raw_option == "--lambda" else args.alpha
     if raw is None:
         raise UsageError(f"family {family} needs --alpha or --lambda")
     index = _index(raw)
@@ -183,14 +193,14 @@ def cmd_compute(args) -> int:
     elif family == "binom":
         if args.beta is None:
             raise UsageError("binom needs --beta")
-        beta = _index(args.beta)
+        beta = _lower_index(args.beta, "--beta", index, raw_option)
         result["beta"] = list(beta)
         result["inverted"] = bool(args.inverted)
         scalar = binom(index, beta, cfg, cache, inverted=args.inverted)
     elif family == "binom-sym":
         if args.mu is None:
             raise UsageError("binom-sym needs --mu")
-        mu = _index(args.mu)
+        mu = _lower_index(args.mu, "--mu", index, raw_option)
         result["mu"] = list(mu)
         scalar = binom_sym(index, mu, cfg, cache)
     elif family == "d":
@@ -263,6 +273,8 @@ def cmd_check(args) -> int:
     d = args.deg if args.deg is not None else (4 if n <= 2 else 3)
     if d < 0:
         raise UsageError(f"--deg must be >= 0, got {d}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     qt, r = _check_configs(args)
     cache_dir = _cache_dir(args)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
@@ -13,10 +14,11 @@ from .shapes import Permutation, SpectralPoint
 class LaurentPoly:
     """Map from integer exponent vectors to nonzero Scalars."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_plans")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None, _clean=False):
         self.n = n
+        self._plans = None  # see evaluate
         if terms is None:
             self.terms = {}
         elif _clean:
@@ -84,7 +86,7 @@ class LaurentPoly:
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 p = ca * cb
                 s = out.get(e)
                 s = p if s is None else s + p
@@ -161,11 +163,16 @@ class LaurentPoly:
         No term is reduced on its own: the terms are summed over one
         common denominator and the sum is reduced once (see
         scalars.evaluate_laurent), which gives the same canonical form as
-        a term-by-term sum."""
+        a term-by-term sum.  The coefficient part of that work, the lcm
+        pieces and each coefficient's cofactor, is planned on the first
+        evaluation over a generator set and kept in _plans (terms never
+        change after construction)."""
         coords = tuple(point.coords if isinstance(point, SpectralPoint) else point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")
-        return evaluate_laurent(self.terms, coords)
+        if self._plans is None:
+            self._plans = {}
+        return evaluate_laurent(self.terms, coords, self._plans)
 
     def permute_vars(self, w: Permutation) -> "LaurentPoly":
         """(w.f)(x) = f at the w-permuted variables: exponent vectors

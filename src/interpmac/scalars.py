@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DivisionByZero, SpecializationCollision, UsageError
@@ -52,10 +53,16 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
         return {}
     if len(b) < len(a):
         a, b = b, a
+    if len(a) == 1:
+        # a single term scales b by a constant or shifts it by a monomial
+        (ea, ca), = a.items()
+        if any(ea):
+            return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        return {eb: ca * cb for eb, cb in b.items()} if ca != 1 else dict(b)
     out: Terms = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
@@ -83,8 +90,8 @@ def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
         (eb, cb), = b.items()
         out: Terms = {}
         for ea, ca in a.items():
-            e = tuple(x - y for x, y in zip(ea, eb))
-            if any(x < 0 for x in e) or ca % cb:
+            e = tuple(map(sub, ea, eb))
+            if min(e, default=0) < 0 or ca % cb:
                 raise ArithmeticError("inexact polynomial division")
             out[e] = ca // cb
         return out
@@ -95,13 +102,13 @@ def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
     while rem:
         ea = max(rem, key=_grlex_key)
         ca = rem[ea]
-        e = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in e) or ca % cb:
+        e = tuple(map(sub, ea, eb))
+        if min(e, default=0) < 0 or ca % cb:
             raise ArithmeticError("inexact polynomial division")
         q = ca // cb
         quot[e] = q
         for eb2, cb2 in b.items():
-            et = tuple(x + y for x, y in zip(e, eb2))
+            et = tuple(map(add, e, eb2))
             s = rem.get(et, 0) - q * cb2
             if s:
                 rem[et] = s
@@ -716,25 +723,34 @@ def _dict_prod(factors: Iterable[Terms], k: int) -> Terms:
     return out
 
 
-def clear_denominators(values: Sequence[Scalar], gens: tuple) -> tuple:
-    """(nums, pieces) with values[j] == nums[j] / prod(pieces) over gens:
-    every nums[j] is an integer polynomial and the product of the pieces
-    is the lcm of the denominators.  Gcds run only between distinct
-    denominators."""
-    k = len(gens)
+def _clearing_plan(lifted: Sequence[Scalar], k: int) -> tuple:
+    """(pieces, cofactors) for values already lifted to k generators: the
+    product of the pieces is the lcm of their denominators (gcds run only
+    between distinct ones), and cofactors[j] is lcm / den of values[j],
+    None where that is 1."""
     unit = _dict_const(1, k)
-    lifted = [v.lift(gens) for v in values]
     dens: dict = {}
     for v in lifted:
         dens.setdefault(frozenset(v.den.items()), v.den)
     pieces = _lcm_pieces(dens.values(), k)
     lcm = _dict_prod(pieces, k)
     cofactor = {key: _dict_divexact(lcm, d, k) for key, d in dens.items()}
-    nums = []
-    for v in lifted:
-        c = cofactor[frozenset(v.den.items())]
-        nums.append(v.num if c == unit else _dict_mul(v.num, c))
-    return nums, pieces
+    cofactors = [cofactor[frozenset(v.den.items())] for v in lifted]
+    return pieces, [None if c == unit else c for c in cofactors]
+
+
+def _cleared(lifted: Sequence[Scalar], cofactors: Sequence) -> list:
+    return [v.num if c is None else _dict_mul(v.num, c)
+            for v, c in zip(lifted, cofactors)]
+
+
+def clear_denominators(values: Sequence[Scalar], gens: tuple) -> tuple:
+    """(nums, pieces) with values[j] == nums[j] / prod(pieces) over gens:
+    every nums[j] is an integer polynomial and the product of the pieces
+    is the lcm of the denominators (see _clearing_plan)."""
+    lifted = [v.lift(gens) for v in values]
+    pieces, cofactors = _clearing_plan(lifted, len(gens))
+    return _cleared(lifted, cofactors), pieces
 
 
 def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
@@ -768,7 +784,7 @@ def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
     """acc += a * b, in place."""
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             s = acc.get(e, 0) + ca * cb
             if s:
                 acc[e] = s
@@ -803,8 +819,8 @@ def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
     return out
 
 
-def evaluate_laurent(terms: Mapping[tuple, Scalar],
-                     coords: Sequence[Scalar]) -> Scalar:
+def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
+                     plans: dict) -> Scalar:
     """Exact value of sum_e terms[e] * prod_i coords[i]**e[i] over
     integer exponent vectors e, with one reduction.
 
@@ -817,6 +833,11 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar],
     lives on the generator set the term-by-term sum would have: that of
     the coefficients and of every coordinate raised to a nonzero power.
     A constant polynomial returns its coefficient.
+
+    The pieces of L and the cofactors L/den depend only on the terms and
+    the generator set: they are planned once per set, in plans (a dict
+    kept with the terms), so a call only builds the power tables of the
+    point, the products num*(L/den), the sum and its reduction.
     """
     if not terms:
         return Scalar.zero(coords[0].gens if coords else ())
@@ -838,7 +859,11 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar],
     gens = _common_gens(coeffs + [coords[i] for i in active])
     k = len(gens)
     unit = _dict_const(1, k)
-    nums, pieces = clear_denominators(coeffs, gens)
+    coeffs = [c.lift(gens) for c in coeffs]
+    if gens not in plans:
+        plans[gens] = _clearing_plan(coeffs, k)
+    pieces, cofactors = plans[gens]
+    nums = _cleared(coeffs, cofactors)
 
     # factor[i][x] = u_i^(x - s_i) * v_i^(T_i - x), built from power tables
     lifted = {i: coords[i].lift(gens) for i in active}
@@ -869,7 +894,8 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar],
                 mono[key[:j + 1]] = m
         _dict_addmul(total, num, m)
     for i, x in lifted.items():
-        pieces += [x.num] * -lo[i] + [x.den] * hi[i]
+        # a new list: the plan keeps the coefficients' pieces
+        pieces = pieces + [x.num] * -lo[i] + [x.den] * hi[i]
     return _reduce_over(gens, total, pieces)
 
 

@@ -255,6 +255,26 @@ def test_check_negative_degree_is_usage_error(capsys):
     assert "--deg" in err
 
 
+def test_check_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-2"):
+        code, out, err = run_cli(["check", "all", "--n", "1", "--deg", "1",
+                                  "--jobs", jobs, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"--jobs must be >= 1, got {jobs}" in err
+
+
+def test_compute_binomial_index_length_mismatch(capsys):
+    code, out, err = run_cli(["compute", "binom", "--alpha", "1,0",
+                              "--beta", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--beta has length 1 but --alpha has length 2" in err
+    code, out, err = run_cli(["compute", "binom-sym", "--variant", "r",
+                              "--lambda", "2,1", "--mu", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "--mu has length 1 but --lambda has length 2" in err
+
+
 def test_check_closed_pipe_exits_quietly():
     cmd = [sys.executable, "-m", "interpmac", "check", "all", "--n", "2",
            "--deg", "3", "--json"]

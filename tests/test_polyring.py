@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from interpmac.errors import (DegreeError, DimensionError, DivisionByZero,
                               UnsupportedSubstitution)
+from interpmac.interpolation import FamilyCache, FamilyKey, g_recursive
 from interpmac.polyring import (LaurentPoly, exact_div_check,
                                 negate_shift_all, scale_all, shift_all)
 from interpmac.scalars import (Scalar, clear_denominators, dumps_canonical,
                                qt_config, r_config)
-from interpmac.shapes import (Permutation, reciprocal_point, spectral_qt,
-                              spectral_r, tau_point)
+from interpmac.shapes import (Permutation, enumerate_compositions,
+                              reciprocal_point, spectral_qt, spectral_r,
+                              tau_point)
+from interpmac.variant import variant
 
 QT = qt_config()
 R = r_config()
@@ -261,6 +264,93 @@ def test_evaluate_zero_and_constant_polynomials():
     c = R.gen("r") / (R.gen("r") + 3)
     assert LaurentPoly.constant(2, c).evaluate(pt) is c
 
+
+
+# -- the evaluation plan kept on a polynomial ------------------------------------
+
+def _plan_poly():
+    r = R.gen("r")
+    return LaurentPoly(2, {(2, 0): r / (r + 3), (1, 1): R.scalar(5) / 3,
+                           (0, 1): (r + 1) / (2 * r - 1),
+                           (-1, 2): 1 / ((r + 3) * (r + 1)), (0, 0): r})
+
+
+def _plan_points():
+    """Q(r), Q(r,a), rational and inverted-q,t points, in turn."""
+    out = []
+    for v in ((1, 2), (2, 1), (3, 1)):
+        out += [spectral_r(v, R), spectral_r(v, R).shift(A),
+                spectral_qt(v, QT_SPEC), spectral_qt(v, QT.with_inverted())]
+    return out
+
+
+def test_evaluation_plan_per_generator_set():
+    f = _plan_poly()
+    for pt in _plan_points() + _plan_points()[::-1]:
+        got = f.evaluate(pt)
+        fresh = LaurentPoly(f.n, dict(f.terms)).evaluate(pt)
+        want = _evaluate_termwise(f, pt.coords)
+        for other in (fresh, want):
+            assert got == other and got.gens == other.gens
+            assert dumps_canonical(got.to_json()) == \
+                dumps_canonical(other.to_json())
+    # the rational points share the plan of the Q(r) ones
+    assert set(f._plans) == {("r",), ("r", "a"), ("q", "t", "r")}
+
+
+def test_evaluation_plan_leaves_json_equality_and_disk_cache(tmp_path):
+    f = _plan_poly()
+    fresh = LaurentPoly(f.n, dict(f.terms))
+    before = dumps_canonical(f.to_json())
+    values = [f.evaluate(pt) for pt in _plan_points()]
+    assert f._plans and fresh._plans is None
+    assert dumps_canonical(f.to_json()) == before
+    assert f == fresh and hash(f) == hash(fresh)
+    fk = FamilyKey("G", "r", (1, 2), R.cache_token())
+    assert FamilyCache(tmp_path).poly(fk, lambda: f) is f
+    stored = FamilyCache(tmp_path).poly(fk, lambda: pytest.fail("rebuilt"))
+    assert stored == f and stored._plans is None
+    assert dumps_canonical(stored.to_json()) == before
+    assert [stored.evaluate(pt) for pt in _plan_points()] == values
+
+
+def test_small_g_evaluations_match_sympy():
+    """G_alpha (n <= 2, |alpha| <= 2, symbolic q,t and symbolic r) at the
+    spectral points of weight <= 2 and at those points acted on by a,
+    against sympy substitution and cancellation."""
+    sympy = pytest.importorskip("sympy")
+    syms = {g: sympy.Symbol(g) for g in ("q", "t", "r", "a")}
+
+    def poly_expr(gens, terms):
+        return sum(c * sympy.Mul(*[syms[g] ** k for g, k in zip(gens, e)])
+                   for e, c in terms.items())
+
+    def expr(s):
+        return poly_expr(s.gens, s.num) / poly_expr(s.gens, s.den)
+
+    cache = FamilyCache()
+    for cfg in (QT, R):
+        var = variant(cfg)
+        a = Scalar.generator("a", cfg.gens() + ("a",))
+        for n in (1, 2):
+            xs = sympy.symbols(f"x1:{n + 1}")
+            for alpha in enumerate_compositions(n, 2):
+                g = g_recursive(alpha, cfg, cache)
+                g_expr = sum(expr(c) * sympy.Mul(*[x ** k for x, k in zip(xs, e)])
+                             for e, c in g.terms.items())
+                for v in enumerate_compositions(n, 2):
+                    bar = var.bar(v)
+                    for pt in (bar, var.act(bar, a)):
+                        got = g.evaluate(pt)
+                        want = sympy.cancel(g_expr.subs(
+                            dict(zip(xs, map(expr, pt.coords))),
+                            simultaneous=True))
+                        assert sympy.cancel(expr(got) - want) == 0, (alpha, v)
+                        if got.gens:
+                            num, den = (sympy.Poly(poly_expr(got.gens, t),
+                                                   *[syms[x] for x in got.gens])
+                                        for t in (got.num, got.den))
+                            assert sympy.gcd(num, den) in (1, -1), (alpha, v)
 
 
 def test_json_round_trip_and_term_order():

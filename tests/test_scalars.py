@@ -403,3 +403,144 @@ def test_poly_gcd_and_canonical_forms_match_sympy():
                 assert num * q == den * p, (a, b, c, d)
                 assert sympy.gcd(num, den) in (1, -1), (a, b, c, d)
                 assert den.LC(order="grlex") > 0
+
+
+# --- exponent kernel against its generator-expression form -------------------
+
+def _ref_dict_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(b) < len(a):
+        a, b = b, a
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _ref_dict_addmul(acc, a, b):
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = acc.get(e, 0) + ca * cb
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
+def _ref_dict_divexact(a, b, k):
+    if len(b) == 1:
+        (eb, cb), = b.items()
+        out = {}
+        for ea, ca in a.items():
+            e = tuple(x - y for x, y in zip(ea, eb))
+            if any(x < 0 for x in e) or ca % cb:
+                raise ArithmeticError("inexact polynomial division")
+            out[e] = ca // cb
+        return out
+    rem = dict(a)
+    quot = {}
+    eb = max(b, key=scalars._grlex_key)
+    cb = b[eb]
+    while rem:
+        ea = max(rem, key=scalars._grlex_key)
+        ca = rem[ea]
+        e = tuple(x - y for x, y in zip(ea, eb))
+        if any(x < 0 for x in e) or ca % cb:
+            raise ArithmeticError("inexact polynomial division")
+        q = ca // cb
+        quot[e] = q
+        for eb2, cb2 in b.items():
+            et = tuple(x + y for x, y in zip(e, eb2))
+            s = rem.get(et, 0) - q * cb2
+            if s:
+                rem[et] = s
+            else:
+                rem.pop(et, None)
+    return quot
+
+
+@st.composite
+def _kernel_operand(draw, k):
+    """A polynomial in k generators: zero, a constant (often +-1), one
+    term, or a few terms with signed coefficients."""
+    coeff = st.integers(-6, 6).filter(bool)
+    kind = draw(st.sampled_from(["zero", "constant", "unit", "term",
+                                 "general", "general"]))
+    if kind == "zero":
+        return {}
+    if kind == "constant":
+        return {(0,) * k: draw(coeff)}
+    if kind == "unit":
+        return {(0,) * k: draw(st.sampled_from([1, -1]))}
+    exps = st.tuples(*[st.integers(0, 3)] * k)
+    if kind == "term":
+        return {draw(exps): draw(coeff)}
+    return draw(st.dictionaries(exps, coeff, min_size=1, max_size=5))
+
+
+@st.composite
+def _kernel_cases(draw):
+    k = draw(st.integers(0, 3))
+    return (k, draw(_kernel_operand(k)), draw(_kernel_operand(k)),
+            draw(_kernel_operand(k)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_exponent_kernel_matches_reference(case):
+    k, a, b, c = case
+    a0, b0 = dict(a), dict(b)
+    prod = scalars._dict_mul(a, b)
+    assert prod == _ref_dict_mul(a, b)
+    # a fresh dict, the operands untouched
+    assert prod is not a and prod is not b and a == a0 and b == b0
+
+    acc, ref = dict(c), dict(c)
+    scalars._dict_addmul(acc, a, b)
+    _ref_dict_addmul(ref, a, b)
+    assert acc == ref
+    # the product cancels against its negation to exactly zero
+    acc = scalars._dict_neg(prod)
+    scalars._dict_addmul(acc, a, b)
+    assert acc == {}
+
+    if b:
+        # exact divisions give the cofactor back; c * b + a is most often
+        # inexact, and then both forms must raise
+        assert scalars._dict_divexact(prod, b, k) == _ref_dict_divexact(
+            prod, b, k) == a
+        num = scalars._dict_add(scalars._dict_mul(c, b), a)
+        assert _outcome(scalars._dict_divexact, num, b, k) == \
+            _outcome(_ref_dict_divexact, num, b, k)
+
+
+def test_exponent_kernel_examples():
+    x, y = {(1, 0): 1}, {(0, 1): 1}
+    # (x + y)(x - y): the mixed terms cancel
+    assert scalars._dict_mul({(1, 0): 1, (0, 1): 1},
+                             {(1, 0): 1, (0, 1): -1}) == {(2, 0): 1, (0, 2): -1}
+    assert scalars._dict_mul({(0, 0): -3}, x) == {(1, 0): -3}
+    assert scalars._dict_mul(y, {(1, 0): 2, (0, 0): 1}) == \
+        {(1, 1): 2, (0, 1): 1}
+    assert scalars._dict_mul({(): 4}, {(): -2}) == {(): -8}
+    assert scalars._dict_divexact({(): 6}, {(): 3}, 0) == {(): 2}
+    for a, b, k in (({(): 6}, {(): 4}, 0),            # integer remainder
+                    ({(1, 0): 1}, y, 2),              # negative exponent
+                    ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}, 2)):
+        with pytest.raises(ArithmeticError):
+            scalars._dict_divexact(a, b, k)
