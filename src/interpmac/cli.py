@@ -167,8 +167,6 @@ def cmd_compute(args) -> int:
     n = args.n if args.n is not None else len(index)
     if n != len(index):
         raise UsageError(f"--n {n} does not match index length {len(index)}")
-    if family in ("Gplus", "Rprime", "binom-sym") and cfg.variant != "r":
-        raise UsageError(f"family {family} exists in the r variant only")
 
     result: dict = {"family": family, "variant": cfg.variant,
                     "index": list(index), "config": cfg.describe()}
@@ -363,6 +361,10 @@ def main(argv=None) -> int:
         return 3
     except InterpmacError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: index too deep for the recursive construction "
+              "(Python recursion limit reached)", file=sys.stderr)
         return 2
 
 

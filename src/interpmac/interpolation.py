@@ -13,10 +13,13 @@ Families (CLI spellings in parentheses):
 * O      reciprocity interpolation polynomial (needs the parameter a)
 
 The oracle G, R, Gprime and Rprime solve a dense interpolation system:
-its matrix is factored once per field by exact fraction-free Gaussian
-elimination with first-nonzero pivoting, the elimination is memoized and
-replayed on each right-hand side, and degree, vanishing and
-normalization are re-checked after construction.
+its matrix is factored once per field by exact fraction-free (Bareiss)
+Gaussian elimination with first-nonzero pivoting, column by column: the
+steps recorded so far are replayed on each new column, by the routine
+that later replays them on each right-hand side, and the column's first
+nonzero entry at or below the diagonal becomes the next pivot.  The
+elimination is memoized, and degree, vanishing and normalization are
+re-checked after construction.
 O needs no inverse: it is built by Newton forward substitution in a
 basis of recursive G polynomials, whose interpolation matrix is first
 certified to be triangular by degree with a nonzero diagonal.
@@ -29,6 +32,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -74,17 +78,7 @@ class Elimination:
         gens = _common_gens(list(b) + [Scalar.zero(self.gens)])
         zero = Scalar.zero(gens)
         b = [zero if v.is_zero() else v.lift(gens) for v in b]
-        for col, (pivot_row, pivot, heads, prev) in enumerate(self.steps):
-            if pivot_row != col:
-                b[col], b[pivot_row] = b[pivot_row], b[col]
-            top = b[col]
-            for r, head in enumerate(heads, col + 1):
-                if head.is_zero() or top.is_zero():
-                    if b[r].is_zero() or (head.is_zero() and prev.is_one()):
-                        continue
-                    b[r] = (pivot * b[r]) / prev
-                else:
-                    b[r] = (pivot * b[r] - head * top) / prev
+        _forward(self.steps, b)
         x = [zero] * m
         for i in range(m - 1, -1, -1):
             row = self.upper[i]
@@ -96,40 +90,53 @@ class Elimination:
         return x
 
 
+def _forward(steps: Sequence[tuple], v: list) -> None:
+    """Replay the recorded elimination steps on the column v, in place.
+    Step col swaps the pivot row into place and turns each entry r below
+    it into (pivot * v[r] - head_r * v[col]) / prev, the fraction-free
+    update; a product with a zero factor is left out, and an entry the
+    update leaves unchanged is not recomputed."""
+    for col, (pivot_row, pivot, heads, prev) in enumerate(steps):
+        if pivot_row != col:
+            v[col], v[pivot_row] = v[pivot_row], v[col]
+        top = v[col]
+        for r, head in enumerate(heads, col + 1):
+            if head.is_zero() or top.is_zero():
+                if v[r].is_zero() or (head.is_zero() and prev.is_one()):
+                    continue
+                v[r] = (pivot * v[r]) / prev
+            else:
+                v[r] = (pivot * v[r] - head * top) / prev
+
+
 def factor_square(rows: Sequence[Sequence[Scalar]],
                   context: str = "linear system") -> Elimination:
     """Fraction-free (Bareiss) forward elimination of the square matrix
-    rows with first-nonzero pivoting; divisions along the way are exact.
-    Raises SpecializationCollision when the matrix is singular."""
+    rows with first-nonzero pivoting, column by column: the steps
+    recorded so far are replayed on column c (`_forward`, the replay
+    `Elimination.solve` applies to b), and its first nonzero entry at
+    or below the diagonal becomes the pivot of step c.  Divisions are
+    exact.  Raises SpecializationCollision when the matrix is
+    singular."""
     m = len(rows)
     if m == 0:
         return Elimination((), (), ())
-    a = [list(row) for row in rows]
-    gens = _common_gens([v for row in a for v in row])
-    prev = Scalar.one(a[0][0].gens)
-    steps = []
-    for col in range(m):
-        pivot_row = next((r for r in range(col, m) if not a[r][col].is_zero()),
+    gens = _common_gens([v for row in rows for v in row])
+    prev = Scalar.one(rows[0][0].gens)
+    steps, upper = [], [[] for _ in range(m)]
+    for c in range(m):
+        col = [row[c] for row in rows]
+        _forward(steps, col)
+        pivot_row = next((r for r in range(c, m) if not col[r].is_zero()),
                          None)
         if pivot_row is None:
             raise SpecializationCollision(f"singular system in {context}")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-        pivot = a[col][col]
-        heads = tuple(a[r][col] for r in range(col + 1, m))
-        for r, head in enumerate(heads, col + 1):
-            if head.is_zero():
-                if prev.is_one():
-                    continue
-                for c in range(col + 1, m):
-                    a[r][c] = (pivot * a[r][c]) / prev
-            else:
-                for c in range(col + 1, m):
-                    a[r][c] = (pivot * a[r][c] - head * a[col][c]) / prev
-        steps.append((pivot_row, pivot, heads, prev))
-        prev = pivot
-    return Elimination(gens, tuple(steps),
-                       tuple(tuple(a[i][i:]) for i in range(m)))
+        col[c], col[pivot_row] = col[pivot_row], col[c]
+        for i in range(c + 1):
+            upper[i].append(col[i])
+        steps.append((pivot_row, col[c], tuple(col[c + 1:]), prev))
+        prev = col[c]
+    return Elimination(gens, tuple(steps), tuple(map(tuple, upper)))
 
 
 def solve_square(rows: Sequence[Sequence[Scalar]],
@@ -296,29 +303,13 @@ def _basis(n: int, deg: int, symmetric: bool) -> tuple:
 
 def monomial_matrix(indices: Sequence[tuple], groups: Sequence[Sequence[tuple]],
                     kind: str, cfg: FieldConfig, cache: FamilyCache) -> list:
-    """One row per index: entry j is the sum of point^e over the exponents
-    e of groups[j], from one table of coordinate powers per point."""
-    rows = []
-    for v in indices:
-        point = _point(kind, v, cfg, cache)
-        one = Scalar.one(point[0].gens)
-        powers: dict = {}
-        row = []
-        for group in groups:
-            total = None
-            for e in group:
-                acc = None
-                for i, k in enumerate(e):
-                    if k:
-                        p = powers.get((i, k))
-                        if p is None:
-                            p = powers[(i, k)] = point[i] ** k
-                        acc = p if acc is None else acc * p
-                acc = one if acc is None else acc
-                total = acc if total is None else total + acc
-            row.append(total)
-        rows.append(row)
-    return rows
+    """One row per index v: entry j is the basis polynomial of groups[j],
+    the sum of x^e over its exponents e, at the kind point of v."""
+    one = cfg.one()
+    basis = [LaurentPoly(len(group[0]), {e: one for e in group}, _clean=True)
+             for group in groups]
+    points = [_point(kind, v, cfg, cache) for v in indices]
+    return [[f.evaluate(point) for f in basis] for point in points]
 
 
 def mono_sym(n: int, mu: tuple, one: Scalar) -> LaurentPoly:
@@ -477,7 +468,7 @@ def gplus(alpha: Sequence[int], cfg: FieldConfig,
           cache: FamilyCache) -> LaurentPoly:
     """(-1)^{|alpha|} G_alpha(-x - (n-1)r) in the r variant."""
     if cfg.variant != "r":
-        raise UsageError("Gplus is an r-variant family")
+        raise UsageError("family Gplus exists in the r variant only")
     alpha = _validate_index(alpha)
     fk = FamilyKey("Gplus", cfg.variant, alpha, cfg.cache_token())
     return cache.poly(fk, lambda: reflect(g_recursive(alpha, cfg, cache),
@@ -504,7 +495,7 @@ def rprime(lam: Sequence[int], cfg: FieldConfig,
     """Symmetric polynomial with the top part of R, vanishing on the
     tilde points of smaller degree (r variant)."""
     if cfg.variant != "r":
-        raise UsageError("Rprime is an r-variant family")
+        raise UsageError("family Rprime exists in the r variant only")
     lam = _validate_index(lam, partition=True)
     fk = FamilyKey("Rprime", cfg.variant, lam, cfg.cache_token())
     return cache.poly(fk, lambda: _primed(
@@ -631,21 +622,16 @@ def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
 def closed_d(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (arm, leg) hook factor."""
     alpha = _validate_index(alpha)
-    var = variant(cfg)
-    out = cfg.one()
-    for s in diagram_stats(alpha):
-        out = out * var.d_cell(s)
-    return out
+    return prod(map(variant(cfg).d_cell, diagram_stats(alpha)),
+                start=cfg.one())
 
 
 def closed_e(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (coarm, coleg) cofactor."""
     alpha = _validate_index(alpha)
     var = variant(cfg)
-    out = cfg.one()
-    for s in diagram_stats(alpha):
-        out = out * var.e_cell(s, len(alpha))
-    return out
+    return prod((var.e_cell(s, len(alpha)) for s in diagram_stats(alpha)),
+                start=cfg.one())
 
 
 def closed_phi(alpha: Sequence[int], cfg: FieldConfig, a) -> Scalar:
@@ -654,10 +640,8 @@ def closed_phi(alpha: Sequence[int], cfg: FieldConfig, a) -> Scalar:
     if not isinstance(a, Scalar):
         a = Scalar.from_fraction(Fraction(a))
     var = variant(cfg)
-    out = cfg.one() * Scalar.one(a.gens)
-    for s in diagram_stats(alpha):
-        out = out * var.phi_cell(s, a)
-    return out
+    return prod((var.phi_cell(s, a) for s in diagram_stats(alpha)),
+                start=cfg.one() * Scalar.one(a.gens))
 
 
 def _binomial(poly: LaurentPoly, upper: tuple, lower: tuple,
@@ -687,7 +671,7 @@ def binom_sym(lam: Sequence[int], mu: Sequence[int], cfg: FieldConfig,
               cache: FamilyCache) -> Scalar:
     """Symmetric r-variant binomial coefficient on partition indices."""
     if cfg.variant != "r":
-        raise UsageError("symmetric binomials are r-variant")
+        raise UsageError("family binom-sym exists in the r variant only")
     lam = _validate_index(lam, partition=True)
     mu = _validate_index(mu, partition=True)
     return cache.memo(("binom-sym", cfg.cache_token(), lam, mu),

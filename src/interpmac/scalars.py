@@ -60,15 +60,29 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
             return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
         return {eb: ca * cb for eb, cb in b.items()} if ca != 1 else dict(b)
     out: Terms = {}
+    _dict_addmul(out, a, b)
+    return out
+
+
+def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
+    """acc += a * b, in place."""
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = tuple(map(add, ea, eb))
-            s = out.get(e, 0) + ca * cb
+            s = acc.get(e, 0) + ca * cb
             if s:
-                out[e] = s
+                acc[e] = s
             else:
-                del out[e]
-    return out
+                del acc[e]
+
+
+def _int_content(values: Iterable[int], g: int = 0) -> int:
+    """gcd of g and the integers values, stopping as soon as it is 1."""
+    for c in values:
+        g = int_gcd(g, c)
+        if g == 1:
+            break
+    return g
 
 
 def _grlex_key(e: tuple) -> tuple:
@@ -151,15 +165,7 @@ def _poly_content(a: Terms, k: int) -> Terms:
 def _uni_gcd_int(a: dict, b: dict) -> dict:
     """Primitive-PRS gcd of univariate integer polynomials given as
     degree -> coefficient maps; positive leading coefficient."""
-    def content(p):
-        g = 0
-        for c in p.values():
-            g = int_gcd(g, c)
-            if g == 1:
-                return 1
-        return g
-
-    ca, cb = content(a), content(b)
+    ca, cb = _int_content(a.values()), _int_content(b.values())
     c = int_gcd(ca, cb)
     f = {d: x // ca for d, x in a.items()}
     g = {d: x // cb for d, x in b.items()}
@@ -185,7 +191,7 @@ def _uni_gcd_int(a: dict, b: dict) -> dict:
             r = nr
         f = g
         if r:
-            cr = content(r)
+            cr = _int_content(r.values())
             g = {d: x // cr for d, x in r.items()}
         else:
             g = {}
@@ -216,11 +222,7 @@ def _pseudo_rem(f: dict, g: dict, k: int) -> dict:
 
 def _monomial_gcd(mono: Terms, other: Terms) -> Terms:
     (em, cm), = mono.items()
-    g = abs(cm)
-    for c in other.values():
-        g = int_gcd(g, c)
-        if g == 1:
-            break
+    g = _int_content(other.values(), abs(cm))
     exps = [min(e[i] for e in other) for i in range(len(em))]
     return {tuple(min(x, y) for x, y in zip(em, exps)): g}
 
@@ -290,13 +292,7 @@ def _coprime_certificate(a: Terms, b: Terms, k: int):
         todo = missed
     if todo:
         return None
-    c = 0
-    for t in (a, b):
-        for x in t.values():
-            c = int_gcd(c, x)
-            if c == 1:
-                return _dict_const(1, k)
-    return _dict_const(c, k)
+    return _dict_const(_int_content(b.values(), _int_content(a.values())), k)
 
 
 def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
@@ -778,18 +774,6 @@ def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
     if _leading_coeff(den) < 0:
         num, den = _dict_neg(num), _dict_neg(den)
     return Scalar(gens, num, den, _canonical=True)
-
-
-def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
-    """acc += a * b, in place."""
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            s = acc.get(e, 0) + ca * cb
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
 
 
 def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],

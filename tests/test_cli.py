@@ -287,3 +287,22 @@ def test_check_closed_pipe_exits_quietly():
     assert proc.wait(timeout=120) == 141
     assert json.loads(first)["id"] == "hecke-quadratic"
     assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+def test_compute_r_only_families_named(capsys):
+    for args in (["Rprime", "--lambda", "1"],
+                 ["binom-sym", "--lambda", "2", "--mu", "1"]):
+        code, out, err = run_cli(["compute", *args, "--variant", "qt"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert f"family {args[0]} exists in the r variant only" in err
+
+
+def test_compute_too_deep_index_is_usage_error(capsys):
+    for args in (["--alpha", "400", "--variant", "r", "--r", "1"],
+                 ["--alpha", "0,0,400"]):
+        code, out, err = run_cli(["compute", "G", *args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: index too deep for the recursive "
+                              "construction")
+        assert err.count("\n") == 1
