@@ -5,6 +5,23 @@ generator set) and reduced fractions of integer-coefficient polynomials
 in an ordered subset of the generators q, t, r, a.  Every operation
 returns a canonical form, so structural equality is mathematical
 equality.
+
+A polynomial is a dict from monomial keys to nonzero int coefficients.
+The key of x_0^e_0 ... x_{k-1}^e_{k-1} (k <= 4 generators) is one int:
+four slots of _W = 13 bits, generator j in slot 3 - j (the first
+generator in the most significant slot, unused slots zero), and the
+total degree above them.  Integer order is then graded-lex order, so
+the leading term is max(keys), a monomial product is ea + eb, and an
+embedding into appended generators ((r) into (r, a), (q, t) into
+(q, t, a)) keeps every key.
+
+Every key has total degree at most MAX_DEGREE = 2^12 - 1, so each
+exponent stays below the top bit of its slot, the guard bit.  The sum
+of two keys then never carries from one slot into the next; products
+whose leading key would pass MAX_DEGREE raise DegreeError instead of
+wrapping.  For a quotient ea - eb the guard bits detect a slot that
+borrows: (ea - eb + _GUARD) keeps every guard bit set exactly when
+every exponent of ea is at least that of eb.
 """
 
 from __future__ import annotations
@@ -13,24 +30,73 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from operator import add, sub
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import DivisionByZero, SpecializationCollision, UsageError
+from .errors import (DegreeError, DivisionByZero, SpecializationCollision,
+                     UsageError)
 
 GEN_ORDER = ("q", "t", "r", "a")
 
-Terms = dict  # exponent tuple -> nonzero int coefficient
+Terms = dict  # packed monomial key -> nonzero int coefficient
 
-_ONE: Terms = {(): 1}
+# ---------------------------------------------------------------------------
+# monomial keys
+# ---------------------------------------------------------------------------
+
+_W = 13
+_MASK = (1 << _W) - 1
+_DEG_SHIFT = len(GEN_ORDER) * _W
+# bit offset of generator j's slot, and the key of the generator itself
+_SHIFT = tuple((len(GEN_ORDER) - 1 - j) * _W for j in range(len(GEN_ORDER)))
+_GEN_KEY = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFT)
+_GUARD = sum(1 << (s + _W - 1) for s in _SHIFT)
+MAX_DEGREE = (1 << (_W - 1)) - 1
+_KEY_LIMIT = (MAX_DEGREE + 1) << _DEG_SHIFT
+
+_UNIT: Terms = {0: 1}  # for comparisons only; never handed out
+
+
+def _unpack(key: int, k: int) -> tuple:
+    """Exponent tuple of a key over k generators."""
+    return tuple([(key >> s) & _MASK for s in _SHIFT[:k]])
+
+
+def _pack_terms(terms: Mapping[tuple, int], k: int) -> Terms:
+    """Polynomial given by exponent tuples of length k, packed; raises
+    DegreeError for an exponent the slots cannot hold."""
+    out: Terms = {}
+    for e, c in terms.items():
+        if len(e) != k or min(e, default=0) < 0 or sum(e) > MAX_DEGREE:
+            raise DegreeError(
+                f"exponent {e} outside the polynomial kernel's range: "
+                f"{k} nonnegative exponents of total degree at most "
+                f"{MAX_DEGREE}")
+        if c:
+            out[sum(map(mul, e, _GEN_KEY))] = c
+    return out
+
+
+def _degree_overflow() -> DegreeError:
+    return DegreeError(f"product of total degree above {MAX_DEGREE}, the "
+                       f"limit of the polynomial kernel")
+
+
+def _used_gens(polys: Iterable[Terms], k: int) -> list:
+    """Positions of the generators with a nonzero exponent in some term."""
+    bits = 0
+    for t in polys:
+        for e in t:
+            bits |= e
+    return [j for j in range(k) if (bits >> _SHIFT[j]) & _MASK]
 
 
 # ---------------------------------------------------------------------------
 # integer-coefficient polynomial dictionaries
 # ---------------------------------------------------------------------------
 
-def _dict_const(c: int, k: int) -> Terms:
-    return {(0,) * k: c} if c else {}
+def _dict_const(c: int) -> Terms:
+    return {0: c} if c else {}
 
 
 def _dict_add(a: Terms, b: Terms) -> Terms:
@@ -56,8 +122,10 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
     if len(a) == 1:
         # a single term scales b by a constant or shifts it by a monomial
         (ea, ca), = a.items()
-        if any(ea):
-            return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        if ea:
+            if ea + max(b) >= _KEY_LIMIT:
+                raise _degree_overflow()
+            return {ea + eb: ca * cb for eb, cb in b.items()}
         return {eb: ca * cb for eb, cb in b.items()} if ca != 1 else dict(b)
     out: Terms = {}
     _dict_addmul(out, a, b)
@@ -66,9 +134,11 @@ def _dict_mul(a: Terms, b: Terms) -> Terms:
 
 def _dict_addmul(acc: Terms, a: Terms, b: Terms) -> None:
     """acc += a * b, in place."""
+    if a and b and max(a) + max(b) >= _KEY_LIMIT:
+        raise _degree_overflow()
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             s = acc.get(e, 0) + ca * cb
             if s:
                 acc[e] = s
@@ -85,18 +155,12 @@ def _int_content(values: Iterable[int], g: int = 0) -> int:
     return g
 
 
-def _grlex_key(e: tuple) -> tuple:
-    return (sum(e), e)
-
-
 def _leading_coeff(a: Terms) -> int:
     """Coefficient of the graded-lex leading term (0 for the zero poly)."""
-    if not a:
-        return 0
-    return a[max(a, key=_grlex_key)]
+    return a[max(a)] if a else 0
 
 
-def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
+def _dict_divexact(a: Terms, b: Terms) -> Terms:
     """Exact multivariate division a / b; raises if not exact."""
     if not b:
         raise DivisionByZero("polynomial division by zero")
@@ -104,25 +168,25 @@ def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
         (eb, cb), = b.items()
         out: Terms = {}
         for ea, ca in a.items():
-            e = tuple(map(sub, ea, eb))
-            if min(e, default=0) < 0 or ca % cb:
+            e = ea - eb
+            if (e + _GUARD) & _GUARD != _GUARD or ca % cb:
                 raise ArithmeticError("inexact polynomial division")
             out[e] = ca // cb
         return out
     rem = dict(a)
     quot: Terms = {}
-    eb = max(b, key=_grlex_key)
+    eb = max(b)
     cb = b[eb]
     while rem:
-        ea = max(rem, key=_grlex_key)
+        ea = max(rem)
         ca = rem[ea]
-        e = tuple(map(sub, ea, eb))
-        if min(e, default=0) < 0 or ca % cb:
+        e = ea - eb
+        if (e + _GUARD) & _GUARD != _GUARD or ca % cb:
             raise ArithmeticError("inexact polynomial division")
         q = ca // cb
         quot[e] = q
         for eb2, cb2 in b.items():
-            et = tuple(map(add, e, eb2))
+            et = e + eb2
             s = rem.get(et, 0) - q * cb2
             if s:
                 rem[et] = s
@@ -134,30 +198,29 @@ def _dict_divexact(a: Terms, b: Terms, k: int) -> Terms:
 # --- multivariate gcd: recursive content / primitive part over a primitive
 # --- pseudo-remainder sequence in the last generator ------------------------
 
-def _split_main(a: Terms) -> dict:
-    """View a k-generator poly as univariate in the last generator."""
+def _split_main(a: Terms, k: int) -> dict:
+    """View a k-generator poly as univariate in the last generator, with
+    (k-1)-generator coefficients."""
+    s, g = _SHIFT[k - 1], _GEN_KEY[k - 1]
     out: dict[int, Terms] = {}
     for e, c in a.items():
-        out.setdefault(e[-1], {})[e[:-1]] = c
+        d = (e >> s) & _MASK
+        out.setdefault(d, {})[e - d * g] = c
     return out
 
 
-def _join_main(uni: Mapping[int, Terms]) -> Terms:
-    out: Terms = {}
-    for d, sub in uni.items():
-        for e, c in sub.items():
-            out[e + (d,)] = c
-    return out
+def _join_main(uni: Mapping[int, Terms], k: int) -> Terms:
+    g = _GEN_KEY[k - 1]
+    return {e + d * g: c for d, sub in uni.items() for e, c in sub.items()}
 
 
-def _poly_content(a: Terms, k: int) -> Terms:
-    """gcd of the coefficients of a, viewed in the last generator."""
-    uni = _split_main(a)
-    unit = {(0,) * (k - 1): 1}
+def _poly_content(uni: Mapping[int, Terms], k: int) -> Terms:
+    """gcd of the coefficients of a k-generator poly given by its
+    univariate view in the last generator."""
     g: Terms = {}
     for sub in uni.values():
         g = _poly_gcd(g, sub, k - 1)
-        if g == unit:
+        if g == _UNIT:
             break
     return g
 
@@ -200,8 +263,8 @@ def _uni_gcd_int(a: dict, b: dict) -> dict:
     return {d: c * x for d, x in f.items()}
 
 
-def _pseudo_rem(f: dict, g: dict, k: int) -> dict:
-    """Pseudo-remainder of univariate polys with k-generator coefficients."""
+def _pseudo_rem(f: dict, g: dict) -> dict:
+    """Pseudo-remainder of univariate polys with polynomial coefficients."""
     dg = max(g)
     lcg = g[dg]
     r = f
@@ -220,11 +283,16 @@ def _pseudo_rem(f: dict, g: dict, k: int) -> dict:
     return r
 
 
-def _monomial_gcd(mono: Terms, other: Terms) -> Terms:
+def _monomial_gcd(mono: Terms, other: Terms, k: int) -> Terms:
     (em, cm), = mono.items()
     g = _int_content(other.values(), abs(cm))
-    exps = [min(e[i] for e in other) for i in range(len(em))]
-    return {tuple(min(x, y) for x, y in zip(em, exps)): g}
+    key = 0
+    if em:
+        for s, gen in zip(_SHIFT[:k], _GEN_KEY):
+            x = (em >> s) & _MASK
+            if x:
+                key += min(x, min([(e >> s) & _MASK for e in other])) * gen
+    return {key: g}
 
 
 # --- modular coprimality certificate ---------------------------------------
@@ -235,11 +303,11 @@ _XI = (1234567891011, 987654321987654, 271828182845904, 314159265358979)
 _XI_SHIFTS = 3
 
 
-def _image_mod_p(a: Terms, i: int, deg: int, pows: list) -> list:
-    """a(x_i; xi) mod p as dense coefficients in x_i, pows[j][d] being
-    xi_j^d mod p."""
+def _image_mod_p(terms: list, i: int, deg: int, pows: list) -> list:
+    """a(x_i; xi) mod p as dense coefficients in x_i, for a given as
+    (exponent tuple, coefficient) pairs, pows[j][d] being xi_j^d mod p."""
     out = [0] * (deg + 1)
-    for e, c in a.items():
+    for e, c in terms:
         for j, x in enumerate(e):
             if x and j != i:
                 c = c * pows[j][x] % _P
@@ -267,10 +335,12 @@ def _uni_gcd_degree_mod_p(f: list, g: list) -> int:
 
 
 def _coprime_certificate(a: Terms, b: Terms, k: int):
-    """{(0,...,0): c} with c the gcd of every integer coefficient of a and
-    b when gcd(a, b) is proved to be that integer, else None."""
-    dega = [_dict_degree_in(a, j) for j in range(k)]
-    degb = [_dict_degree_in(b, j) for j in range(k)]
+    """{0: c} with c the gcd of every integer coefficient of a and b when
+    gcd(a, b) is proved to be that integer, else None."""
+    ta = [(_unpack(e, k), c) for e, c in a.items()]
+    tb = [(_unpack(e, k), c) for e, c in b.items()]
+    dega = [max(e[j] for e, _ in ta) for j in range(k)]
+    degb = [max(e[j] for e, _ in tb) for j in range(k)]
     todo = [i for i in range(k) if dega[i] and degb[i]]
     for shift in range(_XI_SHIFTS):
         if not todo:
@@ -284,15 +354,15 @@ def _coprime_certificate(a: Terms, b: Terms, k: int):
             pows.append(row)
         missed = []
         for i in todo:
-            fa = _image_mod_p(a, i, dega[i], pows)
+            fa = _image_mod_p(ta, i, dega[i], pows)
             if not fa[-1]:
                 missed.append(i)
-            elif _uni_gcd_degree_mod_p(fa, _image_mod_p(b, i, degb[i], pows)):
+            elif _uni_gcd_degree_mod_p(fa, _image_mod_p(tb, i, degb[i], pows)):
                 return None
         todo = missed
     if todo:
         return None
-    return _dict_const(_int_content(b.values(), _int_content(a.values())), k)
+    return _dict_const(_int_content(b.values(), _int_content(a.values())))
 
 
 def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
@@ -310,92 +380,78 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     g is the integer gcd of all coefficients.  When an image gcd is not
     constant, or the leading coefficient still vanishes after a few
     shifts of xi, the primitive pseudo-remainder sequence below decides.
+
+    A poly free of the last generator has the same keys over k - 1
+    generators, so contents and the gcd of contents need no re-keying.
     """
     if not a:
         g = dict(b)
     elif not b:
         g = dict(a)
     elif k == 0:
-        return {(): int_gcd(a[()], b[()])}
+        return {0: int_gcd(a[0], b[0])}
     elif len(a) == 1:
-        return _monomial_gcd(a, b)
+        return _monomial_gcd(a, b, k)
     elif len(b) == 1:
-        return _monomial_gcd(b, a)
+        return _monomial_gcd(b, a, k)
     elif k == 1:
-        g = _uni_gcd_int({e[0]: c for e, c in a.items()},
-                         {e[0]: c for e, c in b.items()})
-        return {(d,): c for d, c in g.items()}
+        # one generator: the total degree is its exponent
+        g = _uni_gcd_int({e >> _DEG_SHIFT: c for e, c in a.items()},
+                         {e >> _DEG_SHIFT: c for e, c in b.items()})
+        return {d * _GEN_KEY[0]: c for d, c in g.items()}
     else:
         cert = _coprime_certificate(a, b, k)
         if cert is not None:
             return cert
-        da = max(e[-1] for e in a)
-        db = max(e[-1] for e in b)
+        ua, ub = _split_main(a, k), _split_main(b, k)
+        da, db = max(ua), max(ub)
         if da == 0 or db == 0:
             # one side is free of the main generator: its gcd with the
             # other can only involve the other's content
-            flat_a = a if da else {e[:-1]: c for e, c in a.items()}
-            flat_b = b if db else {e[:-1]: c for e, c in b.items()}
-            ca = _poly_content(a, k) if da else flat_a
-            cb = _poly_content(b, k) if db else flat_b
-            g = _lift_terms_mul(_poly_gcd(ca, cb, k - 1))
+            ca = _poly_content(ua, k) if da else a
+            cb = _poly_content(ub, k) if db else b
+            g = _poly_gcd(ca, cb, k - 1)
         else:
-            ua, ub = _split_main(a), _split_main(b)
-            ca = _poly_content(a, k)
-            cb = _poly_content(b, k)
+            ca = _poly_content(ua, k)
+            cb = _poly_content(ub, k)
             cont = _poly_gcd(ca, cb, k - 1)
-            fa = {d: _dict_divexact(c, ca, k - 1) for d, c in ua.items()}
-            fb = {d: _dict_divexact(c, cb, k - 1) for d, c in ub.items()}
+            fa = {d: _dict_divexact(c, ca) for d, c in ua.items()}
+            fb = {d: _dict_divexact(c, cb) for d, c in ub.items()}
             if max(fa) < max(fb):
                 fa, fb = fb, fa
             while fb:
-                r = _pseudo_rem(fa, fb, k)
+                r = _pseudo_rem(fa, fb)
                 fa = fb
                 if r:
-                    rc = _poly_content(_join_main(r), k)
-                    fb = {d: _dict_divexact(c, rc, k - 1)
-                          for d, c in r.items()}
+                    rc = _poly_content(r, k)
+                    fb = {d: _dict_divexact(c, rc) for d, c in r.items()}
                 else:
                     fb = {}
-            g = _dict_mul(_join_main(fa), _lift_terms_mul(cont))
+            g = _dict_mul(_join_main(fa, k), cont)
     if _leading_coeff(g) < 0:
         g = _dict_neg(g)
     return g
 
 
-def _lift_terms(terms: Terms, pos: Sequence[int], k: int) -> Terms:
-    """Re-index exponents into k generators, old generator j going to
+def _lift_terms(terms: Terms, pos: Sequence[int]) -> Terms:
+    """Re-key a poly in len(pos) generators, old generator j going to
     position pos[j]."""
-    if all(p == j for j, p in enumerate(pos)):
-        pad = (0,) * (k - len(pos))
-        return {e + pad: c for e, c in terms.items()}
-    out = {}
-    for e, c in terms.items():
-        ne = [0] * k
-        for p, x in zip(pos, e):
-            ne[p] = x
-        out[tuple(ne)] = c
-    return out
-
-
-def _lift_terms_mul(sub: Terms) -> Terms:
-    """Embed a (k-1)-generator poly as a degree-0 poly in the k-th one."""
-    return {e + (0,): c for e, c in sub.items()}
+    moves = list(zip(_SHIFT, [_GEN_KEY[p] for p in pos]))
+    return {sum(((e >> s) & _MASK) * g for s, g in moves): c
+            for e, c in terms.items()}
 
 
 def _dict_eval(a: Terms, gens: Sequence[str], at: Mapping[str, Fraction]) -> Fraction:
     total = Fraction(0)
     for e, c in a.items():
         v = Fraction(c)
-        for g, p in zip(gens, e):
+        for g, p in zip(gens, _unpack(e, len(gens))):
             if p:
                 v *= Fraction(at[g]) ** p
         total += v
     return total
 
 
-def _dict_degree_in(a: Terms, idx: int) -> int:
-    return max((e[idx] for e in a), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,26 +485,23 @@ class Scalar:
     @staticmethod
     def from_fraction(x, gens: tuple = ()) -> "Scalar":
         f = Fraction(x)
-        k = len(gens)
-        num = _dict_const(f.numerator, k)
-        den = _dict_const(f.denominator, k)
-        return Scalar(gens, num, den, _canonical=True)
+        return Scalar(gens, _dict_const(f.numerator),
+                      _dict_const(f.denominator), _canonical=True)
 
     @staticmethod
     def generator(name: str, gens: tuple) -> "Scalar":
         if name not in gens:
             raise UsageError(f"generator {name!r} not among {gens}")
-        e = tuple(1 if g == name else 0 for g in gens)
-        return Scalar(gens, {e: 1}, _dict_const(1, len(gens)), _canonical=True)
+        return Scalar(gens, {_GEN_KEY[gens.index(name)]: 1}, _dict_const(1),
+                      _canonical=True)
 
     @staticmethod
     def zero(gens: tuple = ()) -> "Scalar":
-        return Scalar(gens, {}, _dict_const(1, len(gens)), _canonical=True)
+        return Scalar(gens, {}, _dict_const(1), _canonical=True)
 
     @staticmethod
     def one(gens: tuple = ()) -> "Scalar":
-        k = len(gens)
-        return Scalar(gens, _dict_const(1, k), _dict_const(1, k), _canonical=True)
+        return Scalar(gens, _dict_const(1), _dict_const(1), _canonical=True)
 
     # -- structure -----------------------------------------------------------
 
@@ -459,17 +512,19 @@ class Scalar:
         return self.num == self.den
 
     def is_polynomial(self) -> bool:
-        return self.den == _dict_const(1, len(self.gens))
+        return self.den == _UNIT
 
     def lift(self, gens: tuple) -> "Scalar":
         """Embed into a larger ordered generator set."""
         if gens == self.gens:
             return self
+        if gens[:len(self.gens)] == self.gens:
+            # appended generators: every key stays, the dicts are shared
+            return Scalar(gens, self.num, self.den, _canonical=True)
         if any(g not in gens for g in self.gens):
             raise UsageError(f"cannot lift {self.gens} into {gens}")
         pos = [gens.index(g) for g in self.gens]
-        k = len(gens)
-        num, den = _lift_terms(self.num, pos, k), _lift_terms(self.den, pos, k)
+        num, den = _lift_terms(self.num, pos), _lift_terms(self.den, pos)
         if pos != sorted(pos) and _leading_coeff(den) < 0:
             # reordering generators can move the graded-lex leading term
             num, den = _dict_neg(num), _dict_neg(den)
@@ -488,8 +543,7 @@ class Scalar:
     def __add__(self, other) -> "Scalar":
         a, b = self._pair(other)
         k = len(a.gens)
-        unit = _dict_const(1, k)
-        if a.den == unit and b.den == unit:
+        if a.den == _UNIT and b.den == _UNIT:
             return Scalar(a.gens, _dict_add(a.num, b.num), a.den,
                           _canonical=True)
         if not a.num:
@@ -499,21 +553,21 @@ class Scalar:
         # denominators-only reduction: with reduced inputs the result
         # below is already canonical
         g1 = _poly_gcd(a.den, b.den, k)
-        if g1 == unit:
+        if g1 == _UNIT:
             num = _dict_add(_dict_mul(a.num, b.den), _dict_mul(b.num, a.den))
             if not num:
                 return Scalar.zero(a.gens)
             return Scalar(a.gens, num, _dict_mul(a.den, b.den),
                           _canonical=True)
-        db = _dict_divexact(b.den, g1, k)
-        da = _dict_divexact(a.den, g1, k)
+        db = _dict_divexact(b.den, g1)
+        da = _dict_divexact(a.den, g1)
         t = _dict_add(_dict_mul(a.num, db), _dict_mul(b.num, da))
         if not t:
             return Scalar.zero(a.gens)
         g2 = _poly_gcd(t, g1, k)
-        if g2 != unit:
-            t = _dict_divexact(t, g2, k)
-            den = _dict_mul(da, _dict_divexact(b.den, g2, k))
+        if g2 != _UNIT:
+            t = _dict_divexact(t, g2)
+            den = _dict_mul(da, _dict_divexact(b.den, g2))
         else:
             den = _dict_mul(da, b.den)
         return Scalar(a.gens, t, den, _canonical=True)
@@ -533,18 +587,17 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         a, b = self._pair(other)
         k = len(a.gens)
-        unit = _dict_const(1, k)
-        if a.den == unit and b.den == unit:
+        if a.den == _UNIT and b.den == _UNIT:
             return Scalar(a.gens, _dict_mul(a.num, b.num), a.den,
                           _canonical=True)
         if not a.num or not b.num:
             return Scalar.zero(a.gens)
         g1 = _poly_gcd(a.num, b.den, k)
         g2 = _poly_gcd(b.num, a.den, k)
-        na = a.num if g1 == unit else _dict_divexact(a.num, g1, k)
-        db = b.den if g1 == unit else _dict_divexact(b.den, g1, k)
-        nb = b.num if g2 == unit else _dict_divexact(b.num, g2, k)
-        da = a.den if g2 == unit else _dict_divexact(a.den, g2, k)
+        na = a.num if g1 == _UNIT else _dict_divexact(a.num, g1)
+        db = b.den if g1 == _UNIT else _dict_divexact(b.den, g1)
+        nb = b.num if g2 == _UNIT else _dict_divexact(b.num, g2)
+        da = a.den if g2 == _UNIT else _dict_divexact(a.den, g2)
         return Scalar(a.gens, _dict_mul(na, nb), _dict_mul(da, db),
                       _canonical=True)
 
@@ -587,23 +640,26 @@ class Scalar:
 
     def __hash__(self):
         # equality lifts both sides to a common generator set, so hash a
-        # key free of unused generators and of their order (with the sign
-        # normalized for the order the key uses); rationals hash like the
-        # Fraction they equal
+        # key free of unused generators and of their order: the used ones
+        # in GEN_ORDER, with the sign normalized for that order (keys are
+        # re-packed only when the used generators are not already the
+        # leading ones in that order); rationals hash like the Fraction
+        # they equal
         if self._hash is None:
-            used = sorted({i for t in (self.num, self.den) for e in t
-                           for i, x in enumerate(e) if x},
-                          key=lambda i: self.gens[i])
+            used = sorted(_used_gens((self.num, self.den), len(self.gens)),
+                          key=lambda j: GEN_ORDER.index(self.gens[j]))
             if not used:
-                self._hash = hash(Fraction(next(iter(self.num.values()), 0),
-                                           next(iter(self.den.values()))))
+                self._hash = hash(Fraction(self.num.get(0, 0), self.den[0]))
             else:
-                num, den = ({tuple(e[i] for i in used): c
-                             for e, c in t.items()}
-                            for t in (self.num, self.den))
+                num, den = self.num, self.den
+                if used != list(range(len(used))):
+                    # an unused generator has exponent 0: any slot will do
+                    pos = [used.index(j) if j in used else 0
+                           for j in range(len(self.gens))]
+                    num, den = _lift_terms(num, pos), _lift_terms(den, pos)
                 sign = 1 if _leading_coeff(den) > 0 else -1
                 self._hash = hash((
-                    tuple(self.gens[i] for i in used),
+                    tuple(self.gens[j] for j in used),
                     frozenset((e, sign * c) for e, c in num.items()),
                     frozenset((e, sign * c) for e, c in den.items())))
         return self._hash
@@ -613,9 +669,9 @@ class Scalar:
     def specialize(self, assignments: Mapping[str, Fraction]) -> Fraction:
         """Exact rational value at the assignment; raises
         SpecializationCollision if the denominator vanishes there."""
-        missing = [g for g in self.gens if g not in assignments
-                   and (_dict_degree_in(self.num, self.gens.index(g))
-                        or _dict_degree_in(self.den, self.gens.index(g)))]
+        missing = [self.gens[j] for j in _used_gens((self.num, self.den),
+                                                    len(self.gens))
+                   if self.gens[j] not in assignments]
         if missing:
             raise UsageError(f"assignment missing generators {missing}")
         den = _dict_eval(self.den, self.gens, assignments)
@@ -629,17 +685,17 @@ class Scalar:
     def as_fraction(self) -> Fraction:
         if self.gens:
             raise UsageError("scalar is symbolic")
-        return Fraction(self.num.get((), 0), self.den[()])
+        return Fraction(self.num.get(0, 0), self.den[0])
 
     def _poly_str(self, terms: Terms) -> str:
         if not terms:
             return "0"
         parts = []
-        for e in sorted(terms, key=_grlex_key, reverse=True):
+        for e in sorted(terms, reverse=True):
             c = terms[e]
             mono = "*".join(
                 f"{g}^{p}" if p != 1 else g
-                for g, p in zip(self.gens, e) if p)
+                for g, p in zip(self.gens, _unpack(e, len(self.gens))) if p)
             if mono:
                 lead = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{lead}{mono}")
@@ -669,7 +725,9 @@ class Scalar:
         if not self.gens:
             f = self.as_fraction()
             return f"{f.numerator}/{f.denominator}"
-        enc = lambda t: {",".join(map(str, e)): str(c) for e, c in t.items()}
+        k = len(self.gens)
+        enc = lambda t: {",".join(map(str, _unpack(e, k))): str(c)
+                         for e, c in t.items()}
         return {"num": enc(self.num), "den": enc(self.den), "gens": list(self.gens)}
 
     @staticmethod
@@ -680,8 +738,12 @@ class Scalar:
                 return Scalar.from_fraction(Fraction(int(p), int(q)))
             return Scalar.from_fraction(int(data))
         gens = tuple(data["gens"])
-        dec = lambda t: {tuple(int(x) for x in e.split(",")) if e else (): int(c)
-                         for e, c in t.items()}
+        if len(set(gens)) != len(gens) or not set(gens) <= set(GEN_ORDER):
+            raise UsageError(f"generators {gens} are not distinct members "
+                             f"of {GEN_ORDER}")
+        dec = lambda t: _pack_terms(
+            {tuple(int(x) for x in e.split(",")) if e else (): int(c)
+             for e, c in t.items()}, len(gens))
         return Scalar(gens, dec(data["num"]), dec(data["den"]))
 
 
@@ -698,22 +760,21 @@ def _common_gens(values: Sequence[Scalar]) -> tuple:
 def _lcm_pieces(dens: Iterable[Terms], k: int) -> list:
     """Factors whose product is the lcm of dens: each denominator enters
     with what the earlier factors do not already cover."""
-    unit = _dict_const(1, k)
     pieces: list = []
     for d in dens:
         for p in pieces:
-            if d == unit:
+            if d == _UNIT:
                 break
             g = _poly_gcd(p, d, k)
-            if g != unit:
-                d = _dict_divexact(d, g, k)
-        if d != unit:
+            if g != _UNIT:
+                d = _dict_divexact(d, g)
+        if d != _UNIT:
             pieces.append(d)
     return pieces
 
 
-def _dict_prod(factors: Iterable[Terms], k: int) -> Terms:
-    out = _dict_const(1, k)
+def _dict_prod(factors: Iterable[Terms]) -> Terms:
+    out = _dict_const(1)
     for f in factors:
         out = _dict_mul(out, f)
     return out
@@ -724,15 +785,14 @@ def _clearing_plan(lifted: Sequence[Scalar], k: int) -> tuple:
     product of the pieces is the lcm of their denominators (gcds run only
     between distinct ones), and cofactors[j] is lcm / den of values[j],
     None where that is 1."""
-    unit = _dict_const(1, k)
     dens: dict = {}
     for v in lifted:
         dens.setdefault(frozenset(v.den.items()), v.den)
     pieces = _lcm_pieces(dens.values(), k)
-    lcm = _dict_prod(pieces, k)
-    cofactor = {key: _dict_divexact(lcm, d, k) for key, d in dens.items()}
+    lcm = _dict_prod(pieces)
+    cofactor = {key: _dict_divexact(lcm, d) for key, d in dens.items()}
     cofactors = [cofactor[frozenset(v.den.items())] for v in lifted]
-    return pieces, [None if c == unit else c for c in cofactors]
+    return pieces, [None if c == _UNIT else c for c in cofactors]
 
 
 def _cleared(lifted: Sequence[Scalar], cofactors: Sequence) -> list:
@@ -755,7 +815,6 @@ def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
     piece coprime to num stays coprime to every later, smaller num, so
     one pass leaves num coprime to the product."""
     k = len(gens)
-    unit = _dict_const(1, k)
     if not num:
         return Scalar.zero(gens)
     coprime = set()
@@ -764,13 +823,13 @@ def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
         key = frozenset(p.items())
         if key not in coprime:
             g = _poly_gcd(num, p, k)
-            if g == unit:
+            if g == _UNIT:
                 coprime.add(key)
             else:
-                num = _dict_divexact(num, g, k)
-                p = _dict_divexact(p, g, k)
+                num = _dict_divexact(num, g)
+                p = _dict_divexact(p, g)
         kept.append(p)
-    den = _dict_prod(kept, k)
+    den = _dict_prod(kept)
     if _leading_coeff(den) < 0:
         num, den = _dict_neg(num), _dict_neg(den)
     return Scalar(gens, num, den, _canonical=True)
@@ -842,7 +901,7 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
     coeffs = list(terms.values())
     gens = _common_gens(coeffs + [coords[i] for i in active])
     k = len(gens)
-    unit = _dict_const(1, k)
+    unit = _dict_const(1)
     coeffs = [c.lift(gens) for c in coeffs]
     if gens not in plans:
         plans[gens] = _clearing_plan(coeffs, k)

@@ -298,6 +298,15 @@ def test_compute_r_only_families_named(capsys):
         assert f"family {args[0]} exists in the r variant only" in err
 
 
+def test_compute_exponent_past_the_kernel_slots_is_usage_error(capsys):
+    # the certificate used to build a power row up to this degree
+    code, out, err = run_cli(["compute", "binom", "--alpha",
+                              "99999999999999,0", "--beta", "1,0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: product of total degree above 4095")
+    assert err.count("\n") == 1
+
+
 def test_compute_too_deep_index_is_usage_error(capsys):
     for args in (["--alpha", "400", "--variant", "r", "--r", "1"],
                  ["--alpha", "0,0,400"]):

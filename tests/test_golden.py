@@ -1,6 +1,9 @@
 """`check all --json --seed 42` at n=1 and n=2 (degree 4) and n=3
 (degree 2), and with symbolic q,t at n=2 (degree 3), must reproduce the
-recorded sha256 of every report line byte for byte."""
+recorded sha256 of every report line byte for byte.  So must the
+`compute --json` output of the five symbolic q,t constructions of the
+symbolic-qt benchmark workload: that polynomial JSON is what the disk
+cache stores."""
 
 import hashlib
 import json
@@ -35,3 +38,18 @@ def test_check_all_symbolic_reports_match_golden(capsys):
     want = (GOLDEN / "check_all_n2_deg3_symbolic_seed42.sha256").read_text()
     assert code == 0
     assert got == want.splitlines()
+
+
+COMPUTE = [line.split("  ", 1) for line in
+           (GOLDEN / "compute_symbolic_qt.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest,request_args", COMPUTE,
+                         ids=[args for _, args in COMPUTE])
+def test_compute_symbolic_qt_matches_golden(digest, request_args, capsys,
+                                            monkeypatch):
+    monkeypatch.delenv("CACHE_DIR", raising=False)
+    code = cli.main(["compute", *request_args.split(), "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interpmac import interpolation
+from interpmac import interpolation, scalars
 from interpmac.errors import SpecializationCollision, UsageError
 from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                                      closed_d, closed_e, closed_phi, e_top,
@@ -476,7 +476,8 @@ def _nonzero_terms(k):
         return {e: c for e, c in out.items() if c} or dict(pairs[:1])
     return st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * k),
                               st.sampled_from([1, -1, 2, -2, 3, -3])),
-                    min_size=1, max_size=2).map(collect)
+                    min_size=1, max_size=2).map(
+                        lambda pairs: scalars._pack_terms(collect(pairs), k))
 
 
 @st.composite

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from interpmac.errors import (DegreeError, DimensionError, DivisionByZero,
                               UnsupportedSubstitution)
+from interpmac import scalars
 from interpmac.interpolation import FamilyCache, FamilyKey, g_recursive
 from interpmac.polyring import (LaurentPoly, exact_div_check,
                                 negate_shift_all, scale_all, shift_all)
@@ -164,7 +165,7 @@ def test_clear_denominators():
     f = x(1).scale(tinv) + x(2).scale(QT.gen("q") / (QT.gen("t") + 1))
     gens = QT.gens()
     nums, pieces = clear_denominators(list(f.terms.values()), gens)
-    unit = {(0, 0): 1}
+    unit = QT.one().den
     c = QT.one()
     for p in pieces:
         c = c * Scalar(gens, p, unit)
@@ -215,7 +216,7 @@ def small_scalars(draw, gens):
                            st.integers(-3, 3), max_size=3)
     num = {e: c for e, c in draw(poly).items() if c}
     den = {e: c for e, c in draw(poly).items() if c} or {(0,) * k: 1}
-    return Scalar(gens, num, den)
+    return Scalar(gens, scalars._pack_terms(num, k), scalars._pack_terms(den, k))
 
 
 @st.composite
@@ -322,7 +323,8 @@ def test_small_g_evaluations_match_sympy():
     syms = {g: sympy.Symbol(g) for g in ("q", "t", "r", "a")}
 
     def poly_expr(gens, terms):
-        return sum(c * sympy.Mul(*[syms[g] ** k for g, k in zip(gens, e)])
+        return sum(c * sympy.Mul(*[syms[g] ** k for g, k in
+                                   zip(gens, scalars._unpack(e, len(gens)))])
                    for e, c in terms.items())
 
     def expr(s):

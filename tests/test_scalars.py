@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpmac import scalars
-from interpmac.errors import (DivisionByZero, SpecializationCollision,
-                              UsageError)
+from interpmac.errors import (DegreeError, DivisionByZero,
+                              SpecializationCollision, UsageError)
 from interpmac.scalars import (GEN_ORDER, FieldConfig, Scalar,
                                dumps_canonical, qt_config, seeded_rationals)
 
@@ -20,6 +20,16 @@ ZERO = Scalar.zero(GENS)
 
 def rational(p, q=1):
     return Scalar.from_fraction(Fraction(p, q), GENS)
+
+
+def _enc(terms, k):
+    """Packed kernel form of a polynomial keyed by exponent tuples."""
+    return scalars._pack_terms(terms, k)
+
+
+def _dec(terms, k):
+    """Exponent-tuple form of a packed polynomial."""
+    return {scalars._unpack(e, k): c for e, c in terms.items()}
 
 
 def test_reduce_exact_division():
@@ -41,8 +51,8 @@ def test_hash_agrees_with_equality():
 
 def test_reduce_zero_numerator():
     assert ZERO / T == ZERO
-    assert (ZERO / T).num == {}
-    assert (ZERO / T).den == {(0, 0): 1}
+    assert _dec((ZERO / T).num, 2) == {}
+    assert _dec((ZERO / T).den, 2) == {(0, 0): 1}
     assert Scalar.zero().to_json() == "0/1"
 
 
@@ -60,8 +70,8 @@ def test_denominator_sign_normalized():
     x = (Q - T) / (T - Q)
     assert x == Scalar.from_fraction(-1, GENS)
     y = ONE / (ZERO - T)
-    assert y.den == {(0, 1): 1}
-    assert y.num == {(0, 0): -1}
+    assert _dec(y.den, 2) == {(0, 1): 1}
+    assert _dec(y.num, 2) == {(0, 0): -1}
 
 
 def test_specialize_examples():
@@ -195,7 +205,7 @@ def _lifted_pairs(draw):
                            st.integers(-3, 3), max_size=3)
     num = {e: c for e, c in draw(poly).items() if c}
     den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(gens): 1}
-    x = Scalar(gens, num, den)
+    x = Scalar(gens, _enc(num, len(gens)), _enc(den, len(gens)))
     wide = tuple(reversed(gens)) + ("a",)
     return x, x.lift(tuple(g for g in GEN_ORDER if g in wide)), wide
 
@@ -204,8 +214,9 @@ def _lifted_pairs(draw):
 @given(_lifted_pairs())
 def test_hash_survives_lifting(pair):
     x, lifted, wide = pair
-    reordered = Scalar(wide, *[{tuple(e[lifted.gens.index(g)] for g in wide): c
-                                for e, c in t.items()}
+    reordered = Scalar(wide, *[_enc({tuple(e[lifted.gens.index(g)] for g in wide): c
+                                     for e, c in _dec(t, len(lifted.gens)).items()},
+                                    len(wide))
                                for t in (lifted.num, lifted.den)])
     assert x == lifted == reordered
     assert hash(x) == hash(lifted) == hash(reordered)
@@ -252,13 +263,14 @@ def _unit(k, j):
 
 def _minus_xi(k, j, shift=0):
     """x_j - (xi_j + shift), zero at the certificate's point."""
-    return {_unit(k, j): 1, (0,) * k: -(scalars._XI[j] + shift)}
+    return _enc({_unit(k, j): 1, (0,) * k: -(scalars._XI[j] + shift)}, k)
 
 
 def _polys(k, deg, size):
     return st.dictionaries(st.tuples(*[st.integers(0, deg)] * k),
                            st.integers(-5, 5).filter(bool),
-                           min_size=1, max_size=size)
+                           min_size=1, max_size=size).map(
+                               lambda t: _enc(t, k))
 
 
 @st.composite
@@ -275,23 +287,23 @@ def _gcd_cases(draw):
                                  "lc-vanishes-always"]))
     planted = None
     if kind == "planted":
-        planted = draw(_polys(k, 1, 3).filter(lambda f: any(map(any, f))))
+        planted = draw(_polys(k, 1, 3).filter(any))
     elif kind == "content":
         a = {e: 2 * c for e, c in a.items()}
         b = {e: 4 * c for e, c in b.items()}
     elif kind == "one-gen":
-        planted = scalars._dict_add({_unit(k, j): draw(st.integers(1, 3))},
-                                    {(0,) * k: draw(st.integers(-3, 3))})
+        planted = _enc({_unit(k, j): draw(st.integers(1, 3)),
+                        (0,) * k: draw(st.integers(-3, 3))}, k)
     elif kind == "lc-vanishes":
-        a = _mul(a, _minus_xi(k, j), {_unit(k, i): 1, (0,) * k: 1})
+        a = _mul(a, _minus_xi(k, j), _enc({_unit(k, i): 1, (0,) * k: 1}, k))
     elif kind == "lc-vanishes-shared":
         # both leading coefficients vanish at xi: every image of this
         # factor is constant there
         planted = scalars._dict_add(_mul(_minus_xi(k, j), _minus_xi(k, i)),
-                                    {(0,) * k: draw(st.integers(1, 3))})
+                                    _enc({(0,) * k: draw(st.integers(1, 3))}, k))
     else:
         a = _mul(a, *[_minus_xi(k, j, s) for s in range(scalars._XI_SHIFTS)],
-                 {_unit(k, i): 1})
+                 _enc({_unit(k, i): 1}, k))
     if planted is not None:
         a, b = _mul(a, planted), _mul(b, planted)
     return a, b, k, planted
@@ -317,7 +329,7 @@ def _combinations(draw):
                                st.integers(-3, 3), max_size=3)
         num = {e: c for e, c in draw(poly).items() if c}
         den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(sub): 1}
-        return Scalar(sub, num, den)
+        return Scalar(sub, _enc(num, len(sub)), _enc(den, len(sub)))
 
     m = draw(st.integers(1, 4))
     weights = [scalar() for _ in range(m)]
@@ -345,23 +357,24 @@ def test_linear_combination_matches_termwise(case):
 
 
 def test_certificate_examples():
-    two_q = {(1, 0): 2, (0, 0): 2}
-    four_t = {(0, 1): 4, (0, 0): 2}
-    assert scalars._coprime_certificate(two_q, four_t, 2) == {(0, 0): 2}
-    assert scalars._poly_gcd(two_q, four_t, 2) == {(0, 0): 2}
+    two_q = _enc({(1, 0): 2, (0, 0): 2}, 2)
+    four_t = _enc({(0, 1): 4, (0, 0): 2}, 2)
+    assert _dec(scalars._coprime_certificate(two_q, four_t, 2), 2) == {(0, 0): 2}
+    assert _dec(scalars._poly_gcd(two_q, four_t, 2), 2) == {(0, 0): 2}
     # a's leading coefficient in q vanishes at xi: certified after a shift
-    a = scalars._dict_add(_mul(_minus_xi(2, 1), {(1, 0): 1}), {(0, 0): 1})
-    b = {(1, 0): 1, (0, 1): 1}
-    assert scalars._coprime_certificate(a, b, 2) == {(0, 0): 1}
+    q, one = _enc({(1, 0): 1}, 2), _enc({(0, 0): 1}, 2)
+    a = scalars._dict_add(_mul(_minus_xi(2, 1), q), one)
+    b = _enc({(1, 0): 1, (0, 1): 1}, 2)
+    assert _dec(scalars._coprime_certificate(a, b, 2), 2) == {(0, 0): 1}
     # it vanishes at every shift: the pseudo-remainder sequence decides
     a = scalars._dict_add(
-        _mul(*[_minus_xi(2, 1, s) for s in range(scalars._XI_SHIFTS)],
-             {(1, 0): 1}), {(0, 0): 1})
+        _mul(*[_minus_xi(2, 1, s) for s in range(scalars._XI_SHIFTS)], q), one)
     assert scalars._coprime_certificate(a, b, 2) is None
-    assert scalars._poly_gcd(a, b, 2) == {(0, 0): 1}
+    assert _dec(scalars._poly_gcd(a, b, 2), 2) == {(0, 0): 1}
     # a common factor is never certified away
-    a, f = {(1, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1}
-    assert scalars._coprime_certificate(a, b, 2) == {(0, 0): 1}
+    a = _enc({(1, 0): 1, (0, 0): 1}, 2)
+    f = _enc({(1, 1): 1, (0, 0): 1}, 2)
+    assert _dec(scalars._coprime_certificate(a, b, 2), 2) == {(0, 0): 1}
     assert scalars._coprime_certificate(_mul(a, f), _mul(b, f), 2) is None
 
 
@@ -373,14 +386,15 @@ def test_poly_gcd_and_canonical_forms_match_sympy():
         k = len(gens)
 
         def poly(terms):
-            return sympy.Poly.from_dict(terms or {(0,) * k: 0}, *syms)
+            return sympy.Poly.from_dict(_dec(terms, k) or {(0,) * k: 0}, *syms)
 
         def rand_terms(size, deg):
             terms = {}
             for _ in range(size):
                 e = tuple(rng.randint(0, deg) for _ in range(k))
                 terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
-            return {e: c for e, c in terms.items() if c} or {(0,) * k: 1}
+            return _enc({e: c for e, c in terms.items() if c}
+                        or {(0,) * k: 1}, k)
 
         for _ in range(40):
             f = rand_terms(rng.randint(1, 3), 1)
@@ -405,7 +419,14 @@ def test_poly_gcd_and_canonical_forms_match_sympy():
                 assert den.LC(order="grlex") > 0
 
 
-# --- exponent kernel against its generator-expression form -------------------
+# --- packed kernel against tuple-keyed references ----------------------------
+
+M = scalars.MAX_DEGREE
+
+
+def _grlex_key(e):
+    return (sum(e), e)
+
 
 def _ref_dict_mul(a, b):
     if not a or not b:
@@ -447,10 +468,10 @@ def _ref_dict_divexact(a, b, k):
         return out
     rem = dict(a)
     quot = {}
-    eb = max(b, key=scalars._grlex_key)
+    eb = max(b, key=_grlex_key)
     cb = b[eb]
     while rem:
-        ea = max(rem, key=scalars._grlex_key)
+        ea = max(rem, key=_grlex_key)
         ca = rem[ea]
         e = tuple(x - y for x, y in zip(ea, eb))
         if any(x < 0 for x in e) or ca % cb:
@@ -467,19 +488,34 @@ def _ref_dict_divexact(a, b, k):
     return quot
 
 
+def _degree(terms):
+    return max((sum(e) for e in terms), default=0)
+
+
 @st.composite
 def _kernel_operand(draw, k):
-    """A polynomial in k generators: zero, a constant (often +-1), one
-    term, or a few terms with signed coefficients."""
+    """A polynomial in k generators keyed by exponent tuples: zero, a
+    constant (often +-1), one term, a few terms with signed coefficients,
+    or terms of total degree M // 2, M // 2 + 1 or M, so that products
+    land on the slot limit or one past it."""
     coeff = st.integers(-6, 6).filter(bool)
     kind = draw(st.sampled_from(["zero", "constant", "unit", "term",
-                                 "general", "general"]))
+                                 "general", "general", "limit"]))
     if kind == "zero":
         return {}
     if kind == "constant":
         return {(0,) * k: draw(coeff)}
     if kind == "unit":
         return {(0,) * k: draw(st.sampled_from([1, -1]))}
+    if kind == "limit":
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            e = [draw(st.integers(0, 1)) for _ in range(k)]
+            if k:
+                j = draw(st.integers(0, k - 1))
+                e[j] += draw(st.sampled_from([M // 2, M // 2 + 1, M])) - sum(e)
+            terms[tuple(e)] = draw(coeff)
+        return terms
     exps = st.tuples(*[st.integers(0, 3)] * k)
     if kind == "term":
         return {draw(exps): draw(coeff)}
@@ -488,7 +524,7 @@ def _kernel_operand(draw, k):
 
 @st.composite
 def _kernel_cases(draw):
-    k = draw(st.integers(0, 3))
+    k = draw(st.integers(0, 4))
     return (k, draw(_kernel_operand(k)), draw(_kernel_operand(k)),
             draw(_kernel_operand(k)))
 
@@ -500,47 +536,108 @@ def _outcome(fn, *args):
         return ArithmeticError
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+def _packed_divexact(a, b, k):
+    """_dict_divexact on the packed forms, decoded."""
+    return _dec(scalars._dict_divexact(_enc(a, k), _enc(b, k)), k)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(_kernel_cases())
 def test_exponent_kernel_matches_reference(case):
     k, a, b, c = case
-    a0, b0 = dict(a), dict(b)
-    prod = scalars._dict_mul(a, b)
-    assert prod == _ref_dict_mul(a, b)
+    pa, pb, pc = (_enc(x, k) for x in (a, b, c))
+    pa0, pb0 = dict(pa), dict(pb)
+    want = _ref_dict_mul(a, b)
+    if _degree(want) > M:
+        # a product past the slots raises instead of wrapping
+        with pytest.raises(DegreeError):
+            scalars._dict_mul(pa, pb)
+        with pytest.raises(DegreeError):
+            scalars._dict_addmul(dict(pc), pa, pb)
+        return
+    prod = scalars._dict_mul(pa, pb)
+    assert _dec(prod, k) == want
     # a fresh dict, the operands untouched
-    assert prod is not a and prod is not b and a == a0 and b == b0
+    assert prod is not pa and prod is not pb and pa == pa0 and pb == pb0
 
-    acc, ref = dict(c), dict(c)
-    scalars._dict_addmul(acc, a, b)
+    acc, ref = dict(pc), dict(c)
+    scalars._dict_addmul(acc, pa, pb)
     _ref_dict_addmul(ref, a, b)
-    assert acc == ref
+    assert _dec(acc, k) == ref
     # the product cancels against its negation to exactly zero
     acc = scalars._dict_neg(prod)
-    scalars._dict_addmul(acc, a, b)
+    scalars._dict_addmul(acc, pa, pb)
     assert acc == {}
 
     if b:
         # exact divisions give the cofactor back; c * b + a is most often
         # inexact, and then both forms must raise
-        assert scalars._dict_divexact(prod, b, k) == _ref_dict_divexact(
-            prod, b, k) == a
-        num = scalars._dict_add(scalars._dict_mul(c, b), a)
-        assert _outcome(scalars._dict_divexact, num, b, k) == \
-            _outcome(_ref_dict_divexact, num, b, k)
+        assert _dec(scalars._dict_divexact(prod, pb), k) == \
+            _ref_dict_divexact(want, b, k) == a
+        num = scalars._dict_add(_ref_dict_mul(c, b), a)
+        if _degree(num) <= M:
+            assert _outcome(_packed_divexact, num, b, k) == \
+                _outcome(_ref_dict_divexact, num, b, k)
 
 
 def test_exponent_kernel_examples():
-    x, y = {(1, 0): 1}, {(0, 1): 1}
+    x, y = _enc({(1, 0): 1}, 2), _enc({(0, 1): 1}, 2)
     # (x + y)(x - y): the mixed terms cancel
-    assert scalars._dict_mul({(1, 0): 1, (0, 1): 1},
-                             {(1, 0): 1, (0, 1): -1}) == {(2, 0): 1, (0, 2): -1}
-    assert scalars._dict_mul({(0, 0): -3}, x) == {(1, 0): -3}
-    assert scalars._dict_mul(y, {(1, 0): 2, (0, 0): 1}) == \
+    assert _dec(scalars._dict_mul(_enc({(1, 0): 1, (0, 1): 1}, 2),
+                                  _enc({(1, 0): 1, (0, 1): -1}, 2)), 2) == \
+        {(2, 0): 1, (0, 2): -1}
+    assert _dec(scalars._dict_mul(_enc({(0, 0): -3}, 2), x), 2) == {(1, 0): -3}
+    assert _dec(scalars._dict_mul(y, _enc({(1, 0): 2, (0, 0): 1}, 2)), 2) == \
         {(1, 1): 2, (0, 1): 1}
-    assert scalars._dict_mul({(): 4}, {(): -2}) == {(): -8}
-    assert scalars._dict_divexact({(): 6}, {(): 3}, 0) == {(): 2}
+    assert _dec(scalars._dict_mul({0: 4}, {0: -2}), 0) == {(): -8}
+    assert _dec(scalars._dict_divexact({0: 6}, {0: 3}), 0) == {(): 2}
     for a, b, k in (({(): 6}, {(): 4}, 0),            # integer remainder
-                    ({(1, 0): 1}, y, 2),              # negative exponent
-                    ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}, 2)):
+                    ({(1, 0): 1}, {(0, 1): 1}, 2),    # negative exponent
+                    ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}, 2),
+                    # total degree suffices, but the t slot borrows
+                    ({(2, 0): 1}, {(1, 1): 1}, 2),
+                    ({(2, 0): 1, (0, 0): 1}, {(1, 1): 1, (0, 0): 1}, 2),
+                    ({(M, 0, 0): 1}, {(0, 0, 1): 1}, 3),
+                    ({(0, 0, 0, M): 1}, {(0, 0, 1, 1): 1}, 4)):
         with pytest.raises(ArithmeticError):
-            scalars._dict_divexact(a, b, k)
+            scalars._dict_divexact(_enc(a, k), _enc(b, k))
+    # the graded-lex order is the integer order of the keys
+    exps = [(0, 0, 2), (1, 0, 0), (0, 1, 1), (2, 0, 0), (0, 0, M), (M, 0, 0)]
+    keys = [scalars._pack_terms({e: 1}, 3).popitem()[0] for e in exps]
+    assert sorted(exps, key=_grlex_key) == \
+        [e for _, e in sorted(zip(keys, exps))]
+
+
+def test_slot_overflow_raises():
+    q = Scalar.generator("q", GENS)
+    assert _dec((q ** M).num, 2) == {(M, 0): 1}
+    with pytest.raises(DegreeError):
+        q ** (M + 1)
+    with pytest.raises(DegreeError):
+        q ** 99999999999999
+    with pytest.raises(DegreeError):
+        qt_config().gen_power("t", -(M + 1))
+    with pytest.raises(DegreeError):
+        (q ** M) * T
+    with pytest.raises(DegreeError):
+        (q ** M + ONE) * (T + ONE)
+    at_limit = {"gens": ["q", "t"], "num": {f"{M},0": "1"}, "den": {"0,0": "1"}}
+    assert Scalar.from_json(at_limit) == q ** M
+    for exps in (f"{M + 1},0", f"{M},1", "-1,0", "1,0,0"):
+        data = dict(at_limit, num={exps: "1"})
+        with pytest.raises(DegreeError):
+            Scalar.from_json(data)
+    with pytest.raises(UsageError):
+        Scalar.from_json(dict(at_limit, gens=["q", "x"]))
+
+
+def test_lift_into_appended_generators_keeps_keys():
+    x = (Q * Q - T) / (T + ONE)
+    wide = x.lift(("q", "t", "a"))
+    assert wide.num is x.num and wide.den is x.den
+    assert wide == x and hash(wide) == hash(x)
+    r = Scalar.generator("r", ("r",)) + 1
+    assert r.lift(("r", "a")).num is r.num
+    # a generator moved to another slot is re-keyed
+    a = Scalar.generator("a", ("a",))
+    assert _dec(a.lift(("r", "a")).num, 2) == {(0, 1): 1}
