@@ -123,17 +123,26 @@ def _cache_dir(args) -> str | None:
     return getattr(args, "cache_dir", None) or os.environ.get("CACHE_DIR")
 
 
+def _reject_options(args, names, reason: str):
+    """A usage error naming the first given option of names: the field
+    chosen would otherwise drop it without a word."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name} does not apply {reason}")
+
+
 def _compute_configs(args) -> FieldConfig:
-    explicit = any(v is not None for v in (args.q, args.t, args.r))
-    if args.symbolic or not explicit:
-        return qt_config() if args.variant == "qt" else r_config()
-    if args.variant == "qt":
-        if args.q is None or args.t is None:
-            raise UsageError("specialized qt needs both --q and --t")
-        return qt_config(_fraction(args.q), _fraction(args.t))
-    if args.r is None:
-        raise UsageError("specialized r variant needs --r")
-    return r_config(_fraction(args.r))
+    if args.symbolic:
+        _reject_options(args, ("q", "t", "r"), "with --symbolic")
+    _reject_options(args, ("r",) if args.variant == "qt" else ("q", "t"),
+                    f"to the {args.variant} variant")
+    if args.variant == "r":
+        return r_config() if args.r is None else r_config(_fraction(args.r))
+    if args.q is None and args.t is None:
+        return qt_config()
+    if args.q is None or args.t is None:
+        raise UsageError("specialized qt needs both --q and --t")
+    return qt_config(_fraction(args.q), _fraction(args.t))
 
 
 def _a_scalar(args, cfg: FieldConfig) -> Scalar:
@@ -223,6 +232,7 @@ def cmd_compute(args) -> int:
 
 def _check_configs(args) -> tuple:
     if args.symbolic:
+        _reject_options(args, ("q", "t"), "with --symbolic")
         qt = qt_config()
     else:
         q = _fraction(args.q) if args.q is not None else Fraction(2)

@@ -12,17 +12,17 @@ Families (CLI spellings in parentheses):
 * Rprime symmetric analogue of Gprime
 * O      reciprocity interpolation polynomial (needs the parameter a)
 
-The oracle G, R, Gprime and Rprime solve a dense interpolation system:
-its matrix is factored once per field by exact fraction-free (Bareiss)
-Gaussian elimination with first-nonzero pivoting, column by column: the
-steps recorded so far are replayed on each new column, by the routine
-that later replays them on each right-hand side, and the column's first
-nonzero entry at or below the diagonal becomes the next pivot.  The
-elimination is memoized, and degree, vanishing and normalization are
-re-checked after construction.
-O needs no inverse: it is built by Newton forward substitution in a
-basis of recursive G polynomials, whose interpolation matrix is first
-certified to be triangular by degree with a nonzero diagonal.
+The oracle G, R, Gprime, Rprime and O are each the unique polynomial
+of degree <= |index| with prescribed values at spectral points, built
+by one dense solve: its matrix is factored once per field by exact
+Gaussian elimination over the canonical field with first-nonzero
+pivoting, column by column: the steps recorded so far are replayed on
+each new column, by the routine that later replays them on each
+right-hand side, and the column's first nonzero entry at or below the
+diagonal becomes the next pivot.  Back substitution reduces each unknown
+once, as one weighted sum.  The elimination is memoized; degree,
+vanishing and normalization of all but O are re-checked after
+construction.
 """
 
 from __future__ import annotations
@@ -56,23 +56,24 @@ from .variant import variant
 
 @dataclass(frozen=True)
 class Elimination:
-    """The fraction-free forward elimination of a square matrix, recorded
-    so that it can be replayed on any right-hand side.
+    """The Gaussian forward elimination of a square matrix, recorded so
+    that it can be replayed on any right-hand side.
 
-    steps[col] is (pivot row, pivot, heads, prev) of the elimination of
-    column col: the row swapped into place, its pivot, the entries below
-    the pivot when the column was eliminated, and the previous pivot that
-    divides each update.  upper[i] holds the entries of row i from
-    column i on after the elimination; gens is the union of the
-    generators of the matrix entries."""
+    steps[col] is (pivot row, multipliers) of the elimination of column
+    col: the row swapped into place, and for each row r below it the
+    multiple of the pivot row that was subtracted from row r.  With U
+    the eliminated matrix, upper[i] is (1 / U[i][i], -U[i][c] / U[i][i]
+    for c > i), the weights of back substitution; gens is the union of
+    the generators of the matrix entries."""
     gens: tuple
     steps: tuple
     upper: tuple
 
     def solve(self, b: Sequence[Scalar]) -> list:
         """x with A x = b, on the union of the generators of b and of the
-        matrix: the recorded steps applied to b, then back substitution.
-        The values are those of eliminating the augmented matrix
+        matrix: the recorded steps applied to b, then back substitution,
+        x[i] = upper[i] . (b[i], x[i+1], ..., x[m-1]), each sum reduced
+        once.  The values are those of eliminating the augmented matrix
         [A | b]."""
         m = len(self.upper)
         gens = _common_gens(list(b) + [Scalar.zero(self.gens)])
@@ -81,48 +82,43 @@ class Elimination:
         _forward(self.steps, b)
         x = [zero] * m
         for i in range(m - 1, -1, -1):
-            row = self.upper[i]
-            acc = b[i]
-            for c in range(i + 1, m):
-                if not x[c].is_zero() and not row[c - i].is_zero():
-                    acc = acc - row[c - i] * x[c]
-            x[i] = acc / row[0]
+            used = [(v, w) for v, w in zip([b[i]] + x[i + 1:], self.upper[i])
+                    if not v.is_zero() and not w.is_zero()]
+            x[i] = linear_combination([v for v, _ in used],
+                                      [{0: w} for _, w in used],
+                                      gens).get(0, zero)
         return x
 
 
 def _forward(steps: Sequence[tuple], v: list) -> None:
     """Replay the recorded elimination steps on the column v, in place.
     Step col swaps the pivot row into place and turns each entry r below
-    it into (pivot * v[r] - head_r * v[col]) / prev, the fraction-free
-    update; a product with a zero factor is left out, and an entry the
-    update leaves unchanged is not recomputed."""
-    for col, (pivot_row, pivot, heads, prev) in enumerate(steps):
+    it into v[r] - m_r * v[col]; an update with a zero factor is left
+    out."""
+    for col, (pivot_row, multipliers) in enumerate(steps):
         if pivot_row != col:
             v[col], v[pivot_row] = v[pivot_row], v[col]
         top = v[col]
-        for r, head in enumerate(heads, col + 1):
-            if head.is_zero() or top.is_zero():
-                if v[r].is_zero() or (head.is_zero() and prev.is_one()):
-                    continue
-                v[r] = (pivot * v[r]) / prev
-            else:
-                v[r] = (pivot * v[r] - head * top) / prev
+        if top.is_zero():
+            continue
+        for r, m in enumerate(multipliers, col + 1):
+            if not m.is_zero():
+                v[r] = v[r] - m * top
 
 
 def factor_square(rows: Sequence[Sequence[Scalar]],
                   context: str = "linear system") -> Elimination:
-    """Fraction-free (Bareiss) forward elimination of the square matrix
-    rows with first-nonzero pivoting, column by column: the steps
+    """Gaussian forward elimination of the square matrix rows over its
+    field, with first-nonzero pivoting, column by column: the steps
     recorded so far are replayed on column c (`_forward`, the replay
-    `Elimination.solve` applies to b), and its first nonzero entry at
-    or below the diagonal becomes the pivot of step c.  Divisions are
-    exact.  Raises SpecializationCollision when the matrix is
-    singular."""
+    `Elimination.solve` applies to b), its first nonzero entry at or
+    below the diagonal becomes the pivot of step c, and the entries
+    below it over the pivot are the step's multipliers.  Raises
+    SpecializationCollision when the matrix is singular."""
     m = len(rows)
     if m == 0:
         return Elimination((), (), ())
     gens = _common_gens([v for row in rows for v in row])
-    prev = Scalar.one(rows[0][0].gens)
     steps, upper = [], [[] for _ in range(m)]
     for c in range(m):
         col = [row[c] for row in rows]
@@ -132,10 +128,11 @@ def factor_square(rows: Sequence[Sequence[Scalar]],
         if pivot_row is None:
             raise SpecializationCollision(f"singular system in {context}")
         col[c], col[pivot_row] = col[pivot_row], col[c]
-        for i in range(c + 1):
-            upper[i].append(col[i])
-        steps.append((pivot_row, col[c], tuple(col[c + 1:]), prev))
-        prev = col[c]
+        for i in range(c):
+            upper[i].append(-col[i] * upper[i][0])
+        inv = col[c].invert()
+        upper[c].append(inv)
+        steps.append((pivot_row, tuple(v * inv for v in col[c + 1:])))
     return Elimination(gens, tuple(steps), tuple(map(tuple, upper)))
 
 
@@ -503,54 +500,6 @@ def rprime(lam: Sequence[int], cfg: FieldConfig,
         symmetric=True))
 
 
-def _o_basis_at(gamma: tuple, beta: tuple, cfg: FieldConfig,
-                cache: FamilyCache) -> Scalar:
-    """G_gamma of the O basis field at the O point of beta."""
-    var = variant(cfg)
-    return cache.memo(
-        ("o-basis-at", cfg.cache_token(), gamma, beta),
-        lambda: g_recursive(gamma, var.o_basis, cache).evaluate(
-            _point(var.o_kind, beta, cfg, cache)))
-
-
-def _o_basis_layer(n: int, d: int, cfg: FieldConfig,
-                   cache: FamilyCache) -> dict:
-    """{gamma: G_gamma at its own O point} over the indices of degree d,
-    once it is certified that each such G_gamma of the O basis field has
-    degree <= d, vanishes at the O point of every other index of degree
-    <= d, and does not vanish at its own.  The layers up to degree d then
-    form a triangular interpolation matrix with a nonzero diagonal, so
-    they are a basis of the polynomials of degree <= d and interpolation
-    at those points has exactly one solution."""
-    var = variant(cfg)
-
-    def build():
-        points = enumerate_compositions(n, d)
-        diagonal = {}
-        for gamma in points:
-            if weight(gamma) < d:
-                continue
-            g = g_recursive(gamma, var.o_basis, cache)
-            if g.total_degree() > d:
-                raise SpecializationCollision(
-                    f"O basis degree bound violated for index {gamma}")
-            for beta in points:
-                value = g.evaluate(_point(var.o_kind, beta, cfg, cache))
-                if beta == gamma:
-                    if value.is_zero():
-                        raise SpecializationCollision(
-                            f"O basis G_{gamma} vanishes at its own "
-                            f"{var.o_kind} point")
-                    diagonal[gamma] = value
-                elif not value.is_zero():
-                    raise SpecializationCollision(
-                        f"O basis G_{gamma} does not vanish at the "
-                        f"{var.o_kind} point of {beta}")
-        return diagonal
-
-    return cache.memo(("o-basis", cfg.cache_token(), n, d), build)
-
-
 def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
              cache: FamilyCache) -> LaurentPoly:
     """The reciprocity polynomial: degree <= |alpha|, interpolating the
@@ -559,34 +508,15 @@ def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
     cfg is the base polynomial field; a is the evaluation parameter as a
     field element (symbolic generator or exact rational).
 
-    Built by Newton forward substitution in the G basis of
-    `variant(cfg).o_basis`: with the indices ordered by degree,
-    c_beta = (v_beta - sum_{|gamma| < |beta|} c_gamma G_gamma(beta))
-    / G_beta(beta) and O = sum c_beta G_beta.  `_o_basis_layer` certifies
-    the triangular structure this relies on, so O is the unique
-    interpolant that a dense solve on the same points would give."""
+    Built by the dense solve on the `variant(cfg).o_kind` points, with
+    `okounkov_value` as the right-hand side.  The factorization raises
+    SpecializationCollision unless the system is nonsingular, which
+    makes O the unique interpolant."""
     alpha = _validate_index(alpha)
-    var = variant(cfg)
-    n = len(alpha)
-    coeffs: dict = {}
-    values = [cfg.one()]
-    for d in range(weight(alpha) + 1):
-        layer = {}
-        for beta, diag in _o_basis_layer(n, d, cfg, cache).items():
-            acc = okounkov_value(alpha, beta, cfg, a, cache)
-            if not acc.is_zero():
-                values.append(acc)
-            for gamma, c in coeffs.items():
-                acc = acc - c * _o_basis_at(gamma, beta, cfg, cache)
-            if not acc.is_zero():
-                layer[beta] = acc / diag
-        coeffs.update(layer)
-    # every coefficient carries the generators of all the values, as
-    # those of a dense solve with these right-hand sides do
-    return LaurentPoly(n, linear_combination(
-        list(coeffs.values()),
-        [g_recursive(beta, var.o_basis, cache).terms for beta in coeffs],
-        _common_gens(values)), _clean=True)
+    _, o = _solve(variant(cfg).o_kind, len(alpha), weight(alpha), cfg, cache,
+                  False,
+                  lambda beta: okounkov_value(alpha, beta, cfg, a, cache))
+    return o
 
 
 def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,

@@ -22,7 +22,6 @@ class Variant:
     """What the q,t and r code paths differ in, for one field config."""
 
     o_kind: str             # point method the reciprocity polynomial lives on
-    o_basis: FieldConfig    # field of the G basis that O is expanded in
     binom_inverted: bool    # expansions use the binomials at 1/q, 1/t
 
     def __init__(self, cfg: FieldConfig):
@@ -44,7 +43,6 @@ class QtVariant(Variant):
         super().__init__(cfg)
         self.t = cfg.gen("t")
         self.exchange_num = self.one - self.t
-        self.o_basis = cfg.with_inverted()   # its bar points are bar_inv
 
     def bar(self, v: Sequence[int]) -> SpectralPoint:
         return spectral_qt(v, self.cfg)
@@ -123,7 +121,6 @@ class RVariant(Variant):
         super().__init__(cfg)
         self.r = cfg.gen("r")
         self.exchange_num = self.r
-        self.o_basis = cfg
 
     def bar(self, v: Sequence[int]) -> SpectralPoint:
         return spectral_r(v, self.cfg)

@@ -315,3 +315,38 @@ def test_compute_too_deep_index_is_usage_error(capsys):
         assert err.startswith("error: index too deep for the recursive "
                               "construction")
         assert err.count("\n") == 1
+
+
+def test_field_options_the_field_ignores_are_usage_errors(capsys):
+    for args, option, reason in (
+            (["compute", "G", "--alpha", "1,0", "--q", "2", "--t", "1/3",
+              "--r", "5"], "--r", "to the qt variant"),
+            (["compute", "G", "--alpha", "1,0", "--variant", "r", "--r", "1",
+              "--q", "2"], "--q", "to the r variant"),
+            (["compute", "G", "--alpha", "1,0", "--symbolic", "--q", "5",
+              "--t", "7"], "--q", "with --symbolic"),
+            (["check", "eval-qt", "--n", "1", "--deg", "1", "--symbolic",
+              "--q", "5"], "--q", "with --symbolic"),
+            (["compute", "d", "--alpha", "1", "--variant", "r", "--t", "3"],
+             "--t", "to the r variant")):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "", args
+        assert err == f"error: {option} does not apply {reason}\n", args
+
+
+def test_check_symbolic_qt_keeps_a_specialized_r(capsys):
+    code, out, _ = run_cli(["check", "eval-r", "--n", "1", "--deg", "1",
+                            "--symbolic", "--r", "5", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["field"]["r"]["assignments"] == {"r": "5"}
+
+
+def test_compute_okounkov_singular_system_exit_3(capsys):
+    for args, kind, field in (
+            (["--q", "2", "--t", "1/2"], "bar_inv", "qt[q=2,t=1/2]"),
+            (["--variant", "r", "--r", "-1"], "bar", "r[r=-1]")):
+        code, out, err = run_cli(["compute", "O", "--alpha", "1,1", *args],
+                                 capsys)
+        assert code == 3 and out == ""
+        assert err == (f"specialization error: singular system in {kind} "
+                       f"interpolation, n=2 degree 2, field {field}\n")
