@@ -125,10 +125,16 @@ def _cache_dir(args) -> str | None:
 
 def _reject_options(args, names, reason: str):
     """A usage error naming the first given option of names: the field
-    chosen would otherwise drop it without a word."""
+    or family chosen would otherwise drop it without a word.  A flag
+    counts as given when it is set."""
     for name in names:
-        if getattr(args, name) is not None:
+        if getattr(args, name) not in (None, False):
             raise UsageError(f"--{name} does not apply {reason}")
+
+
+# The options of `compute` that only some families read.
+_FAMILY_OPTIONS = {"a": ("O", "phi"), "inverted": ("binom",),
+                   "beta": ("binom",), "mu": ("binom-sym",)}
 
 
 def _compute_configs(args) -> FieldConfig:
@@ -164,6 +170,9 @@ def cmd_compute(args) -> int:
     family = args.family
     if args.json and args.pretty:
         raise UsageError("--json and --pretty are mutually exclusive")
+    _reject_options(args, [name for name, families in _FAMILY_OPTIONS.items()
+                           if family not in families],
+                    f"to family {family}")
     cfg = _compute_configs(args)
     cache = FamilyCache(_cache_dir(args))
     partitions = family in ("R", "Rprime", "binom-sym")

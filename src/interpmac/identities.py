@@ -78,6 +78,7 @@ class CheckContext:
         self.failures: list = []
         self.instances = 0
         self.a_certification: Optional[str] = None
+        self._max_sampled = 0
 
     # -- assertions -----------------------------------------------------------
 
@@ -151,7 +152,7 @@ class CheckContext:
             vals = values(a)
             if not any(v.is_zero() for v in vals):
                 out.append((a, vals))
-        self._max_sampled = max(k, getattr(self, "_max_sampled", 0))
+        self._max_sampled = max(k, self._max_sampled)
         self.a_certification = f"sampled(k<={self._max_sampled})"
         return out
 

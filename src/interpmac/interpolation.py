@@ -14,15 +14,12 @@ Families (CLI spellings in parentheses):
 
 The oracle G, R, Gprime, Rprime and O are each the unique polynomial
 of degree <= |index| with prescribed values at spectral points, built
-by one dense solve: its matrix is factored once per field by exact
-Gaussian elimination over the canonical field with first-nonzero
-pivoting, column by column: the steps recorded so far are replayed on
-each new column, by the routine that later replays them on each
-right-hand side, and the column's first nonzero entry at or below the
-diagonal becomes the next pivot.  Back substitution reduces each unknown
-once, as one weighted sum.  The elimination is memoized; degree,
-vanishing and normalization of all but O are re-checked after
-construction.
+by one dense solve: its matrix A is factored once per field as PA = LU
+over the canonical field, with first-nonzero pivoting, column by column
+(left-looking).  Forward and back substitution, and each entry of a new
+column of the factorization, are one weighted sum reduced once, by one
+routine.  The factorization is memoized; degree, vanishing and
+normalization of all but O are re-checked after construction.
 """
 
 from __future__ import annotations
@@ -56,93 +53,85 @@ from .variant import variant
 
 @dataclass(frozen=True)
 class Elimination:
-    """The Gaussian forward elimination of a square matrix, recorded so
-    that it can be replayed on any right-hand side.
+    """PA = LU of a square matrix A, kept to solve A x = b for any b.
 
-    steps[col] is (pivot row, multipliers) of the elimination of column
-    col: the row swapped into place, and for each row r below it the
-    multiple of the pivot row that was subtracted from row r.  With U
-    the eliminated matrix, upper[i] is (1 / U[i][i], -U[i][c] / U[i][i]
-    for c > i), the weights of back substitution; gens is the union of
-    the generators of the matrix entries."""
+    Row i of PA is row perm[i] of A.  lower[i] holds the weights -L[i][j]
+    for j < i, with every later row interchange already applied, and
+    upper[i] is (1 / U[i][i], -U[i][c] / U[i][i] for c > i), the weights
+    of back substitution; gens is the union of the generators of the
+    matrix entries."""
     gens: tuple
-    steps: tuple
+    perm: tuple
+    lower: tuple
     upper: tuple
 
     def solve(self, b: Sequence[Scalar]) -> list:
         """x with A x = b, on the union of the generators of b and of the
-        matrix: the recorded steps applied to b, then back substitution,
-        x[i] = upper[i] . (b[i], x[i+1], ..., x[m-1]), each sum reduced
-        once.  The values are those of eliminating the augmented matrix
-        [A | b]."""
-        m = len(self.upper)
+        matrix: forward substitution y[i] = b[perm[i]] + lower[i] . y[:i],
+        then back substitution x[i] = upper[i] . (y[i], x[i+1:]), each
+        unknown one sum reduced once."""
         gens = _common_gens(list(b) + [Scalar.zero(self.gens)])
-        zero = Scalar.zero(gens)
-        b = [zero if v.is_zero() else v.lift(gens) for v in b]
-        _forward(self.steps, b)
-        x = [zero] * m
-        for i in range(m - 1, -1, -1):
-            used = [(v, w) for v, w in zip([b[i]] + x[i + 1:], self.upper[i])
-                    if not v.is_zero() and not w.is_zero()]
-            x[i] = linear_combination([v for v, _ in used],
-                                      [{0: w} for _, w in used],
-                                      gens).get(0, zero)
+        one = (Scalar.one(gens),)
+        y: list = []
+        for p, weights in zip(self.perm, self.lower):
+            y.append(_reduced_sum([b[p]] + y, one + weights, gens))
+        x: list = []
+        for yi, weights in zip(reversed(y), reversed(self.upper)):
+            x.insert(0, _reduced_sum([yi] + x, weights, gens))
         return x
 
 
-def _forward(steps: Sequence[tuple], v: list) -> None:
-    """Replay the recorded elimination steps on the column v, in place.
-    Step col swaps the pivot row into place and turns each entry r below
-    it into v[r] - m_r * v[col]; an update with a zero factor is left
-    out."""
-    for col, (pivot_row, multipliers) in enumerate(steps):
-        if pivot_row != col:
-            v[col], v[pivot_row] = v[pivot_row], v[col]
-        top = v[col]
-        if top.is_zero():
-            continue
-        for r, m in enumerate(multipliers, col + 1):
-            if not m.is_zero():
-                v[r] = v[r] - m * top
+def _reduced_sum(values: Sequence[Scalar], weights: Sequence[Scalar],
+                 gens: tuple) -> Scalar:
+    """sum_j values[j] * weights[j] on gens, reduced once; a term with a
+    zero factor is left out."""
+    used = [(v, w) for v, w in zip(values, weights)
+            if not v.is_zero() and not w.is_zero()]
+    return linear_combination([v for v, _ in used], [{0: w} for _, w in used],
+                              gens).get(0, Scalar.zero(gens))
 
 
 def factor_square(rows: Sequence[Sequence[Scalar]],
                   context: str = "linear system") -> Elimination:
-    """Gaussian forward elimination of the square matrix rows over its
-    field, with first-nonzero pivoting, column by column: the steps
-    recorded so far are replayed on column c (`_forward`, the replay
-    `Elimination.solve` applies to b), its first nonzero entry at or
-    below the diagonal becomes the pivot of step c, and the entries
-    below it over the pivot are the step's multipliers.  Raises
-    SpecializationCollision when the matrix is singular."""
+    """PA = LU of the square matrix rows over its field, left-looking:
+    column c, its rows taken in the order perm, is forward substituted,
+    each entry r through the lower[r] of length min(r, c) known so far by
+    the sum `Elimination.solve` uses.  Its first nonzero entry at or
+    below the diagonal is the pivot, swapped into row c together with
+    perm and the partial rows of L, and the entries below it over the
+    pivot extend L.  Raises SpecializationCollision when the matrix is
+    singular."""
     m = len(rows)
-    if m == 0:
-        return Elimination((), (), ())
-    gens = _common_gens([v for row in rows for v in row])
-    steps, upper = [], [[] for _ in range(m)]
+    gens = _common_gens([v for row in rows for v in row]) if m else ()
+    one = (Scalar.one(gens),)
+    perm, lower, upper = list(range(m)), [()] * m, [[] for _ in range(m)]
     for c in range(m):
-        col = [row[c] for row in rows]
-        _forward(steps, col)
-        pivot_row = next((r for r in range(c, m) if not col[r].is_zero()),
-                         None)
-        if pivot_row is None:
+        col = [rows[p][c] for p in perm]
+        for r, weights in enumerate(lower):
+            col[r] = _reduced_sum([col[r]] + col[:len(weights)],
+                                  one + weights, gens)
+        pivot = next((r for r in range(c, m) if not col[r].is_zero()), None)
+        if pivot is None:
             raise SpecializationCollision(f"singular system in {context}")
-        col[c], col[pivot_row] = col[pivot_row], col[c]
+        for v in (perm, lower, col):
+            v[c], v[pivot] = v[pivot], v[c]
         for i in range(c):
             upper[i].append(-col[i] * upper[i][0])
         inv = col[c].invert()
         upper[c].append(inv)
-        steps.append((pivot_row, tuple(v * inv for v in col[c + 1:])))
-    return Elimination(gens, tuple(steps), tuple(map(tuple, upper)))
+        for r in range(c + 1, m):
+            lower[r] += (-col[r] * inv,)
+    return Elimination(gens, tuple(perm), tuple(lower),
+                       tuple(map(tuple, upper)))
 
 
 def solve_square(rows: Sequence[Sequence[Scalar]],
                  rhs_cols: Sequence[Sequence[Scalar]],
                  context: str = "linear system") -> list:
     """Solve A x = b for every right-hand column: the matrix is
-    factored once (`factor_square`) and the elimination replayed on each
-    column (`Elimination.solve`).  Raises SpecializationCollision when
-    the matrix is singular."""
+    factored once (`factor_square`) and each column solved by forward
+    and back substitution (`Elimination.solve`).  Raises
+    SpecializationCollision when the matrix is singular."""
     elim = factor_square(rows, context)
     return [elim.solve(col) for col in rhs_cols]
 
@@ -318,8 +307,8 @@ def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
             symmetric: bool) -> tuple:
     """(indices, groups, elimination) of the basis of degree <= deg
     evaluated at the kind points of its indices: the matrix is factored
-    once per field and memoized, and every right-hand side of the
-    system is solved by replaying that one elimination."""
+    as PA = LU once per field and memoized, and every right-hand side of
+    the system is solved with that one factorization."""
     token = cfg.cache_token()
 
     def build():
@@ -335,8 +324,9 @@ def _system(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
 def _solve(kind: str, n: int, deg: int, cfg: FieldConfig, cache: FamilyCache,
            symmetric: bool, rhs: Callable) -> tuple:
     """(indices, p): p of degree <= deg in the (symmetric) monomial basis
-    with p = rhs(beta) at the kind point of every index beta, from one
-    replay of the memoized elimination of the system on those values.
+    with p = rhs(beta) at the kind point of every index beta, by forward
+    and back substitution of those values through the memoized PA = LU
+    of the system.
     The basis elements of distinct indices share no monomial, so p is
     one term dict."""
     indices, groups, elim = _system(kind, n, deg, cfg, cache, symmetric)

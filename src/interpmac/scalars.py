@@ -441,19 +441,6 @@ def _lift_terms(terms: Terms, pos: Sequence[int]) -> Terms:
             for e, c in terms.items()}
 
 
-def _dict_eval(a: Terms, gens: Sequence[str], at: Mapping[str, Fraction]) -> Fraction:
-    total = Fraction(0)
-    for e, c in a.items():
-        v = Fraction(c)
-        for g, p in zip(gens, _unpack(e, len(gens))):
-            if p:
-                v *= Fraction(at[g]) ** p
-        total += v
-    return total
-
-
-
-
 # ---------------------------------------------------------------------------
 # Scalar
 # ---------------------------------------------------------------------------
@@ -663,22 +650,6 @@ class Scalar:
                     frozenset((e, sign * c) for e, c in num.items()),
                     frozenset((e, sign * c) for e, c in den.items())))
         return self._hash
-
-    # -- specialization ---------------------------------------------------------
-
-    def specialize(self, assignments: Mapping[str, Fraction]) -> Fraction:
-        """Exact rational value at the assignment; raises
-        SpecializationCollision if the denominator vanishes there."""
-        missing = [self.gens[j] for j in _used_gens((self.num, self.den),
-                                                    len(self.gens))
-                   if self.gens[j] not in assignments]
-        if missing:
-            raise UsageError(f"assignment missing generators {missing}")
-        den = _dict_eval(self.den, self.gens, assignments)
-        if den == 0:
-            raise SpecializationCollision(
-                f"denominator vanishes at {dict(assignments)}")
-        return _dict_eval(self.num, self.gens, assignments) / den
 
     # -- presentation ----------------------------------------------------------
 

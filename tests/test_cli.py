@@ -328,7 +328,21 @@ def test_field_options_the_field_ignores_are_usage_errors(capsys):
             (["check", "eval-qt", "--n", "1", "--deg", "1", "--symbolic",
               "--q", "5"], "--q", "with --symbolic"),
             (["compute", "d", "--alpha", "1", "--variant", "r", "--t", "3"],
-             "--t", "to the r variant")):
+             "--t", "to the r variant"),
+            (["compute", "G", "--alpha", "1,0", "--a", "3"],
+             "--a", "to family G"),
+            (["compute", "G", "--alpha", "1,0", "--a", "3", "--inverted",
+              "--beta", "1,0", "--mu", "1"], "--a", "to family G"),
+            (["compute", "binom", "--alpha", "1,0", "--beta", "1,0",
+              "--a", "3"], "--a", "to family binom"),
+            (["compute", "O", "--alpha", "1", "--a", "3", "--inverted"],
+             "--inverted", "to family O"),
+            (["compute", "binom-sym", "--lambda", "1", "--variant", "r",
+              "--mu", "1", "--beta", "1"], "--beta", "to family binom-sym"),
+            (["compute", "binom", "--alpha", "1", "--beta", "1", "--mu",
+              "1"], "--mu", "to family binom"),
+            (["compute", "phi", "--alpha", "1", "--a", "3", "--mu", "1"],
+             "--mu", "to family phi")):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "", args
         assert err == f"error: {option} does not apply {reason}\n", args
