@@ -3,8 +3,12 @@ check with a structured, deterministic report.
 
 Conventions shared by all entries: instances run over every index in
 range (compositions of weight <= d, all operator indices, all group
-elements); comparisons are structural equality of canonical forms, so
-the tolerance is exactly zero.  Identities in the evaluation parameter
+elements); the tolerance is exactly zero.  Values are Scalars in
+canonical form or unreduced Quotients: a/b == c/d is decided as
+a*d == b*c in Z[gens] and a value is zero when its numerator is, which
+is equivalent to structural equality of canonical forms.  A side is
+reduced only to print a failing instance, so the report reads the
+same either way.  Identities in the evaluation parameter
 a run either with symbolic a (when the base field is symbolic) or at
 max-a-degree + 2 seeded, pre-flighted rational values of a; the report
 records which mode certified the result.
@@ -24,8 +28,9 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             reflect, rprime, _point)
 from .operators import hecke, sigma_op, sigma_word, symmetrize
 from .polyring import LaurentPoly, exact_div_check, shift_all
-from .scalars import (FieldConfig, Scalar, linear_combination, qt_config,
-                      r_config, seeded_rationals)
+from .scalars import (FieldConfig, Quotient, Scalar,
+                      linear_combination_unreduced, qt_config, r_config,
+                      seeded_rationals)
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, sharp, spectral_qt,
@@ -174,16 +179,25 @@ def _cofactor_products(vals: list) -> list:
     return [pre[i] * suf[i + 1] for i in range(m)]
 
 
+def _scaled_unreduced(f: LaurentPoly, c: Scalar) -> LaurentPoly:
+    """f.scale(c) with every coefficient left an unreduced Quotient."""
+    if c.is_zero():
+        return LaurentPoly.zero(f.n)
+    return LaurentPoly(f.n, {e: Quotient.of(x) * c for e, x in f.terms.items()},
+                       _clean=True)
+
+
 def _check_expansion(ctx: CheckContext, instance: str, lhs: LaurentPoly,
                      pos: int, terms: list, dens: list):
     """lhs / dens[pos] == sum_j c_j P_j / dens[j] over terms = [(P_j, c_j)],
     checked with the denominators cleared: lhs W_pos == sum_j c_j W_j P_j,
-    W_j the product of the dens other than dens[j]."""
+    W_j the product of the dens other than dens[j], monomial by monomial
+    on unreduced coefficients."""
     cof = _cofactor_products(dens)
-    rhs = LaurentPoly(ctx.n, linear_combination(
+    rhs = LaurentPoly(ctx.n, linear_combination_unreduced(
         [c * w for (_, c), w in zip(terms, cof)], [p.terms for p, _ in terms]),
         _clean=True)
-    ctx.eq(instance, lhs * cof[pos], rhs)
+    ctx.eq(instance, _scaled_unreduced(lhs, cof[pos]), rhs)
 
 
 def _check_nonvanishing(ctx: CheckContext, label: str, down: list,
@@ -405,7 +419,7 @@ def check_oko(ctx: CheckContext):
         for gamma in enumerate_compositions(ctx.n, deg + 2):
             num_g, den_g = okounkov_ratio_parts(alpha, gamma, cfg, a,
                                                 ctx.cache)
-            lhs = o.evaluate(_point(kind, gamma, cfg, ctx.cache))
+            lhs = o.evaluate_unreduced(_point(kind, gamma, cfg, ctx.cache))
             ctx.eq(f"alpha={alpha}, gamma={gamma}", lhs * den_g, num_g)
 
 
@@ -554,11 +568,11 @@ def check_symm_lemma(ctx: CheckContext):
         gp_a = gprime(alpha, cfg, ctx.cache)
         for a, (val_r, val_g) in ctx.a_values(cfg, k=weight(alpha) + 2,
                                               nonzero=(r_l, g_a)):
-            lhs = symmetrize(shift_all(g_a, a), cfg).scale(val_r)
-            rhs = shift_all(r_l, a).scale(val_g)
+            lhs = _scaled_unreduced(symmetrize(shift_all(g_a, a), cfg), val_r)
+            rhs = _scaled_unreduced(shift_all(r_l, a), val_g)
             ctx.eq(f"shifted: alpha={alpha}, a={a}", lhs, rhs)
-            lhs = symmetrize(gp_a, cfg).scale(val_r)
-            rhs = rp_l.scale(val_g)
+            lhs = _scaled_unreduced(symmetrize(gp_a, cfg), val_r)
+            rhs = _scaled_unreduced(rp_l, val_g)
             ctx.eq(f"primed: alpha={alpha}, a={a}", lhs, rhs)
 
 

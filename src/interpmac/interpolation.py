@@ -512,9 +512,10 @@ def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
 def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,
                          a: Scalar, cache: FamilyCache) -> tuple:
     """(num, den) of the prescribed ratio at beta: G_beta at the
-    a-shifted (or a-scaled) tilde point of alpha, and at the base point.
-    Kept unreduced so that denominators stay free of a.  The base value
-    does not depend on alpha and is memoized."""
+    a-shifted (or a-scaled) tilde point of alpha, as an unreduced
+    Quotient, and at the base point, as a Scalar.  Kept apart so that
+    denominators stay free of a.  The base value does not depend on
+    alpha and is memoized."""
     var = variant(cfg)
     g = g_recursive(beta, cfg, cache)
     t_alpha = _point("tilde", alpha, cfg, cache)
@@ -522,7 +523,7 @@ def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,
         ("oko-den", cfg.cache_token(), a.gens, a, beta),
         lambda: g.evaluate(var.act(_point("bar", (0,) * len(alpha), cfg,
                                           cache), a)))
-    return g.evaluate(var.act(t_alpha, a)), den
+    return g.evaluate_unreduced(var.act(t_alpha, a)), den
 
 
 def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
@@ -532,7 +533,7 @@ def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
     if den.is_zero():
         raise SpecializationCollision(
             f"base evaluation of index {beta} vanished at a={a}")
-    return num / den
+    return num.reduced() / den
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,16 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution)
-from .scalars import Scalar, evaluate_laurent
+from .scalars import Quotient, Scalar, evaluate_laurent
 from .shapes import Permutation, SpectralPoint
 
 
 class LaurentPoly:
-    """Map from integer exponent vectors to nonzero Scalars."""
+    """Map from integer exponent vectors to nonzero Scalars.
+
+    A check may hold unreduced Quotients as the coefficients instead, to
+    compare two polynomials monomial by monomial without reducing; such
+    a polynomial is only compared (==, is_zero) and printed."""
 
     __slots__ = ("n", "terms", "_plans")
 
@@ -158,15 +162,18 @@ class LaurentPoly:
     # -- evaluation and substitution -------------------------------------------------
 
     def evaluate(self, point) -> Scalar:
-        """Exact value at a SpectralPoint or sequence of Scalars.
+        """Exact value at a SpectralPoint or sequence of Scalars: the
+        value of evaluate_unreduced, reduced once, which gives the same
+        canonical form as a term-by-term sum."""
+        return self.evaluate_unreduced(point).reduced()
 
-        No term is reduced on its own: the terms are summed over one
-        common denominator and the sum is reduced once (see
-        scalars.evaluate_laurent), which gives the same canonical form as
-        a term-by-term sum.  The coefficient part of that work, the lcm
-        pieces and each coefficient's cofactor, is planned on the first
-        evaluation over a generator set and kept in _plans (terms never
-        change after construction)."""
+    def evaluate_unreduced(self, point) -> Quotient:
+        """Exact value at a SpectralPoint or sequence of Scalars, as the
+        sum of the terms over one common denominator, not reduced (see
+        scalars.evaluate_laurent).  The coefficient part of that work,
+        the lcm pieces and each coefficient's cofactor, is planned on the
+        first evaluation over a generator set and kept in _plans (terms
+        never change after construction)."""
         coords = tuple(point.coords if isinstance(point, SpectralPoint) else point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")

@@ -4,7 +4,9 @@ Two kinds of scalars share one representation: plain rationals (empty
 generator set) and reduced fractions of integer-coefficient polynomials
 in an ordered subset of the generators q, t, r, a.  Every operation
 returns a canonical form, so structural equality is mathematical
-equality.
+equality.  A Quotient is a value left unreduced, a numerator over a
+list of denominator pieces: evaluation and linear combination produce
+one first, and a comparison needs no reduction (see Quotient).
 
 A polynomial is a dict from monomial keys to nonzero int coefficients.
 The key of x_0^e_0 ... x_{k-1}^e_{k-1} (k <= 4 generators) is one int:
@@ -806,14 +808,103 @@ def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
     return Scalar(gens, num, den, _canonical=True)
 
 
+class Quotient:
+    """The exact value num / prod(pieces) over gens, left unreduced.
+
+    Deciding a comparison needs no canonical form: a value is zero
+    exactly when num is empty, and two values are equal exactly when
+    num * prod(other.pieces) == other.num * prod(pieces) in Z[gens]
+    (pieces common to both sides cancel first).  That is the same
+    relation as equality of the canonical forms, with zero tolerance.
+    reduced() gives the canonical Scalar; a Quotient prints as that
+    Scalar."""
+
+    __slots__ = ("gens", "num", "pieces", "_reduced")
+
+    def __init__(self, gens: tuple, num: Terms, pieces: list,
+                 _reduced: Optional[Scalar] = None):
+        self.gens = gens
+        self.num = num
+        self.pieces = pieces
+        self._reduced = _reduced
+
+    @staticmethod
+    def of(x: Scalar) -> "Quotient":
+        return Quotient(x.gens, x.num, [] if x.den == _UNIT else [x.den], x)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def reduced(self) -> Scalar:
+        if self._reduced is not None:
+            return self._reduced
+        return _reduce_over(self.gens, self.num, self.pieces)
+
+    def lift(self, gens: tuple) -> "Quotient":
+        """Embed into a larger ordered generator set."""
+        if gens == self.gens:
+            return self
+        if gens[:len(self.gens)] == self.gens:
+            return Quotient(gens, self.num, self.pieces)
+        if any(g not in gens for g in self.gens):
+            raise UsageError(f"cannot lift {self.gens} into {gens}")
+        pos = [gens.index(g) for g in self.gens]
+        return Quotient(gens, _lift_terms(self.num, pos),
+                        [_lift_terms(p, pos) for p in self.pieces])
+
+    def _pair(self, other) -> tuple["Quotient", "Quotient"]:
+        if isinstance(other, Scalar):
+            other = Quotient.of(other)
+        if other.gens == self.gens:
+            return self, other
+        merged = tuple(g for g in GEN_ORDER if g in self.gens or g in other.gens)
+        return self.lift(merged), other.lift(merged)
+
+    def __mul__(self, other) -> "Quotient":
+        """The product, unreduced, on the generators Scalar * would give."""
+        a, b = self._pair(other)
+        return Quotient(a.gens, _dict_mul(a.num, b.num), a.pieces + b.pieces)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Quotient, Scalar)):
+            return NotImplemented
+        a, b = self._pair(other)
+        if not a.num or not b.num:
+            return not a.num and not b.num
+        own, rest = [], list(b.pieces)
+        for p in a.pieces:
+            if p in rest:
+                rest.remove(p)
+            else:
+                own.append(p)
+        return _dict_mul(a.num, _dict_prod(rest)) == \
+            _dict_mul(b.num, _dict_prod(own))
+
+    def __str__(self) -> str:
+        return str(self.reduced())
+
+    __repr__ = __str__
+
+
 def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
                        gens: Optional[tuple] = None) -> dict:
     """{key: sum_j weights[j] * rows[j][key]} over the keys of the rows,
-    as canonical Scalars on gens, zero sums left out.  gens defaults to
-    the union of the generators of the weights and of the entries.
+    as canonical Scalars on gens, zero sums left out: the sums of
+    linear_combination_unreduced, each reduced once."""
+    return {key: v.reduced() for key, v in
+            linear_combination_unreduced(weights, rows, gens).items()}
 
-    The weights are put over one common denominator once, the entries
-    under each key over theirs, and each sum is reduced once."""
+
+def linear_combination_unreduced(weights: Sequence[Scalar],
+                                 rows: Sequence[Mapping],
+                                 gens: Optional[tuple] = None) -> dict:
+    """{key: sum_j weights[j] * rows[j][key]} over the keys of the rows,
+    as unreduced Quotients on gens, zero sums left out.  gens defaults
+    to the union of the generators of the weights and of the entries.
+
+    The weights are put over one common denominator once and the entries
+    under each key over theirs; each sum is one integer polynomial over
+    the pieces of both."""
     if gens is None:
         gens = _common_gens(list(weights)
                             + [v for row in rows for v in row.values()])
@@ -829,32 +920,33 @@ def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
         for (wnum, _), num in zip(pairs, nums):
             _dict_addmul(total, wnum, num)
         if total:
-            out[key] = _reduce_over(gens, total, wpieces + pieces)
+            out[key] = Quotient(gens, total, wpieces + pieces)
     return out
 
 
 def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
-                     plans: dict) -> Scalar:
+                     plans: dict) -> Quotient:
     """Exact value of sum_e terms[e] * prod_i coords[i]**e[i] over
-    integer exponent vectors e, with one reduction.
+    integer exponent vectors e, as one unreduced Quotient.
 
     The coefficients are put over L, the lcm of their denominators, and
     each coordinate x_i = u_i/v_i is cleared by u_i^(-s_i) v_i^(T_i), with
     s_i <= 0 <= T_i the lowest and highest exponent of x_i.  Every term
     becomes the integer polynomial num*(L/den) * prod_i u_i^(e_i-s_i)
-    v_i^(T_i-e_i); their sum over L * prod_i u_i^(-s_i) v_i^(T_i) is
-    reduced once, by one gcd per factor of that denominator.  The result
-    lives on the generator set the term-by-term sum would have: that of
-    the coefficients and of every coordinate raised to a nonzero power.
-    A constant polynomial returns its coefficient.
+    v_i^(T_i-e_i); their sum is the numerator, over the factors of
+    L * prod_i u_i^(-s_i) v_i^(T_i) as the pieces, so that reduced()
+    takes one gcd per factor of that denominator.  The value lives on
+    the generator set the term-by-term sum would have: that of the
+    coefficients and of every coordinate raised to a nonzero power.
+    A constant polynomial gives its coefficient.
 
     The pieces of L and the cofactors L/den depend only on the terms and
     the generator set: they are planned once per set, in plans (a dict
     kept with the terms), so a call only builds the power tables of the
-    point, the products num*(L/den), the sum and its reduction.
+    point, the products num*(L/den) and the sum.
     """
     if not terms:
-        return Scalar.zero(coords[0].gens if coords else ())
+        return Quotient(coords[0].gens if coords else (), {}, [])
     n = len(coords)
     lo, hi = [0] * n, [0] * n
     for e in terms:
@@ -865,7 +957,7 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
                 hi[i] = x
     active = [i for i in range(n) if lo[i] or hi[i]]
     if not active:
-        return next(iter(terms.values()))
+        return Quotient.of(next(iter(terms.values())))
     for i in active:
         if lo[i] < 0 and coords[i].is_zero():
             raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
@@ -910,7 +1002,7 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
     for i, x in lifted.items():
         # a new list: the plan keeps the coefficients' pieces
         pieces = pieces + [x.num] * -lo[i] + [x.den] * hi[i]
-    return _reduce_over(gens, total, pieces)
+    return Quotient(gens, total, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """`check all --json --seed 42` at n=1 and n=2 (degree 4) and n=3
-(degree 2), and with symbolic q,t at n=2 (degree 3), must reproduce the
-recorded sha256 of every report line byte for byte, and so must
-`check recur-oracle-qt` with symbolic q,t at n=3 (degree 3).  So must the
-`compute --json` output of the five symbolic q,t constructions of the
-symbolic-qt benchmark workload: that polynomial JSON is what the disk
-cache stores."""
+(degrees 2 and 3), and with symbolic q,t at n=2 (degree 3), must
+reproduce the recorded sha256 of every report line byte for byte, and so
+must `check recur-oracle-qt` with symbolic q,t at n=3 (degree 3).  So
+must the `compute --json` output of the five symbolic q,t constructions
+of the symbolic-qt benchmark workload: that polynomial JSON is what the
+disk cache stores.  Checks run with one coefficient or one expansion
+term perturbed must reproduce their recorded failing reports, labels
+and lhs/rhs text included."""
 
 import hashlib
 import json
@@ -12,7 +14,11 @@ import pathlib
 
 import pytest
 
-from interpmac import cli
+from interpmac import cli, identities
+from interpmac.identities import run_check
+from interpmac.interpolation import FamilyCache
+from interpmac.polyring import LaurentPoly
+from interpmac.scalars import dumps_canonical
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEGREE = {1: 4, 2: 4, 3: 2}
@@ -30,6 +36,13 @@ def test_check_all_reports_match_golden(n, capsys):
     deg = DEGREE[n]
     code, got = _digests(["--n", str(n), "--deg", str(deg)], capsys)
     want = (GOLDEN / f"check_all_n{n}_deg{deg}_seed42.sha256").read_text()
+    assert code == 0
+    assert got == want.splitlines()
+
+
+def test_check_all_n3_deg3_reports_match_golden(capsys):
+    code, got = _digests(["--n", "3", "--deg", "3"], capsys)
+    want = (GOLDEN / "check_all_n3_deg3_seed42.sha256").read_text()
     assert code == 0
     assert got == want.splitlines()
 
@@ -63,3 +76,51 @@ def test_compute_symbolic_qt_matches_golden(digest, request_args, capsys,
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _plus_one_in_o(real):
+    """okounkov with the constant coefficient of O_(1,0) off by one."""
+    def okounkov(alpha, cfg, a, cache):
+        o = real(alpha, cfg, a, cache)
+        if tuple(alpha) != (1, 0):
+            return o
+        return o + LaurentPoly.constant(o.n, cfg.one())
+    return okounkov
+
+
+def _plus_one_in_binom(real):
+    """binom with [(1,1), (1,0)] off by one: one term of every expansion
+    of alpha = (1,1)."""
+    def binom(alpha, beta, cfg, cache, inverted=False):
+        v = real(alpha, beta, cfg, cache, inverted=inverted)
+        return v + 1 if (tuple(alpha), tuple(beta)) == ((1, 1), (1, 0)) else v
+    return binom
+
+
+def _plus_one_in_symmetrize(real):
+    """symmetrize with the constant coefficient off by one."""
+    def symmetrize(f, cfg):
+        return real(f, cfg) + LaurentPoly.constant(f.n, cfg.one())
+    return symmetrize
+
+
+PERTURBED = [("oko-r", "okounkov", _plus_one_in_o),
+             ("oko-qt", "okounkov", _plus_one_in_o),
+             ("binom-r", "binom", _plus_one_in_binom),
+             ("binom-qt", "binom", _plus_one_in_binom),
+             ("cor-plus", "binom", _plus_one_in_binom),
+             ("cor-first", "binom", _plus_one_in_binom),
+             ("symm-lemma", "symmetrize", _plus_one_in_symmetrize)]
+FAILING = {json.loads(line)["id"]: line for line in
+           (GOLDEN / "failing_reports_n2_deg2_seed0.jsonl").read_text()
+           .splitlines()}
+
+
+@pytest.mark.parametrize("check_id,name,perturb", PERTURBED,
+                         ids=[row[0] for row in PERTURBED])
+def test_failing_reports_match_golden(check_id, name, perturb, monkeypatch):
+    # n=2, deg 2, seed 0 on the default fields
+    monkeypatch.setattr(identities, name, perturb(getattr(identities, name)))
+    rep = run_check(check_id, 2, 2, seed=0, cache=FamilyCache())
+    assert rep.failures
+    assert dumps_canonical(rep.to_json()) == FAILING[check_id]

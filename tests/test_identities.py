@@ -86,10 +86,11 @@ def test_sampled_a_never_makes_an_instance_vacuous(check_id, monkeypatch):
         yield from (v for v in draw(rng) if v != 2)
 
     monkeypatch.setattr(identities, "seeded_rationals", two_first)
-    vacuous = []
+    seen, vacuous = [], []
     eq = CheckContext.eq
 
     def recording_eq(self, instance, lhs, rhs):
+        seen.append(instance)
         if lhs.is_zero() and rhs.is_zero():
             vacuous.append(instance)
         eq(self, instance, lhs, rhs)
@@ -98,6 +99,10 @@ def test_sampled_a_never_makes_an_instance_vacuous(check_id, monkeypatch):
     rep = run_check(check_id, 1, 5, seed=0, r=r_config(1), cache=FamilyCache())
     assert rep.passed
     assert rep.config["a_certification"].startswith("sampled")
+    # every instance is one expansion compared through ctx.eq, so none
+    # can pass without being looked at
+    assert rep.instances > 0
+    assert len(seen) == rep.instances
     assert vacuous == []
 
 

@@ -383,6 +383,107 @@ def test_linear_combination_matches_termwise(case):
         {key: dumps_canonical(v.lift(gens).to_json()) for key, v in want.items()}
 
 
+def _small_poly(draw, k, nonzero):
+    """Up to 3 terms of degree <= 2 per generator in k generators, keyed
+    by exponent tuples."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * k),
+                                 st.integers(-3, 3), max_size=3))
+    terms = {e: c for e, c in terms.items() if c}
+    if nonzero and not terms:
+        terms = {(0,) * k: draw(st.sampled_from([-2, -1, 1, 2]))}
+    return terms
+
+
+def _rekey(terms, src, dst):
+    """A polynomial over the generators src, keyed over dst."""
+    return {tuple(e[src.index(g)] if g in src else 0 for g in dst): c
+            for e, c in terms.items()}
+
+
+def _mul_tuples(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def _quotient_cases(draw):
+    """(x, y, same, y_off): unreduced values over 0-3 generators in any
+    order; pieces may have a negative leading coefficient and a numerator
+    may be zero.  When same, y is x written in another unreduced form:
+    over its generators reordered or widened, times f / f.  y_off is y
+    with one numerator coefficient changed by one."""
+    def gens(at_least=()):
+        pool = [g for g in GEN_ORDER if g not in at_least]
+        size = draw(st.integers(len(at_least), 3))
+        extra = list(draw(st.permutations(pool)))[:size - len(at_least)]
+        return tuple(draw(st.permutations(list(at_least) + extra)))
+
+    gx = gens()
+    num = _small_poly(draw, len(gx), nonzero=False)
+    pieces = [_small_poly(draw, len(gx), nonzero=True)
+              for _ in range(draw(st.integers(0, 3)))]
+    same = draw(st.booleans())
+    if same:
+        gy = gens(gx)
+        f = _small_poly(draw, len(gy), nonzero=True)
+        ynum = _mul_tuples(_rekey(num, gx, gy), f)
+        ypieces = [_rekey(p, gx, gy) for p in pieces] + [f]
+        ypieces = list(draw(st.permutations(ypieces)))
+    else:
+        gy = gens()
+        ynum = _small_poly(draw, len(gy), nonzero=False)
+        ypieces = [_small_poly(draw, len(gy), nonzero=True)
+                   for _ in range(draw(st.integers(0, 3)))]
+    key = draw(st.sampled_from(sorted(ynum))) if ynum else (0,) * len(gy)
+    yoff = dict(ynum)
+    yoff[key] = yoff.get(key, 0) + draw(st.sampled_from([-1, 1]))
+
+    def quotient(g, n, ps):
+        return scalars.Quotient(g, _enc(n, len(g)),
+                                [_enc(p, len(g)) for p in ps])
+
+    return (quotient(gx, num, pieces), quotient(gy, ynum, ypieces), same,
+            quotient(gy, yoff, ypieces))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_quotient_cases())
+def test_quotient_comparison_matches_reduced_equality(case):
+    x, y, same, y_off = case
+    rx, ry = x.reduced(), y.reduced()
+    assert x.is_zero() == rx.is_zero() and y.is_zero() == ry.is_zero()
+    want = rx == ry
+    assert (x == y) == (y == x) == want
+    assert (x == ry) == (ry == x) == want
+    assert (x != y) == (not want)
+    if same:
+        assert x == y
+    assert (x == y_off) == (rx == y_off.reduced())
+    assert y != y_off and y_off != y
+    if want:
+        assert x != y_off
+    assert (x * y).reduced() == rx * ry
+
+
+def test_quotient_examples():
+    r = ("r",)
+    one_plus_r = _enc({(0,): 1, (1,): 1}, 1)
+    # (r + 1)^2 / (r + 1) over two forms and over reordered generators
+    x = scalars.Quotient(r, scalars._dict_mul(one_plus_r, one_plus_r),
+                         [one_plus_r])
+    y = scalars.Quotient(("a", "r"), _enc({(0, 0): -1, (0, 1): -1}, 2),
+                         [_enc({(0, 0): -1}, 2)])
+    assert x == y and str(x) == str(y) == "r + 1"
+    assert x.reduced() == Scalar(r, one_plus_r, _enc({(0,): 1}, 1))
+    zero = scalars.Quotient(r, {}, [one_plus_r])
+    assert zero.is_zero() and zero == Scalar.zero(("q",))
+    assert zero != x and x != zero
+
+
 def test_certificate_examples():
     two_q = _enc({(1, 0): 2, (0, 0): 2}, 2)
     four_t = _enc({(0, 1): 4, (0, 0): 2}, 2)
