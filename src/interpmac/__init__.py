@@ -11,10 +11,10 @@ from .interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                             g_recursive, gplus, gprime, okounkov, r_sym,
                             rprime, solve_square)
 from .polyring import LaurentPoly
-from .scalars import FieldConfig, Scalar, qt_config, r_config
+from .scalars import Scalar
 from .shapes import (CellStats, Permutation, SpectralPoint, contains,
                      diagram_stats, dominant_sort, enumerate_compositions,
                      partitions_upto, spectral_qt, spectral_r)
-from .variant import tilde
+from .variant import FieldConfig, qt_config, r_config
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ import json
 import os
 import pathlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .errors import (DivisionByZero, InterpmacError, SpecializationCollision,
@@ -23,8 +22,8 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             closed_phi, disk_cache_files, e_top,
                             g_recursive, gplus, gprime, okounkov, r_sym,
                             rprime)
-from .scalars import (FieldConfig, Scalar, dumps_canonical, qt_config,
-                      r_config)
+from .scalars import Scalar, dumps_canonical
+from .variant import FieldConfig, qt_config, r_config
 
 FAMILIES = ("G", "E", "Gprime", "Gplus", "R", "Rprime", "O",
             "binom", "binom-sym", "d", "e", "phi")
@@ -297,6 +296,8 @@ def cmd_check(args) -> int:
 
     all_passed = True
     if args.jobs > 1 and len(ids) > 1:
+        # imported here: multiprocessing costs every other command start-up
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=args.jobs)
         try:
             futures = [pool.submit(_report_worker, cid, n, d, str(args.seed),

@@ -28,14 +28,13 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             reflect, rprime, _point)
 from .operators import hecke, sigma_op, sigma_word, symmetrize
 from .polyring import LaurentPoly, exact_div_check, shift_all
-from .scalars import (FieldConfig, Quotient, Scalar,
-                      linear_combination_unreduced, qt_config, r_config,
+from .scalars import (Quotient, Scalar, linear_combination_unreduced,
                       seeded_rationals)
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, sharp, spectral_qt,
                      spectral_r, tau_point, weight)
-from .variant import tilde, variant
+from .variant import FieldConfig, qt_config, r_config
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +139,10 @@ class CheckContext:
         the values of the nonzero polynomials at a acting on the base
         point.  No sampled a makes one of those values zero, so an
         expansion over them never reduces to 0 == 0."""
-        var = variant(base)
-        origin = var.base_point(self.n) if nonzero else None
+        origin = base.base_point(self.n) if nonzero else None
 
         def values(a):
-            point = var.act(origin, a) if nonzero else None
+            point = base.act(origin, a) if nonzero else None
             return [p.evaluate(point) for p in nonzero]
 
         if base.symbolic:
@@ -267,38 +265,36 @@ def check_sigma_braid(ctx: CheckContext):
 
 def check_eigen(ctx: CheckContext):
     cfg = ctx.cfg
-    var = variant(cfg)
     for alpha in ctx.compositions():
         g = g_recursive(alpha, cfg, ctx.cache)
-        bar = var.bar(alpha)
+        bar = cfg.bar(alpha)
         for i in range(1, ctx.n + 1):
-            ctx.eq(f"alpha={alpha}, i={i}", var.xi(i, g),
-                   g.scale(var.eigenvalue(bar, i)))
+            ctx.eq(f"alpha={alpha}, i={i}", cfg.xi(i, g),
+                   g.scale(cfg.eigenvalue(bar, i)))
 
 
 def check_discr(ctx: CheckContext):
     cfg = ctx.cfg
-    var = variant(cfg)
-    base = var.base_point(ctx.n)
+    base = cfg.base_point(ctx.n)
     fs = ctx.random_polys(cfg, count=2)
     for a, _ in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
         for fi, f in enumerate(fs):
-            pf = var.raise_op(f)
-            xf = [var.exchange_op(i, f) for i in range(1, ctx.n)]
+            pf = cfg.raise_op(f)
+            xf = [cfg.exchange_op(i, f) for i in range(1, ctx.n)]
             for v in ctx.compositions():
-                bar = var.bar(v)
-                pt = var.act(bar, a)
+                bar = cfg.bar(v)
+                pt = cfg.act(bar, a)
                 lhs = pf.evaluate(pt)
                 # the raising operator's factor x_n - tau_n (x_n - rho_n)
                 rhs = (pt[-1] - base[-1]) * f.evaluate(
-                    var.act(var.bar(sharp(v)), a))
+                    cfg.act(cfg.bar(sharp(v)), a))
                 ctx.eq(f"raise: f#{fi}, v={v}, a={a}", lhs, rhs)
                 fv = f.evaluate(pt)
                 for i in range(1, ctx.n):
-                    c_v, c_swap = var.discr_exchange(bar, i)
+                    c_v, c_swap = cfg.discr_exchange(bar, i)
                     lhs = xf[i - 1].evaluate(pt)
                     rhs = c_v * fv + c_swap * f.evaluate(
-                        var.act(var.bar(_swap(v, i)), a))
+                        cfg.act(cfg.bar(_swap(v, i)), a))
                     ctx.eq(f"exchange: f#{fi}, v={v}, i={i}, a={a}", lhs, rhs)
 
 
@@ -332,14 +328,13 @@ def check_spectral_closed_form(ctx: CheckContext):
 
 def check_eval(ctx: CheckContext):
     cfg = ctx.cfg
-    var = variant(cfg)
-    base = var.base_point(ctx.n)
+    base = cfg.base_point(ctx.n)
     for alpha in ctx.compositions():
         g = g_recursive(alpha, cfg, ctx.cache)
         d_a = closed_d(alpha, cfg)
         e_a = closed_e(alpha, cfg)
         for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
-            lhs = d_a * g.evaluate(var.act(base, a))
+            lhs = d_a * g.evaluate(cfg.act(base, a))
             rhs = e_a * closed_phi(alpha, cfg, a)
             ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
 
@@ -372,13 +367,12 @@ def check_zerosp(ctx: CheckContext):
 
 def check_derecur(ctx: CheckContext):
     cfg = ctx.cfg
-    var = variant(cfg)
     perms = list(all_permutations(ctx.n))
     for alpha in ctx.compositions():
-        bar = var.bar(alpha)
+        bar = cfg.bar(alpha)
         if alpha[-1] > 0:
             sa = sharp(alpha)
-            d_ratio, e_ratio, phi0_ratio = var.derecur_raise(alpha, bar, ctx.n)
+            d_ratio, e_ratio, phi0_ratio = cfg.derecur_raise(alpha, bar, ctx.n)
             ctx.eq(f"d-raise alpha={alpha}", closed_d(alpha, cfg),
                    d_ratio * closed_d(sa, cfg))
             ctx.eq(f"e-raise alpha={alpha}", closed_e(alpha, cfg),
@@ -388,7 +382,7 @@ def check_derecur(ctx: CheckContext):
                        phi0_ratio * closed_phi(sa, cfg, 0))
         for i in range(1, ctx.n):
             if alpha[i - 1] > alpha[i]:
-                lf, rf = var.derecur_exchange(bar, i)
+                lf, rf = cfg.derecur_exchange(bar, i)
                 ctx.eq(f"d-exchange alpha={alpha}, i={i}",
                        closed_d(alpha, cfg) * lf,
                        rf * closed_d(_swap(alpha, i), cfg))
@@ -411,7 +405,7 @@ def check_oko(ctx: CheckContext):
     reproduces the ratio (denominator-cleared) at every gamma up to
     two degrees higher."""
     cfg = ctx.cfg
-    kind = variant(cfg).o_kind
+    kind = cfg.o_kind
     a = ctx.symbolic_a(cfg)
     for alpha in ctx.compositions():
         deg = weight(alpha)
@@ -425,18 +419,17 @@ def check_oko(ctx: CheckContext):
 
 def check_binom(ctx: CheckContext):
     cfg = ctx.cfg
-    var = variant(cfg)
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gs = [g_recursive(b, cfg, ctx.cache) for b in down]
         gps = [gprime(b, cfg, ctx.cache) for b in down]
-        coefs = [binom(alpha, b, cfg, ctx.cache, inverted=var.binom_inverted)
+        coefs = [binom(alpha, b, cfg, ctx.cache, inverted=cfg.binom_inverted)
                  for b in down]
         for a, dens in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
-            terms = [(gp, var.binom_weight(a, weight(b)) * c)
+            terms = [(gp, cfg.binom_weight(a, weight(b)) * c)
                      for b, gp, c in zip(down, gps, coefs)]
-            _check_expansion(ctx, f"alpha={alpha}, a={a}", var.act_all(g_a, a),
+            _check_expansion(ctx, f"alpha={alpha}, a={a}", cfg.act_all(g_a, a),
                              down.index(alpha), terms, dens)
 
 
@@ -460,7 +453,7 @@ def _check_cor(ctx: CheckContext, where: str, point: tuple, den_family,
     [alpha,beta] B_beta(x)/D_beta(point), D the den family and B the basis
     family, once the D_beta(point) are seen to be nonzero."""
     cfg = ctx.cfg
-    inverted = variant(cfg).binom_inverted
+    inverted = cfg.binom_inverted
     for alpha in ctx.compositions():
         down = _down_set(alpha, ctx.n)
         dens = [den_family(b, cfg, ctx.cache).evaluate(point) for b in down]
@@ -541,7 +534,7 @@ def check_dom(ctx: CheckContext):
         _, w_b = dominant_sort(beta)
         ctx.eq(f"w-conjugation beta={beta}", w_neg.word,
                (wo * w_b * wo).word)
-        tl = tilde(beta, cfg)
+        tl = cfg.tilde(beta)
         lhs = tuple(-tl[ctx.n - 1 - i] for i in range(ctx.n))
         bar = spectral_r(beta, cfg)
         rhs = tuple(bar[i] + r * (ctx.n - 1) for i in range(ctx.n))

@@ -34,17 +34,16 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .errors import DivisionByZero, SpecializationCollision, UsageError
-# The recursion's operators run through `variant`; `hecke` stays a name of
-# this module because perfbench/test_perfbench.py checks that the tracer
-# patches it here as well.
+# The recursion's operators run through the field config; `hecke` stays a
+# name of this module because perfbench/test_perfbench.py checks that the
+# tracer patches it here as well.
 from .operators import hecke  # noqa: F401
 from .polyring import LaurentPoly, negate_shift_all
-from .scalars import (FieldConfig, Scalar, _common_gens, dumps_canonical,
-                      linear_combination)
+from .scalars import Scalar, _common_gens, dumps_canonical, linear_combination
 from .shapes import (SpectralPoint, diagram_stats, enumerate_compositions,
                      is_composition, is_partition, partitions_upto,
                      rearrangements, sharp, weight)
-from .variant import variant
+from .variant import FieldConfig
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +269,10 @@ def disk_cache_files(disk_dir: Path) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _point(kind: str, v: tuple, cfg: FieldConfig, cache: FamilyCache) -> SpectralPoint:
-    """The point of index v; kind names a Variant point method (bar,
-    tilde, bar_inv)."""
+    """The point of index v; kind names a point method of the field
+    config (bar, tilde, bar_inv)."""
     return cache.memo(("pt", kind, cfg.cache_token(), v),
-                      lambda: getattr(variant(cfg), kind)(v))
+                      lambda: getattr(cfg, kind)(v))
 
 
 def _basis(n: int, deg: int, symmetric: bool) -> tuple:
@@ -377,20 +376,19 @@ def g_recursive(alpha: Sequence[int], cfg: FieldConfig,
     fk = FamilyKey("G", cfg.variant, alpha, cfg.cache_token())
 
     def build():
-        var = variant(cfg)
         if not any(alpha):
             return LaurentPoly.constant(n, cfg.one())
         if alpha[-1] > 0:
-            return var.raise_step(g_recursive(sharp(alpha), cfg, cache), alpha)
+            return cfg.raise_step(g_recursive(sharp(alpha), cfg, cache), alpha)
         i = max(j for j in range(1, n) if alpha[j - 1] > alpha[j])
         swapped = list(alpha)
         swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
         sub = g_recursive(tuple(swapped), cfg, cache)
-        d = var.exchange_den(var.bar(alpha), i)
+        d = cfg.exchange_den(cfg.bar(alpha), i)
         if d.is_zero():
             raise SpecializationCollision(
                 f"exchange denominator vanished at index {alpha}, i={i}")
-        return var.exchange_op(i, sub) + sub.scale(var.exchange_num / d)
+        return cfg.exchange_op(i, sub) + sub.scale(cfg.exchange_num() / d)
 
     return cache.poly(fk, build)
 
@@ -498,13 +496,12 @@ def okounkov(alpha: Sequence[int], cfg: FieldConfig, a: Scalar,
     cfg is the base polynomial field; a is the evaluation parameter as a
     field element (symbolic generator or exact rational).
 
-    Built by the dense solve on the `variant(cfg).o_kind` points, with
+    Built by the dense solve on the `cfg.o_kind` points, with
     `okounkov_value` as the right-hand side.  The factorization raises
     SpecializationCollision unless the system is nonsingular, which
     makes O the unique interpolant."""
     alpha = _validate_index(alpha)
-    _, o = _solve(variant(cfg).o_kind, len(alpha), weight(alpha), cfg, cache,
-                  False,
+    _, o = _solve(cfg.o_kind, len(alpha), weight(alpha), cfg, cache, False,
                   lambda beta: okounkov_value(alpha, beta, cfg, a, cache))
     return o
 
@@ -516,14 +513,13 @@ def okounkov_ratio_parts(alpha: tuple, beta: tuple, cfg: FieldConfig,
     Quotient, and at the base point, as a Scalar.  Kept apart so that
     denominators stay free of a.  The base value does not depend on
     alpha and is memoized."""
-    var = variant(cfg)
     g = g_recursive(beta, cfg, cache)
     t_alpha = _point("tilde", alpha, cfg, cache)
     den = cache.memo(
         ("oko-den", cfg.cache_token(), a.gens, a, beta),
-        lambda: g.evaluate(var.act(_point("bar", (0,) * len(alpha), cfg,
+        lambda: g.evaluate(cfg.act(_point("bar", (0,) * len(alpha), cfg,
                                           cache), a)))
-    return g.evaluate_unreduced(var.act(t_alpha, a)), den
+    return g.evaluate_unreduced(cfg.act(t_alpha, a)), den
 
 
 def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
@@ -543,15 +539,13 @@ def okounkov_value(alpha: tuple, beta: tuple, cfg: FieldConfig, a: Scalar,
 def closed_d(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (arm, leg) hook factor."""
     alpha = _validate_index(alpha)
-    return prod(map(variant(cfg).d_cell, diagram_stats(alpha)),
-                start=cfg.one())
+    return prod(map(cfg.d_cell, diagram_stats(alpha)), start=cfg.one())
 
 
 def closed_e(alpha: Sequence[int], cfg: FieldConfig) -> Scalar:
     """Product over diagram cells of the (coarm, coleg) cofactor."""
     alpha = _validate_index(alpha)
-    var = variant(cfg)
-    return prod((var.e_cell(s, len(alpha)) for s in diagram_stats(alpha)),
+    return prod((cfg.e_cell(s, len(alpha)) for s in diagram_stats(alpha)),
                 start=cfg.one())
 
 
@@ -560,8 +554,7 @@ def closed_phi(alpha: Sequence[int], cfg: FieldConfig, a) -> Scalar:
     alpha = _validate_index(alpha)
     if not isinstance(a, Scalar):
         a = Scalar.from_fraction(Fraction(a))
-    var = variant(cfg)
-    return prod((var.phi_cell(s, a) for s in diagram_stats(alpha)),
+    return prod((cfg.phi_cell(s, a) for s in diagram_stats(alpha)),
                 start=cfg.one() * Scalar.one(a.gens))
 
 

@@ -9,10 +9,14 @@ checks pin both conventions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import UnsupportedSubstitution
 from .polyring import LaurentPoly
-from .scalars import FieldConfig
 from .shapes import Permutation, all_permutations
+
+if TYPE_CHECKING:
+    from .variant import FieldConfig
 
 
 def _check_index(i: int, n: int):

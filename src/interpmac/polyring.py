@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution)
 from .scalars import Quotient, Scalar, evaluate_laurent
-from .shapes import Permutation, SpectralPoint
+from .shapes import Permutation
 
 
 class LaurentPoly:
@@ -174,7 +174,7 @@ class LaurentPoly:
         the lcm pieces and each coefficient's cofactor, is planned on the
         first evaluation over a generator set and kept in _plans (terms
         never change after construction)."""
-        coords = tuple(point.coords if isinstance(point, SpectralPoint) else point)
+        coords = tuple(point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")
         if self._plans is None:

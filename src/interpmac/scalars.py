@@ -1,8 +1,9 @@
-"""Exact coefficient arithmetic.
+"""Exact coefficient arithmetic, the kernel every field computes in.
 
 Two kinds of scalars share one representation: plain rationals (empty
 generator set) and reduced fractions of integer-coefficient polynomials
-in an ordered subset of the generators q, t, r, a.  Every operation
+in an ordered subset of the generators q, t, r, a (a field config in
+variant.py says which subset its field uses).  Every operation
 returns a canonical form, so structural equality is mathematical
 equality.  A Quotient is a value left unreduced, a numerator over a
 list of denominator pieces: evaluation and linear combination produce
@@ -29,7 +30,6 @@ every exponent of ea is at least that of eb.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from operator import mul
@@ -1003,117 +1003,6 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
         # a new list: the plan keeps the coefficients' pieces
         pieces = pieces + [x.num] * -lo[i] + [x.den] * hi[i]
     return Quotient(gens, total, pieces)
-
-
-# ---------------------------------------------------------------------------
-# field configuration
-# ---------------------------------------------------------------------------
-
-VARIANT_GENS = {
-    "qt": ("q", "t"),
-    "r": ("r",),
-}
-
-
-@dataclass(frozen=True)
-class FieldConfig:
-    """Which coefficient field to compute in.
-
-    variant picks the generator set; assignments (a tuple of
-    (name, Fraction) pairs covering exactly that set) switch from the
-    symbolic fraction field to exact rational specialization.  The
-    inverted flag replaces every occurrence of q, t by its reciprocal
-    and is only meaningful for the qt variant.
-    """
-
-    variant: str
-    assignments: tuple = None
-    inverted: bool = False
-
-    def __post_init__(self):
-        if self.variant not in VARIANT_GENS:
-            raise UsageError(f"unknown field variant {self.variant!r}")
-        if self.inverted and self.variant != "qt":
-            raise UsageError("inverted parameters only apply to q,t fields")
-        if self.assignments is not None:
-            got = tuple(sorted(name for name, _ in self.assignments))
-            want = tuple(sorted(VARIANT_GENS[self.variant]))
-            if got != want:
-                raise UsageError(
-                    f"specialized {self.variant} config must assign exactly {want}")
-            for name, val in self.assignments:
-                val = Fraction(val)
-                if name in ("q", "t") and val in (0, 1, -1):
-                    raise SpecializationCollision(
-                        f"specialization {name}={val} rejected: spectral points "
-                        f"collide ({name} must not be 0, 1, or -1)")
-
-    # -- helpers -------------------------------------------------------------
-
-    @property
-    def symbolic(self) -> bool:
-        return self.assignments is None
-
-    def gens(self) -> tuple:
-        return VARIANT_GENS[self.variant] if self.symbolic else ()
-
-    def scalar(self, x) -> Scalar:
-        return Scalar.from_fraction(x, self.gens())
-
-    def zero(self) -> Scalar:
-        return Scalar.zero(self.gens())
-
-    def one(self) -> Scalar:
-        return Scalar.one(self.gens())
-
-    def gen(self, name: str) -> Scalar:
-        """The generator as a field element, honoring specialization and
-        the inverted-parameters flag."""
-        if name not in VARIANT_GENS[self.variant]:
-            raise UsageError(f"generator {name!r} not in variant {self.variant!r}")
-        if not self.symbolic:
-            v = Fraction(dict(self.assignments)[name])
-            return Scalar.from_fraction(1 / v if self.inverted else v)
-        g = Scalar.generator(name, self.gens())
-        return g.invert() if self.inverted else g
-
-    def gen_power(self, name: str, k: int) -> Scalar:
-        return self.gen(name) ** k
-
-    def with_inverted(self) -> "FieldConfig":
-        return FieldConfig(self.variant, self.assignments, not self.inverted)
-
-    def cache_token(self) -> str:
-        if self.symbolic:
-            body = "sym"
-        else:
-            body = ",".join(f"{n}={Fraction(v)}" for n, v in sorted(self.assignments))
-        inv = ",inv" if self.inverted else ""
-        return f"{self.variant}[{body}{inv}]"
-
-    def describe(self) -> dict:
-        out = {"variant": self.variant}
-        if self.symbolic:
-            out["mode"] = "symbolic"
-        else:
-            out["mode"] = "specialized"
-            out["assignments"] = {n: str(Fraction(v))
-                                  for n, v in sorted(self.assignments)}
-        if self.inverted:
-            out["inverted"] = True
-        return out
-
-
-def qt_config(q=None, t=None, inverted=False) -> FieldConfig:
-    if q is None and t is None:
-        return FieldConfig("qt", None, inverted)
-    return FieldConfig("qt", (("q", Fraction(q)), ("t", Fraction(t))), inverted)
-
-
-def r_config(r=None) -> FieldConfig:
-    if r is None:
-        return FieldConfig("r", None)
-    return FieldConfig("r", (("r", Fraction(r)),))
 
 
 # the values seeded_rationals draws from: p/q with 2 <= p <= 99, 1 <= q <= 9

@@ -1,13 +1,17 @@
 """Compositions, integer vectors, permutations, diagram statistics, the
-containment order, and spectral points in both coefficient fields."""
+containment order, and spectral points in both coefficient fields.  The
+point builders take a field config (variant.py), which calls them as its
+`bar` and `base_point` methods."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DimensionError, UsageError
-from .scalars import FieldConfig
+
+if TYPE_CHECKING:
+    from .variant import FieldConfig
 
 
 def weight(v: Sequence[int]) -> int:
@@ -154,10 +158,7 @@ def diagram_stats(alpha: Sequence[int]) -> list:
         raise UsageError(f"not a composition: {alpha}")
     n = len(alpha)
     out = []
-    for i in range(1, n + 1):
-        ai = alpha[i - 1]
-        coleg = (sum(1 for k in range(i + 1, n + 1) if alpha[k - 1] > ai)
-                 + sum(1 for k in range(1, i) if alpha[k - 1] >= ai))
+    for i, (ai, coleg) in enumerate(zip(alpha, coleg_vector(alpha)), start=1):
         for j in range(1, ai + 1):
             arm = ai - j
             leg = (sum(1 for k in range(i + 1, n + 1) if j <= alpha[k - 1] <= ai)

@@ -17,8 +17,9 @@ from interpmac.identities import run_check
 from interpmac.interpolation import (FamilyCache, binom, g_recursive,
                                      okounkov)
 from interpmac.polyring import LaurentPoly
-from interpmac.scalars import Scalar, qt_config, r_config
+from interpmac.scalars import Scalar
 from interpmac.shapes import tau_point
+from interpmac.variant import qt_config, r_config
 
 DESK = [(1, 4), (2, 4), (3, 3)]
 SEED = "acceptance"

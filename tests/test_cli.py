@@ -247,6 +247,13 @@ def test_jobs_output_matches_serial():
     assert serial.stdout == parallel.stdout
 
 
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool is imported by `check --jobs N` only, off every start-up path
+    code = ("import sys, interpmac.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_check_negative_degree_is_usage_error(capsys):
     code, out, err = run_cli(["check", "all", "--n", "1", "--deg", "-1",
                               "--json"], capsys)
@@ -346,6 +353,14 @@ def test_field_options_the_field_ignores_are_usage_errors(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == "", args
         assert err == f"error: {option} does not apply {reason}\n", args
+
+
+def test_compute_inverted_r_binomial_is_usage_error(capsys):
+    code, out, err = run_cli(["compute", "binom", "--alpha", "1,0",
+                              "--beta", "1,0", "--variant", "r",
+                              "--inverted"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: inverted parameters only apply to q,t fields\n"
 
 
 def test_check_symbolic_qt_keeps_a_specialized_r(capsys):

@@ -6,7 +6,8 @@ from interpmac import identities
 from interpmac.errors import SpecializationCollision, UsageError
 from interpmac.identities import CATALOG, CheckContext, CheckReport, run_check
 from interpmac.interpolation import FamilyCache
-from interpmac.scalars import dumps_canonical, qt_config, r_config
+from interpmac.scalars import dumps_canonical
+from interpmac.variant import qt_config, r_config
 
 
 @pytest.fixture(scope="module")

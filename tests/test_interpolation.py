@@ -17,11 +17,10 @@ from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                                      r_sym, rprime, solve_square, _point)
 from interpmac.operators import hecke, sigma_op
 from interpmac.polyring import LaurentPoly
-from interpmac.scalars import (Scalar, dumps_canonical, linear_combination,
-                               qt_config, r_config)
+from interpmac.scalars import Scalar, dumps_canonical, linear_combination
 from interpmac.shapes import (enumerate_compositions, spectral_qt,
                               spectral_r, tau_point, weight)
-from interpmac.variant import variant
+from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
 R = r_config()
@@ -322,7 +321,7 @@ def test_okounkov_newton_matches_dense_solve(n, field, symbolic_a):
     cache = FamilyCache()
     a = (Scalar.generator("a", cfg.gens() + ("a",)) if symbolic_a
          else Scalar.from_fraction(Fraction(7, 2)))
-    kind = variant(cfg).o_kind
+    kind = cfg.o_kind
     digest = hashlib.sha256()
     for alpha in enumerate_compositions(n, 2):
         o = okounkov(alpha, cfg, a, cache)

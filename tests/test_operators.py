@@ -6,8 +6,8 @@ from interpmac.errors import UnsupportedSubstitution
 from interpmac.operators import (hecke, phi_qt, phi_r, sigma_op, sigma_word,
                                  symmetrize, xi_qt, xi_r)
 from interpmac.polyring import LaurentPoly
-from interpmac.scalars import qt_config, r_config
 from interpmac.shapes import Permutation
+from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
 R = r_config()

@@ -10,12 +10,11 @@ from interpmac import scalars
 from interpmac.interpolation import FamilyCache, FamilyKey, g_recursive
 from interpmac.polyring import (LaurentPoly, exact_div_check,
                                 negate_shift_all, scale_all, shift_all)
-from interpmac.scalars import (Scalar, clear_denominators, dumps_canonical,
-                               qt_config, r_config)
+from interpmac.scalars import Scalar, clear_denominators, dumps_canonical
 from interpmac.shapes import (Permutation, enumerate_compositions,
                               reciprocal_point, spectral_qt, spectral_r,
                               tau_point)
-from interpmac.variant import variant
+from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
 R = r_config()
@@ -332,7 +331,6 @@ def test_small_g_evaluations_match_sympy():
 
     cache = FamilyCache()
     for cfg in (QT, R):
-        var = variant(cfg)
         a = Scalar.generator("a", cfg.gens() + ("a",))
         for n in (1, 2):
             xs = sympy.symbols(f"x1:{n + 1}")
@@ -341,8 +339,8 @@ def test_small_g_evaluations_match_sympy():
                 g_expr = sum(expr(c) * sympy.Mul(*[x ** k for x, k in zip(xs, e)])
                              for e, c in g.terms.items())
                 for v in enumerate_compositions(n, 2):
-                    bar = var.bar(v)
-                    for pt in (bar, var.act(bar, a)):
+                    bar = cfg.bar(v)
+                    for pt in (bar, cfg.act(bar, a)):
                         got = g.evaluate(pt)
                         want = sympy.cancel(g_expr.subs(
                             dict(zip(xs, map(expr, pt.coords))),

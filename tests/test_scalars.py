@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from interpmac import scalars
 from interpmac.errors import (DegreeError, DivisionByZero,
                               SpecializationCollision, UsageError)
-from interpmac.scalars import (GEN_ORDER, FieldConfig, Scalar,
-                               dumps_canonical, qt_config, seeded_rationals)
+from interpmac.scalars import (GEN_ORDER, Scalar, dumps_canonical,
+                               seeded_rationals)
+from interpmac.variant import QtConfig, RConfig, qt_config
 
 GENS = ("q", "t")
 Q = Scalar.generator("q", GENS)
@@ -194,13 +195,9 @@ def test_field_config_validation():
     with pytest.raises(SpecializationCollision):
         qt_config(2, -1)
     with pytest.raises(UsageError):
-        FieldConfig("nope")
+        RConfig(inverted=True)
     with pytest.raises(UsageError):
-        FieldConfig("r", inverted=True)
-    with pytest.raises(UsageError):
-        FieldConfig("qt", (("q", Fraction(2)),))
-    with pytest.raises(UsageError):
-        FieldConfig("qta")
+        QtConfig((("q", Fraction(2)),))
 
 
 def test_seeded_rationals_drains_without_repeats():

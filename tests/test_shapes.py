@@ -4,13 +4,12 @@ from math import comb
 import pytest
 
 from interpmac.errors import DimensionError
-from interpmac.scalars import qt_config, r_config
 from interpmac.shapes import (CellStats, Permutation, coleg_vector, contains,
                               diagram_stats, dominant_sort,
                               enumerate_compositions, partitions_upto,
                               rearrangements, sharp, spectral_qt, spectral_r,
                               tau_point)
-from interpmac.variant import tilde
+from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
 R = r_config()
@@ -141,9 +140,9 @@ def test_spectral_r_examples():
 
 
 def test_tilde_examples():
-    assert tilde((0, 0), QT).coords == tau_point(2, QT).coords
-    assert tilde((1, 0), R).coords == (R.zero(), -R.one() - R.gen("r"))
-    assert tilde((3,), QT).coords == (QT.gen_power("q", -3),)
+    assert QT.tilde((0, 0)).coords == tau_point(2, QT).coords
+    assert R.tilde((1, 0)).coords == (R.zero(), -R.one() - R.gen("r"))
+    assert QT.tilde((3,)).coords == (QT.gen_power("q", -3),)
 
 
 def test_spectral_injectivity_at_default_specialization():
