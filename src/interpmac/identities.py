@@ -128,9 +128,8 @@ class CheckContext:
     # -- evaluation parameter handling ---------------------------------------------
 
     def symbolic_a(self, base: FieldConfig) -> Scalar:
-        gens = tuple(g for g in ("q", "t", "r") if g in base.gens()) + ("a",)
         self.a_certification = "symbolic"
-        return Scalar.generator("a", gens)
+        return Scalar.generator("a", base.gens() + ("a",))
 
     def a_values(self, base: FieldConfig, k: int,
                  nonzero: Sequence[LaurentPoly] = ()) -> list:

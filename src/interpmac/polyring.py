@@ -1,14 +1,44 @@
-"""Sparse Laurent polynomials in x_1..x_n with Scalar coefficients."""
+"""Sparse Laurent polynomials in x_1..x_n with Scalar coefficients.
+
+One accumulator, _collect, sums every coefficient: (exponent, Scalar) pairs
+in order, pairwise with Scalar +, a sum that reaches zero dropped, so a
+coefficient's generator set depends on that order.  Summing each monomial
+once (scalars.linear_combination) was measured slower: +20% wall on check
+all --n 3 --deg 3 through + and *, +30% CPU on symbolic q,t substitution,
+whose coefficients like 1/q put denominators into the one sum."""
 
 from __future__ import annotations
 
+from math import comb
 from operator import add
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution)
 from .scalars import Quotient, Scalar, evaluate_laurent
 from .shapes import Permutation
+
+
+def _collect(pairs: Iterable[tuple], terms: Optional[Mapping] = None) -> dict:
+    """A copy of terms with the (exponent, Scalar) pairs summed in."""
+    out = {} if terms is None else dict(terms)
+    for e, c in pairs:
+        s = out.get(e)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _products(a: Mapping, b: Mapping) -> Iterator[tuple]:
+    """The pairs of a product of two term dicts, the smaller one outer."""
+    if len(b) < len(a):
+        a, b = b, a
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            yield tuple(map(add, ea, eb)), ca * cb
 
 
 class LaurentPoly:
@@ -64,15 +94,8 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return LaurentPoly(self.n, out, _clean=True)
+        return LaurentPoly(self.n, _collect(other.terms.items(), self.terms),
+                           _clean=True)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.n, {e: -c for e, c in self.terms.items()}, _clean=True)
@@ -84,21 +107,8 @@ class LaurentPoly:
         if isinstance(other, Scalar):
             return self.scale(other)
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            a, b = b, a
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
-                p = ca * cb
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(self.n, out, _clean=True)
+        return LaurentPoly(self.n, _collect(_products(self.terms, other.terms)),
+                           _clean=True)
 
     def __rmul__(self, other):
         if isinstance(other, Scalar):
@@ -192,88 +202,63 @@ class LaurentPoly:
     def affine_substitute(self, maps: Mapping[int, tuple]) -> "LaurentPoly":
         """Substitute x_i -> c*x_j + d per the map {i: (c, j, d)}; variables
         absent from the map are untouched.  Negative powers of x_i require
-        d = 0."""
-        factor_cache: dict = {}
+        d = 0.  Each term is summed before it is added to the result."""
+        n = self.n
+        powers: dict = {}
 
-        def factor_power(i: int, k: int) -> "LaurentPoly":
-            got = factor_cache.get((i, k))
-            if got is not None:
-                return got
-            c, j, d = maps[i]
-            if k >= 0:
-                base = LaurentPoly(self.n, {
-                    tuple(1 if m == j else 0 for m in range(1, self.n + 1)): c})
-                if not d.is_zero():
-                    base = base + LaurentPoly.constant(self.n, d)
-                out = base ** k
-            else:
-                if not d.is_zero():
+        def power(i: int, k: int) -> dict:
+            """(c*x_j + d)^k by the binomial theorem, highest power first;
+            the coefficient of x_j^k has the generators of c, the others
+            those of c and d (of d alone when c = 0)."""
+            if (i, k) not in powers:
+                c, j, d = maps[i]
+                if k < 0 and not d.is_zero():
                     raise UnsupportedSubstitution(
                         f"negative power of x_{i} under a non-monomial map")
-                if c.is_zero():
+                if k < 0 and c.is_zero():
                     raise DivisionByZero(f"x_{i} mapped to zero at negative power")
-                e = tuple(k if m == j else 0 for m in range(1, self.n + 1))
-                out = LaurentPoly(self.n, {e: c ** k})
-            factor_cache[(i, k)] = out
-            return out
-
-        result = LaurentPoly.zero(self.n)
-        for e, coeff in self.terms.items():
-            term = None
-            passive = [0] * self.n
-            for i1 in range(1, self.n + 1):
-                k = e[i1 - 1]
-                if k == 0:
-                    continue
-                if i1 in maps:
-                    f = factor_power(i1, k)
-                    term = f if term is None else term * f
+                if d.is_zero():
+                    coeffs = [(k, c ** k)]
+                elif c.is_zero():
+                    coeffs = [(0, d ** k)]
                 else:
-                    passive[i1 - 1] = k
-            if term is None:
-                term = LaurentPoly(self.n, {(0,) * self.n: coeff}, _clean=True)
-            else:
-                term = term.scale(coeff)
-            if any(passive):
-                term = LaurentPoly(self.n, {
-                    tuple(x + y for x, y in zip(ex, passive)): c
-                    for ex, c in term.terms.items()}, _clean=True)
-            result = result + term
-        return result
+                    coeffs = [(k, c ** k)] + [(m, comb(k, m) * c ** m * d ** (k - m))
+                                              for m in range(k - 1, -1, -1)]
+                powers[i, k] = {tuple(m if v == j else 0 for v in range(1, n + 1)): x
+                                for m, x in coeffs if not x.is_zero()}
+            return powers[i, k]
+
+        def pairs():
+            for e, c in self.terms.items():
+                term = {tuple(0 if i in maps else k for i, k in enumerate(e, 1)): c}
+                for i, k in enumerate(e, 1):
+                    if k and i in maps:
+                        term = _collect(_products(term, power(i, k)))
+                yield from term.items()
+
+        return LaurentPoly(n, _collect(pairs()), _clean=True)
 
     # -- divided differences ---------------------------------------------------------
 
     def swap_adjacent(self, i: int) -> "LaurentPoly":
         """s_i f: exchange x_i and x_{i+1}."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            ne[i - 1], ne[i] = ne[i], ne[i - 1]
-            out[tuple(ne)] = c
-        return LaurentPoly(self.n, out, _clean=True)
+        return LaurentPoly(self.n, {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c
+                                    for e, c in self.terms.items()}, _clean=True)
 
     def divided_difference(self, i: int) -> "LaurentPoly":
-        """(f - s_i f) / (x_i - x_{i+1}), exact by telescoping.
-        exact_div_check reverifies the division by multiplying back."""
-        out = LaurentPoly.zero(self.n)
-        a, b = i - 1, i
-        for e, c in self.terms.items():
-            p, s = e[a], e[b]
-            if p == s:
-                continue
-            neg = p < s
-            if neg:
-                p, s = s, p
-            terms = {}
-            for k in range(p - s):
-                ne = list(e)
-                ne[a] = s + (p - s - 1) - k
-                ne[b] = s + k
-                ne = tuple(ne)
-                terms[ne] = (terms[ne] - c if neg else terms[ne] + c) \
-                    if ne in terms else (-c if neg else c)
-            out = out + LaurentPoly(self.n, terms)
-        return out
+        """(f - s_i f) / (x_i - x_{i+1}), exact by telescoping: for p > s,
+        c x_i^p x_{i+1}^s gives c x_i^(p-1-k) x_{i+1}^(s+k) for k < p - s,
+        and c x_i^s x_{i+1}^p gives their negatives.  exact_div_check
+        reverifies the division by multiplying back."""
+        def pairs():
+            for e, c in self.terms.items():
+                p, s = e[i - 1], e[i]
+                if p < s:
+                    p, s, c = s, p, -c
+                for k in range(p - s):
+                    yield e[:i - 1] + (p - 1 - k, s + k) + e[i + 1:], c
+
+        return LaurentPoly(self.n, _collect(pairs()), _clean=True)
 
     # -- presentation ------------------------------------------------------------------
 
@@ -326,8 +311,7 @@ def exact_div_check(f: LaurentPoly, quotient: LaurentPoly, i: int) -> bool:
     n = f.n
     if quotient.is_zero():
         return f == f.swap_adjacent(i)
-    one = next(iter(quotient.terms.values()))
-    one = one.__class__.one(one.gens)
+    one = Scalar.one(next(iter(quotient.terms.values())).gens)
     diff = LaurentPoly.variable(n, i, one) - LaurentPoly.variable(n, i + 1, one)
     return quotient * diff == f - f.swap_adjacent(i)
 

@@ -497,9 +497,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_polynomial(self) -> bool:
         return self.den == _UNIT
 
