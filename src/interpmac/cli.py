@@ -174,10 +174,12 @@ def cmd_compute(args) -> int:
                     f"to family {family}")
     cfg = _compute_configs(args)
     cache = FamilyCache(_cache_dir(args))
-    partitions = family in ("R", "Rprime", "binom-sym")
-    raw_option = "--lambda" if partitions or (args.lam and not args.alpha) \
-        else "--alpha"
-    raw = args.lam if raw_option == "--lambda" else args.alpha
+    if args.alpha is not None and args.lam is not None:
+        raise UsageError("--alpha and --lambda are mutually exclusive")
+    if family in ("R", "Rprime", "binom-sym") and args.lam is None:
+        raise UsageError(f"family {family} takes its partition as --lambda")
+    raw_option = "--lambda" if args.lam is not None else "--alpha"
+    raw = args.lam if args.lam is not None else args.alpha
     if raw is None:
         raise UsageError(f"family {family} needs --alpha or --lambda")
     index = _index(raw)

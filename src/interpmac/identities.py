@@ -12,6 +12,10 @@ same either way.  Identities in the evaluation parameter
 a run either with symbolic a (when the base field is symbolic) or at
 max-a-degree + 2 seeded, pre-flighted rational values of a; the report
 records which mode certified the result.
+
+The eight binomial-formula entries are data rows of one routine,
+_binomial_formula: the families D and B, the transform taking D_index
+to f_index, a fixed point or sampled a, and the symmetric flag.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .errors import UsageError
@@ -163,50 +170,12 @@ class CheckContext:
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _cofactor_products(vals: list) -> list:
-    """W_i = product of vals[j] for j != i, without divisions."""
-    m = len(vals)
-    one = vals[0].__class__.one(vals[0].gens)
-    pre = [one] * (m + 1)
-    for i in range(m):
-        pre[i + 1] = pre[i] * vals[i]
-    suf = [one] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suf[i] = vals[i] * suf[i + 1]
-    return [pre[i] * suf[i + 1] for i in range(m)]
-
-
 def _scaled_unreduced(f: LaurentPoly, c: Scalar) -> LaurentPoly:
     """f.scale(c) with every coefficient left an unreduced Quotient."""
     if c.is_zero():
         return LaurentPoly.zero(f.n)
     return LaurentPoly(f.n, {e: Quotient.of(x) * c for e, x in f.terms.items()},
                        _clean=True)
-
-
-def _check_expansion(ctx: CheckContext, instance: str, lhs: LaurentPoly,
-                     pos: int, terms: list, dens: list):
-    """lhs / dens[pos] == sum_j c_j P_j / dens[j] over terms = [(P_j, c_j)],
-    checked with the denominators cleared: lhs W_pos == sum_j c_j W_j P_j,
-    W_j the product of the dens other than dens[j], monomial by monomial
-    on unreduced coefficients."""
-    cof = _cofactor_products(dens)
-    rhs = LaurentPoly(ctx.n, linear_combination_unreduced(
-        [c * w for (_, c), w in zip(terms, cof)], [p.terms for p, _ in terms]),
-        _clean=True)
-    ctx.eq(instance, _scaled_unreduced(lhs, cof[pos]), rhs)
-
-
-def _check_nonvanishing(ctx: CheckContext, label: str, down: list,
-                        dens: list):
-    for b, v in zip(down, dens):
-        ctx.true(f"{label}={b}", not v.is_zero())
-
-
-def _down_set(alpha: tuple, n: int) -> list:
-    """All beta contained in alpha (beta <= |alpha|), graded-lex order."""
-    return [b for b in enumerate_compositions(n, weight(alpha))
-            if contains(alpha, b)]
 
 
 def _swap(v: tuple, i: int) -> tuple:
@@ -416,82 +385,93 @@ def check_oko(ctx: CheckContext):
             ctx.eq(f"alpha={alpha}, gamma={gamma}", lhs * den_g, num_g)
 
 
-def check_binom(ctx: CheckContext):
-    cfg = ctx.cfg
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        g_a = g_recursive(alpha, cfg, ctx.cache)
-        gs = [g_recursive(b, cfg, ctx.cache) for b in down]
-        gps = [gprime(b, cfg, ctx.cache) for b in down]
-        coefs = [binom(alpha, b, cfg, ctx.cache, inverted=cfg.binom_inverted)
-                 for b in down]
-        for a, dens in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
-            terms = [(gp, cfg.binom_weight(a, weight(b)) * c)
-                     for b, gp, c in zip(down, gps, coefs)]
-            _check_expansion(ctx, f"alpha={alpha}, a={a}", cfg.act_all(g_a, a),
-                             down.index(alpha), terms, dens)
+# The families of the binomial formulas, (index, cfg, cache) -> LaurentPoly,
+# named as in the catalog formulas.  Each looks its constructor up when
+# called, so a patched or traced constructor is the one that runs.
+_FAMILIES = {
+    "G": lambda i, cfg, cache: g_recursive(i, cfg, cache),
+    "E": lambda i, cfg, cache: e_top(i, cfg, cache),
+    "G'": lambda i, cfg, cache: gprime(i, cfg, cache),
+    "w_o G+": lambda i, cfg, cache: gplus(i, cfg, cache).permute_vars(
+        Permutation.longest(len(i))),
+    "R": lambda i, cfg, cache: r_sym(i, cfg, cache),
+    "R'": lambda i, cfg, cache: rprime(i, cfg, cache),
+    "P": lambda i, cfg, cache: r_sym(i, cfg, cache).top_part(weight(i)),
+}
+_FIXED_POINTS = {"0": lambda n, cfg: (cfg.zero(),) * n, "tau": tau_point,
+                 "ones": lambda n, cfg: (cfg.one(),) * n}
 
 
-def check_binom_sym_r(ctx: CheckContext):
-    cfg = ctx.r
-    for lam in partitions_upto(ctx.n, ctx.d):
-        down = [m for m in partitions_upto(ctx.n, weight(lam))
-                if contains(lam, m)]
-        r_l = r_sym(lam, cfg, ctx.cache)
-        rs = [r_sym(m, cfg, ctx.cache) for m in down]
-        rps = [rprime(m, cfg, ctx.cache) for m in down]
-        coefs = [binom_sym(lam, m, cfg, ctx.cache) for m in down]
-        for a, dens in ctx.a_values(cfg, k=weight(lam) + 2, nonzero=rs):
-            _check_expansion(ctx, f"lambda={lam}, a={a}", shift_all(r_l, a),
-                             down.index(lam), list(zip(rps, coefs)), dens)
+def _binomial_formula(ctx: CheckContext, den: str, basis: str,
+                      lhs: Callable, at: Optional[str] = None,
+                      symmetric: bool = False):
+    """f_index(x)/D_index(p) == sum over lower inside index of
+    c(index, lower) B_lower(x)/D_lower(p) for every index in range.
+
+    D (den) and B (basis) name families of _FAMILIES, and
+    f_index = lhs(D_index, a, cfg).  symmetric runs over partitions with
+    c = binom_sym, otherwise over compositions with c = binom (at 1/q,
+    1/t where cfg.binom_inverted).  p is the fixed point named by at,
+    where the D_lower(p) are first seen to be nonzero, or else a acting
+    on the base point for each a of ctx.a_values, every term weighted by
+    cfg.binom_weight(a, |lower|).  Denominators are cleared: f W_index ==
+    sum c W_lower B_lower, W_j the product of the D_lower(p) other than
+    D_j(p), monomial by monomial on unreduced coefficients."""
+    cfg, cache, n = ctx.cfg, ctx.cache, ctx.n
+    upper, lower = ("lambda", "mu") if symmetric else ("alpha", "beta")
+    indices = partitions_upto if symmetric else enumerate_compositions
+    for index in indices(n, ctx.d):
+        down = [m for m in indices(n, weight(index)) if contains(index, m)]
+        pos = down.index(index)
+        dens = [_FAMILIES[den](m, cfg, cache) for m in down]
+        if at is not None:
+            point = _FIXED_POINTS[at](n, cfg)
+            vals = [p.evaluate(point) for p in dens]
+            for m, v in zip(down, vals):
+                ctx.true(f"nonvanishing at {at}: {lower}={m}", not v.is_zero())
+        rows = [_FAMILIES[basis](m, cfg, cache).terms for m in down]
+        coefs = [binom_sym(index, m, cfg, cache) if symmetric else
+                 binom(index, m, cfg, cache, inverted=cfg.binom_inverted)
+                 for m in down]
+        samples = [(None, vals)] if at is not None else \
+            ctx.a_values(cfg, k=weight(index) + 2, nonzero=dens)
+        for a, vals in samples:
+            label = f"{upper}={index}" + ("" if a is None else f", a={a}")
+            weights = coefs if a is None else [
+                cfg.binom_weight(a, weight(m)) * c
+                for m, c in zip(down, coefs)]
+            # W_j = prod(vals[:j]) * prod(vals[j + 1:]), without divisions
+            one = Scalar.one(vals[0].gens)
+            suf = list(accumulate(reversed(vals), lambda s, v: v * s,
+                                  initial=one))
+            cof = [p * s for p, s in zip(accumulate(vals, mul, initial=one),
+                                         reversed(suf[:-1]))]
+            ctx.eq(label, _scaled_unreduced(lhs(dens[pos], a, cfg), cof[pos]),
+                   LaurentPoly(n, linear_combination_unreduced(
+                       [c * w for c, w in zip(weights, cof)], rows),
+                       _clean=True))
 
 
-def _check_cor(ctx: CheckContext, where: str, point: tuple, den_family,
-               basis_family, lhs: Callable):
-    """lhs(alpha)/D_alpha(point) == sum over beta inside alpha of
-    [alpha,beta] B_beta(x)/D_beta(point), D the den family and B the basis
-    family, once the D_beta(point) are seen to be nonzero."""
-    cfg = ctx.cfg
-    inverted = cfg.binom_inverted
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        dens = [den_family(b, cfg, ctx.cache).evaluate(point) for b in down]
-        _check_nonvanishing(ctx, f"nonvanishing at {where}: beta", down, dens)
-        terms = [(basis_family(b, cfg, ctx.cache),
-                  binom(alpha, b, cfg, ctx.cache, inverted=inverted))
-                 for b in down]
-        _check_expansion(ctx, f"alpha={alpha}", lhs(alpha, cfg, ctx.cache),
-                         down.index(alpha), terms, dens)
+# what turns D_index into f_index: lhs(f, a, cfg) of _binomial_formula
+def _act(f, a, cfg):
+    return cfg.act_all(f, a)
 
 
-def check_cor_first(ctx: CheckContext):
-    _check_cor(ctx, "0", (ctx.cfg.zero(),) * ctx.n, g_recursive, e_top,
-               g_recursive)
+def _shift(f, a, cfg):
+    return shift_all(f, a)
 
 
-def check_cor_gprime(ctx: CheckContext):
-    _check_cor(ctx, "tau", tau_point(ctx.n, ctx.cfg), e_top, gprime, e_top)
+def _reflected_shift(f, a, cfg):
+    return sigma_word(Permutation.longest(f.n), shift_all(f, a), cfg)
 
 
-def check_cor_las(ctx: CheckContext):
-    _check_cor(ctx, "ones", (ctx.cfg.one(),) * ctx.n, e_top, e_top,
-               lambda alpha, cfg, cache: shift_all(e_top(alpha, cfg, cache),
-                                                   cfg.one()))
+def _same(f, a, cfg):
+    return f
 
 
-def check_cor_plus(ctx: CheckContext):
-    cfg = ctx.r
-    wo = Permutation.longest(ctx.n)
-    for alpha in ctx.compositions():
-        down = _down_set(alpha, ctx.n)
-        gs = [g_recursive(b, cfg, ctx.cache) for b in down]
-        terms = [(gplus(b, cfg, ctx.cache).permute_vars(wo),
-                  binom(alpha, b, cfg, ctx.cache)) for b in down]
-        for a, dens in ctx.a_values(cfg, k=weight(alpha) + 2, nonzero=gs):
-            shifted = shift_all(g_recursive(alpha, cfg, ctx.cache), a)
-            _check_expansion(ctx, f"alpha={alpha}, a={a}",
-                             sigma_word(wo, shifted, cfg), down.index(alpha),
-                             terms, dens)
+def _shift_one(f, a, cfg):
+    return shift_all(f, cfg.one())
+
 
 
 def check_cor_rel(ctx: CheckContext):
@@ -566,22 +546,6 @@ def check_symm_lemma(ctx: CheckContext):
             lhs = _scaled_unreduced(symmetrize(gp_a, cfg), val_r)
             rhs = _scaled_unreduced(rp_l, val_g)
             ctx.eq(f"primed: alpha={alpha}, a={a}", lhs, rhs)
-
-
-def check_sym_binomial(ctx: CheckContext):
-    cfg = ctx.r
-    ones = (cfg.one(),) * ctx.n
-    for lam in partitions_upto(ctx.n, ctx.d):
-        down = [m for m in partitions_upto(ctx.n, weight(lam))
-                if contains(lam, m)]
-        tops = [r_sym(m, cfg, ctx.cache).top_part(weight(m)) for m in down]
-        dens = [p.evaluate(ones) for p in tops]
-        _check_nonvanishing(ctx, "nonvanishing at ones: mu", down, dens)
-        pos = down.index(lam)
-        terms = [(p, binom_sym(lam, m, cfg, ctx.cache))
-                 for m, p in zip(down, tops)]
-        _check_expansion(ctx, f"lambda={lam}", shift_all(tops[pos], cfg.one()),
-                         pos, terms, dens)
 
 
 def check_jack_eval_one(ctx: CheckContext):
@@ -681,25 +645,33 @@ _CATALOG_ROWS = [
     ("binom-qt", "the binomial expansion of scaled polynomials",
      "G_alpha(ax)/G_alpha(a tau) = sum over beta inside alpha of a^{|beta|} "
      "[alpha,beta]_{1/q,1/t} G'_beta(x)/G_beta(a tau)", ("qt",),
-     check_binom),
+     partial(_binomial_formula, den="G", basis="G'", lhs=_act)),
     ("binom-r", "the r-variant binomial expansion",
      "G_alpha(a+x)/G_alpha(a+rho) = sum [alpha,beta]_r G'_beta(x)/"
-     "G_beta(a+rho)", ("r",), check_binom),
+     "G_beta(a+rho)", ("r",),
+     partial(_binomial_formula, den="G", basis="G'", lhs=_act)),
     ("binom-sym-r", "the symmetric r-variant binomial expansion",
      "R_lambda(a+x)/R_lambda(a+rho) = sum (lambda,mu)_r R'_mu(x)/"
-     "R_mu(a+rho)", ("r",), check_binom_sym_r),
+     "R_mu(a+rho)", ("r",),
+     partial(_binomial_formula, den="R", basis="R'", lhs=_shift,
+             symmetric=True)),
     ("cor-first", "binomial expansion at a = 0",
      "G_alpha(x)/G_alpha(0) = sum [alpha,beta]_{1/q,1/t} E_beta(x)/"
-     "G_beta(0)", ("qt",), check_cor_first),
+     "G_beta(0)", ("qt",),
+     partial(_binomial_formula, den="G", basis="E", lhs=_same, at="0")),
     ("cor-gprime", "binomial expansion of the top parts",
      "E_alpha(x)/E_alpha(tau) = sum [alpha,beta]_{1/q,1/t} G'_beta(x)/"
-     "E_beta(tau)", ("qt",), check_cor_gprime),
+     "E_beta(tau)", ("qt",),
+     partial(_binomial_formula, den="E", basis="G'", lhs=_same, at="tau")),
     ("cor-las", "the shifted expansion of Jack top parts",
      "E_alpha(1+x)/E_alpha(1) = sum [alpha,beta]_r E_beta(x)/E_beta(1)",
-     ("r",), check_cor_las),
+     ("r",), partial(_binomial_formula, den="E", basis="E",
+                     lhs=_shift_one, at="ones")),
     ("cor-plus", "the reflected r-variant expansion",
      "sigma(w_o) G_alpha(a+x)/G_alpha(a+rho) = sum [alpha,beta]_r "
-     "w_o G+_beta(x)/G_beta(a+rho)", ("r",), check_cor_plus),
+     "w_o G+_beta(x)/G_beta(a+rho)", ("r",),
+     partial(_binomial_formula, den="G", basis="w_o G+",
+             lhs=_reflected_shift)),
     ("cor-rel", "nonsymmetric binomials sum to symmetric ones",
      "sum over rearrangements beta of mu of [alpha,beta]_r = "
      "(lambda,mu)_r", ("r",), check_cor_rel),
@@ -719,7 +691,8 @@ _CATALOG_ROWS = [
      "primed analogue", ("r",), check_symm_lemma),
     ("sym-binomial-OO", "classical symmetric binomial formula for top parts",
      "P_lambda(1+x)/P_lambda(1) = sum (lambda,mu)_r P_mu(x)/P_mu(1)",
-     ("r",), check_sym_binomial),
+     ("r",), partial(_binomial_formula, den="P", basis="P",
+                     lhs=_shift_one, at="ones", symmetric=True)),
     ("jack-eval-one", "top parts evaluated at the all-ones point",
      "d_alpha(r) E_alpha(1) = e_alpha(r)", ("r",), check_jack_eval_one),
     ("binom-sum-support", "binomials vanish off the containment order",

@@ -435,6 +435,18 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     return g
 
 
+def _in_gen_order(used) -> tuple:
+    """The generators in used, in GEN_ORDER: where two values meet."""
+    return tuple(g for g in GEN_ORDER if g in used)
+
+
+def _lift_positions(gens: tuple, into: tuple) -> list:
+    """The position in into of each generator of gens."""
+    if any(g not in into for g in gens):
+        raise UsageError(f"cannot lift {gens} into {into}")
+    return [into.index(g) for g in gens]
+
+
 def _lift_terms(terms: Terms, pos: Sequence[int]) -> Terms:
     """Re-key a poly in len(pos) generators, old generator j going to
     position pos[j]."""
@@ -507,9 +519,7 @@ class Scalar:
         if gens[:len(self.gens)] == self.gens:
             # appended generators: every key stays, the dicts are shared
             return Scalar(gens, self.num, self.den, _canonical=True)
-        if any(g not in gens for g in self.gens):
-            raise UsageError(f"cannot lift {self.gens} into {gens}")
-        pos = [gens.index(g) for g in self.gens]
+        pos = _lift_positions(self.gens, gens)
         num, den = _lift_terms(self.num, pos), _lift_terms(self.den, pos)
         if pos != sorted(pos) and _leading_coeff(den) < 0:
             # reordering generators can move the graded-lex leading term
@@ -520,7 +530,7 @@ class Scalar:
         if isinstance(other, Scalar):
             if other.gens == self.gens:
                 return self, other
-            merged = tuple(g for g in GEN_ORDER if g in self.gens or g in other.gens)
+            merged = _in_gen_order(self.gens + other.gens)
             return self.lift(merged), other.lift(merged)
         return self, Scalar.from_fraction(other, self.gens)
 
@@ -722,8 +732,7 @@ def _common_gens(values: Sequence[Scalar]) -> tuple:
     combination of values: their shared tuple, or the union in GEN_ORDER."""
     gens = values[0].gens
     if any(v.gens != gens for v in values):
-        used = {g for v in values for g in v.gens}
-        gens = tuple(g for g in GEN_ORDER if g in used)
+        gens = _in_gen_order({g for v in values for g in v.gens})
     return gens
 
 
@@ -843,9 +852,7 @@ class Quotient:
             return self
         if gens[:len(self.gens)] == self.gens:
             return Quotient(gens, self.num, self.pieces)
-        if any(g not in gens for g in self.gens):
-            raise UsageError(f"cannot lift {self.gens} into {gens}")
-        pos = [gens.index(g) for g in self.gens]
+        pos = _lift_positions(self.gens, gens)
         return Quotient(gens, _lift_terms(self.num, pos),
                         [_lift_terms(p, pos) for p in self.pieces])
 
@@ -854,7 +861,7 @@ class Quotient:
             other = Quotient.of(other)
         if other.gens == self.gens:
             return self, other
-        merged = tuple(g for g in GEN_ORDER if g in self.gens or g in other.gens)
+        merged = _in_gen_order(self.gens + other.gens)
         return self.lift(merged), other.lift(merged)
 
     def __mul__(self, other) -> "Quotient":

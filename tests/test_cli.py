@@ -72,6 +72,25 @@ def test_compute_r_only_families_guarded(capsys):
     assert "r variant" in err
 
 
+def test_compute_alpha_and_lambda_together_is_usage_error(capsys):
+    for family in ("G", "R"):
+        code, out, err = run_cli(["compute", family, "--lambda", "2,1",
+                                  "--alpha", "1,0", "--variant", "r"], capsys)
+        assert code == 2 and out == ""
+        assert "--alpha and --lambda are mutually exclusive" in err
+
+
+def test_compute_partition_families_name_lambda(capsys):
+    for args in (["R", "--alpha", "2,1"], ["Rprime", "--alpha", "1"],
+                 ["binom-sym", "--alpha", "2", "--mu", "1"], ["R"]):
+        code, out, err = run_cli(["compute", *args, "--variant", "r"], capsys)
+        assert code == 2 and out == ""
+        assert f"family {args[0]} takes its partition as --lambda" in err
+    code, out, _ = run_cli(["compute", "E", "--lambda", "2,1", "--variant",
+                            "r"], capsys)
+    assert code == 0 and out.strip()
+
+
 def test_check_single_passes(capsys):
     code, out, _ = run_cli(["check", "eval-qt", "--n", "1", "--deg", "4"],
                            capsys)

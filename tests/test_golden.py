@@ -6,11 +6,13 @@ must the `compute --json` output of the five symbolic q,t constructions
 of the symbolic-qt benchmark workload: that polynomial JSON is what the
 disk cache stores.  Checks run with one coefficient or one expansion
 term perturbed must reproduce their recorded failing reports, labels
-and lhs/rhs text included."""
+and lhs/rhs text included: every binomial-formula entry on the default
+fields, and the sampled-a r path at r = 1/2."""
 
 import hashlib
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +21,7 @@ from interpmac.identities import run_check
 from interpmac.interpolation import FamilyCache
 from interpmac.polyring import LaurentPoly
 from interpmac.scalars import dumps_canonical
+from interpmac.variant import r_config
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEGREE = {1: 4, 2: 4, 3: 2}
@@ -97,6 +100,15 @@ def _plus_one_in_binom(real):
     return binom
 
 
+def _plus_one_in_binom_sym(real):
+    """binom_sym with ((1,1), (1,0)) off by one: one term of every
+    expansion of lambda = (1,1)."""
+    def binom_sym(lam, mu, cfg, cache):
+        v = real(lam, mu, cfg, cache)
+        return v + 1 if (tuple(lam), tuple(mu)) == ((1, 1), (1, 0)) else v
+    return binom_sym
+
+
 def _plus_one_in_symmetrize(real):
     """symmetrize with the constant coefficient off by one."""
     def symmetrize(f, cfg):
@@ -104,23 +116,41 @@ def _plus_one_in_symmetrize(real):
     return symmetrize
 
 
-PERTURBED = [("oko-r", "okounkov", _plus_one_in_o),
-             ("oko-qt", "okounkov", _plus_one_in_o),
-             ("binom-r", "binom", _plus_one_in_binom),
-             ("binom-qt", "binom", _plus_one_in_binom),
-             ("cor-plus", "binom", _plus_one_in_binom),
-             ("cor-first", "binom", _plus_one_in_binom),
-             ("symm-lemma", "symmetrize", _plus_one_in_symmetrize)]
-FAILING = {json.loads(line)["id"]: line for line in
-           (GOLDEN / "failing_reports_n2_deg2_seed0.jsonl").read_text()
-           .splitlines()}
+# (check id, perturbed name, perturbation, r of the r field or None for
+# the default symbolic r)
+PERTURBED = [("oko-r", "okounkov", _plus_one_in_o, None),
+             ("oko-qt", "okounkov", _plus_one_in_o, None),
+             ("binom-r", "binom", _plus_one_in_binom, None),
+             ("binom-qt", "binom", _plus_one_in_binom, None),
+             ("cor-plus", "binom", _plus_one_in_binom, None),
+             ("cor-first", "binom", _plus_one_in_binom, None),
+             ("cor-gprime", "binom", _plus_one_in_binom, None),
+             ("cor-las", "binom", _plus_one_in_binom, None),
+             ("binom-sym-r", "binom_sym", _plus_one_in_binom_sym, None),
+             ("sym-binomial-OO", "binom_sym", _plus_one_in_binom_sym, None),
+             ("symm-lemma", "symmetrize", _plus_one_in_symmetrize, None),
+             ("binom-r", "binom", _plus_one_in_binom, "1/2"),
+             ("binom-sym-r", "binom_sym", _plus_one_in_binom_sym, "1/2"),
+             ("cor-plus", "binom", _plus_one_in_binom, "1/2")]
 
 
-@pytest.mark.parametrize("check_id,name,perturb", PERTURBED,
-                         ids=[row[0] for row in PERTURBED])
-def test_failing_reports_match_golden(check_id, name, perturb, monkeypatch):
-    # n=2, deg 2, seed 0 on the default fields
+def _failing(name: str) -> dict:
+    return {json.loads(line)["id"]: line
+            for line in (GOLDEN / name).read_text().splitlines()}
+
+
+FAILING = {None: _failing("failing_reports_n2_deg2_seed0.jsonl"),
+           "1/2": _failing("failing_reports_n2_deg2_r1_2_seed0.jsonl")}
+
+
+@pytest.mark.parametrize(
+    "check_id,name,perturb,r", PERTURBED,
+    ids=[cid if r is None else f"{cid}@r={r}" for cid, _, _, r in PERTURBED])
+def test_failing_reports_match_golden(check_id, name, perturb, r,
+                                      monkeypatch):
+    # n=2, deg 2, seed 0 on the default fields or at the given r
     monkeypatch.setattr(identities, name, perturb(getattr(identities, name)))
-    rep = run_check(check_id, 2, 2, seed=0, cache=FamilyCache())
+    rep = run_check(check_id, 2, 2, seed=0, cache=FamilyCache(),
+                    r=None if r is None else r_config(Fraction(r)))
     assert rep.failures
-    assert dumps_canonical(rep.to_json()) == FAILING[check_id]
+    assert dumps_canonical(rep.to_json()) == FAILING[r][check_id]
