@@ -22,11 +22,29 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             closed_phi, disk_cache_files, e_top,
                             g_recursive, gplus, gprime, okounkov, r_sym,
                             rprime)
+from .polyring import LaurentPoly
 from .scalars import Scalar, dumps_canonical
 from .variant import FieldConfig, qt_config, r_config
 
-FAMILIES = ("G", "E", "Gprime", "Gplus", "R", "Rprime", "O",
-            "binom", "binom-sym", "d", "e", "phi")
+# The families of `compute`: the options each reads besides its index
+# ("lambda" when it is a partition) and its builder, which looks its
+# constructor up when called, so a patched or traced one is what runs.
+FAMILIES = {
+    "G": ((), lambda i, cfg, cache: g_recursive(i, cfg, cache)),
+    "E": ((), lambda i, cfg, cache: e_top(i, cfg, cache)),
+    "Gprime": ((), lambda i, cfg, cache: gprime(i, cfg, cache)),
+    "Gplus": ((), lambda i, cfg, cache: gplus(i, cfg, cache)),
+    "R": (("lambda",), lambda i, cfg, cache: r_sym(i, cfg, cache)),
+    "Rprime": (("lambda",), lambda i, cfg, cache: rprime(i, cfg, cache)),
+    "O": (("a",), lambda i, cfg, cache, a: okounkov(i, cfg, a, cache)),
+    "binom": (("beta", "inverted"),
+              lambda i, cfg, cache, beta: binom(i, beta, cfg, cache)),
+    "binom-sym": (("lambda", "mu"),
+                  lambda i, cfg, cache, mu: binom_sym(i, mu, cfg, cache)),
+    "d": ((), lambda i, cfg, cache: closed_d(i, cfg)),
+    "e": ((), lambda i, cfg, cache: closed_e(i, cfg)),
+    "phi": (("a",), lambda i, cfg, cache, a: closed_phi(i, cfg, a)),
+}
 
 
 def _fraction(text: str) -> Fraction:
@@ -131,11 +149,6 @@ def _reject_options(args, names, reason: str):
             raise UsageError(f"--{name} does not apply {reason}")
 
 
-# The options of `compute` that only some families read.
-_FAMILY_OPTIONS = {"a": ("O", "phi"), "inverted": ("binom",),
-                   "beta": ("binom",), "mu": ("binom-sym",)}
-
-
 def _compute_configs(args) -> FieldConfig:
     if args.symbolic:
         _reject_options(args, ("q", "t", "r"), "with --symbolic")
@@ -156,27 +169,31 @@ def _a_scalar(args, cfg: FieldConfig) -> Scalar:
     return Scalar.generator("a", cfg.gens() + ("a",))
 
 
-def _lower_index(text: str, option: str, upper: tuple, upper_option: str):
+def _lower_index(args, name: str, family: str, upper: tuple,
+                 upper_option: str) -> tuple:
     """The lower index of a binomial; it must be as long as the upper."""
+    text = getattr(args, name)
+    if text is None:
+        raise UsageError(f"{family} needs --{name}")
     lower = _index(text)
     if len(lower) != len(upper):
-        raise UsageError(f"{option} has length {len(lower)} but "
+        raise UsageError(f"--{name} has length {len(lower)} but "
                          f"{upper_option} has length {len(upper)}")
     return lower
 
 
 def cmd_compute(args) -> int:
     family = args.family
+    options, build = FAMILIES[family]
     if args.json and args.pretty:
         raise UsageError("--json and --pretty are mutually exclusive")
-    _reject_options(args, [name for name, families in _FAMILY_OPTIONS.items()
-                           if family not in families],
-                    f"to family {family}")
+    _reject_options(args, [name for name in ("a", "inverted", "beta", "mu")
+                           if name not in options], f"to family {family}")
     cfg = _compute_configs(args)
     cache = FamilyCache(_cache_dir(args))
     if args.alpha is not None and args.lam is not None:
         raise UsageError("--alpha and --lambda are mutually exclusive")
-    if family in ("R", "Rprime", "binom-sym") and args.lam is None:
+    if "lambda" in options and args.lam is None:
         raise UsageError(f"family {family} takes its partition as --lambda")
     raw_option = "--lambda" if args.lam is not None else "--alpha"
     raw = args.lam if args.lam is not None else args.alpha
@@ -189,54 +206,25 @@ def cmd_compute(args) -> int:
 
     result: dict = {"family": family, "variant": cfg.variant,
                     "index": list(index), "config": cfg.describe()}
-    poly = None
-    scalar = None
-    if family == "G":
-        poly = g_recursive(index, cfg, cache)
-    elif family == "E":
-        poly = e_top(index, cfg, cache)
-    elif family == "Gprime":
-        poly = gprime(index, cfg, cache)
-    elif family == "Gplus":
-        poly = gplus(index, cfg, cache)
-    elif family == "R":
-        poly = r_sym(index, cfg, cache)
-    elif family == "Rprime":
-        poly = rprime(index, cfg, cache)
-    elif family == "O":
-        a = _a_scalar(args, cfg)
-        result["a"] = str(a)
-        poly = okounkov(index, cfg, a, cache)
-    elif family == "binom":
-        if args.beta is None:
-            raise UsageError("binom needs --beta")
-        beta = _lower_index(args.beta, "--beta", index, raw_option)
-        result["beta"] = list(beta)
-        result["inverted"] = bool(args.inverted)
-        scalar = binom(index, beta, cfg, cache, inverted=args.inverted)
-    elif family == "binom-sym":
-        if args.mu is None:
-            raise UsageError("binom-sym needs --mu")
-        mu = _lower_index(args.mu, "--mu", index, raw_option)
-        result["mu"] = list(mu)
-        scalar = binom_sym(index, mu, cfg, cache)
-    elif family == "d":
-        scalar = closed_d(index, cfg)
-    elif family == "e":
-        scalar = closed_e(index, cfg)
-    elif family == "phi":
-        a = _a_scalar(args, cfg)
-        result["a"] = str(a)
-        scalar = closed_phi(index, cfg, a)
+    values: dict = {}
+    for name in options:
+        if name == "a":
+            values["a"] = _a_scalar(args, cfg)
+            result["a"] = str(values["a"])
+        elif name == "inverted":
+            result["inverted"] = bool(args.inverted)
+        elif name in ("beta", "mu"):
+            values[name] = _lower_index(args, name, family, index, raw_option)
+            result[name] = list(values[name])
+    value = build(index, cfg.with_inverted() if args.inverted else cfg,
+                  cache, **values)
 
+    is_poly = isinstance(value, LaurentPoly)
     if args.json:
-        if poly is not None:
-            result["poly"] = poly.to_json()
-        else:
-            result["scalar"] = scalar.to_json()
+        result["poly" if is_poly else "scalar"] = value.to_json()
         print(dumps_canonical(result))
     else:
-        print(poly.pretty() if poly is not None else str(scalar))
+        print(value.pretty() if is_poly else str(value))
     return 0
 
 
@@ -295,12 +283,13 @@ def cmd_check(args) -> int:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     qt, r = _check_configs(args)
     cache_dir = _cache_dir(args)
+    cache = FamilyCache(cache_dir)  # an unusable directory fails here
 
     all_passed = True
     if args.jobs > 1 and len(ids) > 1:
         # imported here: multiprocessing costs every other command start-up
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(ids)))
         try:
             futures = [pool.submit(_report_worker, cid, n, d, str(args.seed),
                                    qt, r, cache_dir)
@@ -313,7 +302,6 @@ def cmd_check(args) -> int:
             # on an early exit (closed pipe, interrupt) start no more checks
             pool.shutdown(cancel_futures=True)
     else:
-        cache = FamilyCache(cache_dir)
         for check_id in ids:
             data = _report_data(run_check(check_id, n, d, seed=str(args.seed),
                                           cache=cache, qt=qt, r=r))

@@ -410,14 +410,16 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
 
     D (den) and B (basis) name families of _FAMILIES, and
     f_index = lhs(D_index, a, cfg).  symmetric runs over partitions with
-    c = binom_sym, otherwise over compositions with c = binom (at 1/q,
-    1/t where cfg.binom_inverted).  p is the fixed point named by at,
+    c = binom_sym, otherwise over compositions with c = binom, both at
+    1/q, 1/t where cfg.binom_inverted.  p is the fixed point named by at,
     where the D_lower(p) are first seen to be nonzero, or else a acting
-    on the base point for each a of ctx.a_values, every term weighted by
-    cfg.binom_weight(a, |lower|).  Denominators are cleared: f W_index ==
-    sum c W_lower B_lower, W_j the product of the D_lower(p) other than
-    D_j(p), monomial by monomial on unreduced coefficients."""
+    on the base point for each a of ctx.a_values, the coefficients
+    weighted by cfg.binom_weights(a, lowers, c).  Denominators are
+    cleared: f W_index == sum c W_lower B_lower, W_j the product of the
+    D_lower(p) other than D_j(p), monomial by monomial on unreduced
+    coefficients."""
     cfg, cache, n = ctx.cfg, ctx.cache, ctx.n
+    bcfg = cfg.with_inverted() if cfg.binom_inverted else cfg
     upper, lower = ("lambda", "mu") if symmetric else ("alpha", "beta")
     indices = partitions_upto if symmetric else enumerate_compositions
     for index in indices(n, ctx.d):
@@ -429,17 +431,16 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
             vals = [p.evaluate(point) for p in dens]
             for m, v in zip(down, vals):
                 ctx.true(f"nonvanishing at {at}: {lower}={m}", not v.is_zero())
-        rows = [_FAMILIES[basis](m, cfg, cache).terms for m in down]
-        coefs = [binom_sym(index, m, cfg, cache) if symmetric else
-                 binom(index, m, cfg, cache, inverted=cfg.binom_inverted)
+        bases = dens if basis == den else [
+            _FAMILIES[basis](m, cfg, cache) for m in down]
+        rows = [p.terms for p in bases]
+        coefs = [(binom_sym if symmetric else binom)(index, m, bcfg, cache)
                  for m in down]
         samples = [(None, vals)] if at is not None else \
             ctx.a_values(cfg, k=weight(index) + 2, nonzero=dens)
         for a, vals in samples:
             label = f"{upper}={index}" + ("" if a is None else f", a={a}")
-            weights = coefs if a is None else [
-                cfg.binom_weight(a, weight(m)) * c
-                for m, c in zip(down, coefs)]
+            weights = coefs if a is None else cfg.binom_weights(a, down, coefs)
             # W_j = prod(vals[:j]) * prod(vals[j + 1:]), without divisions
             one = Scalar.one(vals[0].gens)
             suf = list(accumulate(reversed(vals), lambda s, v: v * s,
@@ -564,7 +565,7 @@ def check_binom_sum_support(ctx: CheckContext):
             ctx.zero(f"qt: alpha={alpha}, beta={beta}",
                      binom(alpha, beta, ctx.qt, ctx.cache))
             ctx.zero(f"qt-inverted: alpha={alpha}, beta={beta}",
-                     binom(alpha, beta, ctx.qt, ctx.cache, inverted=True))
+                     binom(alpha, beta, ctx.qt.with_inverted(), ctx.cache))
             ctx.zero(f"r: alpha={alpha}, beta={beta}",
                      binom(alpha, beta, ctx.r, ctx.cache))
 

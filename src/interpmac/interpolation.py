@@ -181,7 +181,11 @@ class FamilyCache:
         self._mem: dict = {}
         self.disk_dir = Path(disk_dir) if disk_dir else None
         if self.disk_dir:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.disk_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot use cache directory {disk_dir}: "
+                                 f"{exc.strerror}") from exc
 
     def memo(self, key: tuple, thunk: Callable):
         got = self._mem.get(key)
@@ -478,9 +482,7 @@ def r_sym(lam: Sequence[int], cfg: FieldConfig,
 def rprime(lam: Sequence[int], cfg: FieldConfig,
            cache: FamilyCache) -> LaurentPoly:
     """Symmetric polynomial with the top part of R, vanishing on the
-    tilde points of smaller degree (r variant)."""
-    if cfg.variant != "r":
-        raise UsageError("family Rprime exists in the r variant only")
+    tilde points of smaller degree."""
     lam = _validate_index(lam, partition=True)
     fk = FamilyKey("Rprime", cfg.variant, lam, cfg.cache_token())
     return cache.poly(fk, lambda: _primed(
@@ -570,22 +572,20 @@ def _binomial(poly: LaurentPoly, upper: tuple, lower: tuple,
 
 
 def binom(alpha: Sequence[int], beta: Sequence[int], cfg: FieldConfig,
-          cache: FamilyCache, inverted: bool = False) -> Scalar:
+          cache: FamilyCache) -> Scalar:
     """G_beta at the spectral point of alpha over G_beta at its own
-    point; inverted computes the coefficient at reciprocal q, t."""
+    point; cfg.with_inverted() gives the coefficient at reciprocal q, t."""
     alpha = _validate_index(alpha)
     beta = _validate_index(beta)
-    use = cfg.with_inverted() if inverted else cfg
-    return cache.memo(("binom", use.cache_token(), alpha, beta),
-                      lambda: _binomial(g_recursive(beta, use, cache), alpha,
-                                        beta, use, cache, "binomial"))
+    return cache.memo(("binom", cfg.cache_token(), alpha, beta),
+                      lambda: _binomial(g_recursive(beta, cfg, cache), alpha,
+                                        beta, cfg, cache, "binomial"))
 
 
 def binom_sym(lam: Sequence[int], mu: Sequence[int], cfg: FieldConfig,
               cache: FamilyCache) -> Scalar:
-    """Symmetric r-variant binomial coefficient on partition indices."""
-    if cfg.variant != "r":
-        raise UsageError("family binom-sym exists in the r variant only")
+    """R_mu at the spectral point of lam over R_mu at its own point, on
+    partition indices."""
     lam = _validate_index(lam, partition=True)
     mu = _validate_index(mu, partition=True)
     return cache.memo(("binom-sym", cfg.cache_token(), lam, mu),

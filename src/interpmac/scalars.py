@@ -693,7 +693,7 @@ class Scalar:
         ds = self._poly_str(self.den)
         if len(self.num) > 1:
             ns = f"({ns})"
-        if len(self.den) > 1:
+        if len(self.den) > 1 or "*" in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

@@ -20,7 +20,7 @@ from . import operators, polyring
 from .errors import SpecializationCollision, UsageError
 from .scalars import Scalar
 from .shapes import (CellStats, SpectralPoint, reciprocal_point, rho_point,
-                     spectral_qt, spectral_r, tau_point)
+                     spectral_qt, spectral_r, tau_point, weight)
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,9 @@ class QtConfig(FieldConfig):
     def phi_cell(self, s: CellStats, a: Scalar) -> Scalar:
         return a * self.gen_power("t", s.coleg) - self.gen_power("q", s.coarm)
 
-    def binom_weight(self, a: Scalar, k: int) -> Scalar:
-        """a^{|beta|}, the factor scaling brings into the expansion."""
-        return a ** k
+    def binom_weights(self, a: Scalar, lowers: list, coefs: list) -> list:
+        """Each c_beta times a^{|beta|}, the factor scaling brings in."""
+        return [a ** weight(m) * c for m, c in zip(lowers, coefs)]
 
     def discr_exchange(self, bar: SpectralPoint, i: int) -> tuple:
         t = self.gen("t")
@@ -245,8 +245,8 @@ class RConfig(FieldConfig):
     def phi_cell(self, s: CellStats, a: Scalar) -> Scalar:
         return a - s.coarm + self.gen("r") * s.coleg
 
-    def binom_weight(self, a: Scalar, k: int) -> Scalar:
-        return self.one()
+    def binom_weights(self, a: Scalar, lowers: list, coefs: list) -> list:
+        return coefs
 
     def discr_exchange(self, bar: SpectralPoint, i: int) -> tuple:
         r = self.gen("r")

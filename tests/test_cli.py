@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from interpmac import cli
 from interpmac.interpolation import CACHE_SCHEMA
 from interpmac.identities import CATALOG, CheckDef
@@ -316,13 +318,62 @@ def test_check_closed_pipe_exits_quietly():
     assert "Traceback" not in err and "BrokenPipe" not in err
 
 
-def test_compute_r_only_families_named(capsys):
-    for args in (["Rprime", "--lambda", "1"],
-                 ["binom-sym", "--lambda", "2", "--mu", "1"]):
-        code, out, err = run_cli(["compute", *args, "--variant", "qt"],
-                                 capsys)
-        assert code == 2 and out == ""
-        assert f"family {args[0]} exists in the r variant only" in err
+def test_compute_symmetric_families_on_both_sides(capsys):
+    for variant in ("qt", "r"):
+        for args in (["Rprime", "--lambda", "1"],
+                     ["binom-sym", "--lambda", "2", "--mu", "1"]):
+            code, out, err = run_cli(["compute", *args, "--variant",
+                                      variant], capsys)
+            assert code == 0 and out.strip() and err == ""
+    code, out, _ = run_cli(["compute", "binom-sym", "--lambda", "2,1",
+                            "--mu", "1,0", "--json"], capsys)
+    data = json.loads(out)
+    assert code == 0 and "inverted" not in data
+    assert str(Scalar.from_json(data["scalar"])) == "(q*t + t + 1)/t"
+
+
+def test_unusable_cache_dir_is_usage_error(capsys, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for where in (plain, plain / "sub"):
+        for args in (["compute", "G", "--alpha", "1"],
+                     ["check", "eval-qt", "--n", "1", "--deg", "1"],
+                     ["check", "all", "--n", "1", "--deg", "1", "--jobs",
+                      "2"]):
+            code, out, err = run_cli([*args, "--cache-dir", str(where)],
+                                     capsys)
+            assert code == 2 and out == "", args
+            assert err.startswith(f"error: cannot use cache directory "
+                                  f"{where}: "), args
+            assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs,workers", [(2, 2), (500, len(CATALOG))])
+def test_check_pool_workers_capped_at_checks(jobs, workers, capsys,
+                                              monkeypatch):
+    # an inline stand-in for the pool: it records max_workers and starts
+    # no process, so a large --jobs is never tried for real
+    import concurrent.futures
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    code, out, _ = run_cli(["check", "all", "--n", "1", "--deg", "1",
+                            "--jobs", str(jobs), "--json"], capsys)
+    assert code == 0 and len(out.splitlines()) == len(CATALOG)
+    assert seen == [workers]
 
 
 def test_compute_exponent_past_the_kernel_slots_is_usage_error(capsys):

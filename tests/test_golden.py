@@ -94,8 +94,8 @@ def _plus_one_in_o(real):
 def _plus_one_in_binom(real):
     """binom with [(1,1), (1,0)] off by one: one term of every expansion
     of alpha = (1,1)."""
-    def binom(alpha, beta, cfg, cache, inverted=False):
-        v = real(alpha, beta, cfg, cache, inverted=inverted)
+    def binom(alpha, beta, cfg, cache):
+        v = real(alpha, beta, cfg, cache)
         return v + 1 if (tuple(alpha), tuple(beta)) == ((1, 1), (1, 0)) else v
     return binom
 

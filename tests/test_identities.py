@@ -7,7 +7,7 @@ from interpmac.errors import SpecializationCollision, UsageError
 from interpmac.identities import CATALOG, CheckContext, CheckReport, run_check
 from interpmac.interpolation import FamilyCache
 from interpmac.scalars import dumps_canonical
-from interpmac.variant import qt_config, r_config
+from interpmac.variant import QtConfig, qt_config, r_config
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,30 @@ def test_failure_labels_name_the_sampled_a(check_id, name, broken,
     assert labels
     assert all(", a=" in label for label in labels)
     assert len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("n,d,field", [
+    (1, 4, qt_config(2, 3)), (2, 3, qt_config(2, 3)), (3, 3, qt_config(2, 3)),
+    (2, 4, qt_config(2, 3)), (2, 3, qt_config()), (3, 2, qt_config())],
+    ids=["n1d4", "n2d3", "n3d3", "n2d4", "n2d3-symbolic", "n3d2-symbolic"])
+def test_okounkov_qt_binomial_formula(n, d, field):
+    # Okounkov's binomial formula: R_lambda(ax)/R_lambda(a tau) = sum over
+    # mu inside lambda of a^{|mu|} (lambda,mu)_{1/q,1/t} R'_mu(x)/R_mu(a tau)
+    ctx = CheckContext("okounkov-qt", n, d, field, r_config(), 0,
+                       FamilyCache())
+    identities._binomial_formula(ctx, den="R", basis="R'",
+                                 lhs=identities._act, symmetric=True)
+    assert ctx.instances > 0 and ctx.failures == []
+
+
+def test_okounkov_qt_binomial_formula_needs_inverted_binomials(monkeypatch):
+    # with the coefficients at q, t instead of 1/q, 1/t the formula fails
+    monkeypatch.setattr(QtConfig, "binom_inverted", False)
+    ctx = CheckContext("okounkov-qt", 2, 3, qt_config(2, 3), r_config(), 0,
+                       FamilyCache())
+    identities._binomial_formula(ctx, den="R", basis="R'",
+                                 lhs=identities._act, symmetric=True)
+    assert ctx.failures
 
 
 @pytest.mark.parametrize("check_id", sorted(CATALOG))

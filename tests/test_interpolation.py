@@ -18,8 +18,8 @@ from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
 from interpmac.operators import hecke, sigma_op
 from interpmac.polyring import LaurentPoly
 from interpmac.scalars import Scalar, dumps_canonical, linear_combination
-from interpmac.shapes import (enumerate_compositions, spectral_qt,
-                              spectral_r, tau_point, weight)
+from interpmac.shapes import (enumerate_compositions, partitions_upto,
+                              spectral_qt, spectral_r, tau_point, weight)
 from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
@@ -256,14 +256,19 @@ def test_classical_binomials_n1(cache):
 
 
 def test_inverted_binomial_specialized(cache):
-    # at q0, t0 the inverted coefficient equals the plain one at 1/q0, 1/t0
-    spec = qt_config(2, 3)
+    # at q0, t0 the inverted coefficients, plain and symmetric, equal the
+    # plain ones at 1/q0, 1/t0
+    spec = qt_config(2, 3).with_inverted()
     rec = qt_config(Fraction(1, 2), Fraction(1, 3))
     for alpha in enumerate_compositions(2, 2):
         for beta in enumerate_compositions(2, weight(alpha)):
-            lhs = binom(alpha, beta, spec, cache, inverted=True)
+            lhs = binom(alpha, beta, spec, cache)
             rhs = binom(alpha, beta, rec, cache)
             assert lhs == rhs
+    for lam in partitions_upto(2, 3):
+        for mu in partitions_upto(2, weight(lam)):
+            assert binom_sym(lam, mu, spec, cache) == \
+                binom_sym(lam, mu, rec, cache)
 
 
 def test_binom_sym_requires_partitions(cache):

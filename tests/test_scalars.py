@@ -189,6 +189,15 @@ def test_inverted_parameters_specialized():
     assert cfg.gen("t") == Scalar.from_fraction(Fraction(1, 3))
 
 
+def test_str_brackets_a_denominator_of_several_factors():
+    # 1/q*t would read as t/q
+    assert str(ONE / (Q * T)) == "1/(q*t)"
+    assert str(-(Q + 1) / (Q * T ** 2)) == "(-q - 1)/(q*t^2)"
+    assert str(ONE / (2 * Q)) == "1/(2*q)"
+    assert str(ONE / Q ** 2) == "1/q^2"
+    assert str((Q + 1) / (Q - T)) == "(q + 1)/(q - t)"
+
+
 def test_field_config_validation():
     with pytest.raises(SpecializationCollision):
         qt_config(1, 3)
