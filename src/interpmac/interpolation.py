@@ -256,8 +256,12 @@ def disk_cache_files(disk_dir: Path) -> tuple:
     """(current, stale) files of a disk cache directory, sorted: the
     polynomial files of CACHE_SCHEMA, and the files that are never read
     again, namely polynomial files of another schema and temporary files
-    whose writer is no longer running."""
+    whose writer is no longer running; none when disk_dir does not exist,
+    and a UsageError when it is not a directory."""
     if not disk_dir.is_dir():
+        if disk_dir.exists():
+            raise UsageError(f"cannot use cache directory {disk_dir}: "
+                             f"Not a directory")
         return [], []
     prefix = f"v{CACHE_SCHEMA}-"
     current, stale = [], []

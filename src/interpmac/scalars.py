@@ -25,6 +25,10 @@ whose leading key would pass MAX_DEGREE raise DegreeError instead of
 wrapping.  For a quotient ea - eb the guard bits detect a slot that
 borrows: (ea - eb + _GUARD) keeps every guard bit set exactly when
 every exponent of ea is at least that of eb.
+
+Multivariate gcds run the heuristic gcd at integer points xi >= 2 min
+norm + 2, each answer proved by an exact division; past a few points or
+a bit cap, a pseudo-remainder sequence decides (see _poly_gcd).
 """
 
 from __future__ import annotations
@@ -197,8 +201,7 @@ def _dict_divexact(a: Terms, b: Terms) -> Terms:
     return quot
 
 
-# --- multivariate gcd: recursive content / primitive part over a primitive
-# --- pseudo-remainder sequence in the last generator ------------------------
+# --- gcd fallback: primitive pseudo-remainder sequence in the last generator
 
 def _split_main(a: Terms, k: int) -> dict:
     """View a k-generator poly as univariate in the last generator, with
@@ -243,9 +246,7 @@ def _uni_gcd_int(a: dict, b: dict) -> dict:
         while r and max(r) >= dg:
             dr = max(r)
             lcr = r[dr]
-            nr = {}
-            for d, x in r.items():
-                nr[d] = x * lcg
+            nr = {d: x * lcg for d, x in r.items()}
             for d, x in g.items():
                 dd = d + dr - dg
                 s = nr.get(dd, 0) - x * lcr
@@ -254,12 +255,8 @@ def _uni_gcd_int(a: dict, b: dict) -> dict:
                 else:
                     nr.pop(dd, None)
             r = nr
-        f = g
-        if r:
-            cr = _int_content(r.values())
-            g = {d: x // cr for d, x in r.items()}
-        else:
-            g = {}
+        f, cr = g, _int_content(r.values())
+        g = {d: x // cr for d, x in r.items()}
     if f[max(f)] < 0:
         c = -c
     return {d: c * x for d, x in f.items()}
@@ -285,151 +282,150 @@ def _pseudo_rem(f: dict, g: dict) -> dict:
     return r
 
 
-def _monomial_gcd(mono: Terms, other: Terms, k: int) -> Terms:
-    (em, cm), = mono.items()
-    g = _int_content(other.values(), abs(cm))
+def _monomial_gcd(a: Terms, b: Terms, k: int) -> Optional[Terms]:
+    """gcd of nonzero a and b if one is a monomial (as at k = 0), else None."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) != 1:
+        return None
+    (em, cm), = a.items()
+    g = _int_content(b.values(), abs(cm))
     key = 0
     if em:
         for s, gen in zip(_SHIFT[:k], _GEN_KEY):
             x = (em >> s) & _MASK
             if x:
-                key += min(x, min([(e >> s) & _MASK for e in other])) * gen
+                key += min(x, min([(e >> s) & _MASK for e in b])) * gen
     return {key: g}
 
 
-# --- modular coprimality certificate ---------------------------------------
+# --- heuristic gcd: integer gcds of images at one big point ----------------
 
-_P = (1 << 61) - 1
-# fixed evaluation point, one value per generator position (k <= 4)
-_XI = (1234567891011, 987654321987654, 271828182845904, 314159265358979)
-_XI_SHIFTS = 3
+_HEU_ATTEMPTS = 6
+_HEU_MAX_BITS = 1 << 16  # cap on the bit length of an image coefficient
 
 
-def _image_mod_p(terms: list, i: int, deg: int, pows: list) -> list:
-    """a(x_i; xi) mod p as dense coefficients in x_i, for a given as
-    (exponent tuple, coefficient) pairs, pows[j][d] being xi_j^d mod p."""
-    out = [0] * (deg + 1)
-    for e, c in terms:
-        for j, x in enumerate(e):
-            if x and j != i:
-                c = c * pows[j][x] % _P
-        out[e[i]] += c
-    return [c % _P for c in out]
+def _eval_last(a: Terms, k: int, xi: int) -> Terms:
+    """a at x_{k-1} = xi, keyed over the first k - 1 generators."""
+    s, g = _SHIFT[k - 1], _GEN_KEY[k - 1]
+    out: Terms = {}
+    for e, c in a.items():
+        d = (e >> s) & _MASK
+        if d:
+            e, c = e - d * g, c * xi ** d
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
-def _uni_gcd_degree_mod_p(f: list, g: list) -> int:
-    """Degree of gcd(f, g) over F_p, for dense f and g with f[-1] != 0."""
-    while g and not g[-1]:
-        g.pop()
-    while g:
-        inv = pow(g[-1], -1, _P)
-        dg = len(g) - 1
-        while len(f) > dg:
-            c = f[-1] * inv % _P
-            off = len(f) - 1 - dg
-            for j in range(dg):
-                f[off + j] = (f[off + j] - c * g[j]) % _P
-            f.pop()
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return len(f) - 1
+def _lift_balanced(h: Terms, k: int, xi: int, top: int):
+    """The poly of degree <= top in x_{k-1} with coefficients in (-xi/2,
+    xi/2] (balanced base-xi digits) and image h at x_{k-1} = xi, or None."""
+    g, out = _GEN_KEY[k - 1], {}
+    for e, c in h.items():
+        for _ in range(top + 1):
+            c, d = divmod(c, xi)
+            if 2 * d > xi:
+                d, c = d - xi, c + 1
+            if d:
+                out[e] = d
+            e += g
+        if c:
+            return None
+    return out
 
 
-def _coprime_certificate(a: Terms, b: Terms, k: int):
-    """{0: c} with c the gcd of every integer coefficient of a and b when
-    gcd(a, b) is proved to be that integer, else None."""
-    ta = [(_unpack(e, k), c) for e, c in a.items()]
-    tb = [(_unpack(e, k), c) for e, c in b.items()]
-    dega = [max(e[j] for e, _ in ta) for j in range(k)]
-    degb = [max(e[j] for e, _ in tb) for j in range(k)]
-    todo = [i for i in range(k) if dega[i] and degb[i]]
-    for shift in range(_XI_SHIFTS):
-        if not todo:
-            break
-        pows = []
-        for j in range(k):
-            x = _XI[j] + shift
-            row = [1]
-            for _ in range(max(dega[j], degb[j])):
-                row.append(row[-1] * x % _P)
-            pows.append(row)
-        missed = []
-        for i in todo:
-            fa = _image_mod_p(ta, i, dega[i], pows)
-            if not fa[-1]:
-                missed.append(i)
-            elif _uni_gcd_degree_mod_p(fa, _image_mod_p(tb, i, degb[i], pows)):
-                return None
-        todo = missed
-    if todo:
-        return None
-    return _dict_const(_int_content(b.values(), _int_content(a.values())))
+def _heu_gcd(a: Terms, b: Terms, k: int):
+    """gcd of nonzero a and b by the heuristic in _poly_gcd, or None."""
+    if (g := _monomial_gcd(a, b, k)) is not None:
+        return g
+    s = _SHIFT[k - 1]
+    da, db = [max([(e >> s) & _MASK for e in t]) for t in (a, b)]
+    if not (da or db):
+        return _heu_gcd(a, b, k - 1)
+    ca, cb = _int_content(a.values()), _int_content(b.values())
+    if ca != 1:
+        a = {e: c // ca for e, c in a.items()}
+    if cb != 1:
+        b = {e: c // cb for e, c in b.items()}
+    na, nb = max(map(abs, a.values())), max(map(abs, b.values()))
+    xi = 2 * min(na, nb) + 2
+    for _ in range(_HEU_ATTEMPTS):
+        if (max(da, db) * xi.bit_length() + max(na, nb).bit_length()
+                > _HEU_MAX_BITS):
+            return None
+        fa, fb = _eval_last(a, k, xi), _eval_last(b, k, xi)
+        h = _heu_gcd(fa, fb, k - 1) if fa and fb else {}
+        if h is None:
+            return None
+        p = _lift_balanced(h, k, xi, min(da, db))
+        if p:
+            cp = _int_content(p.values())
+            p = {e: c // (cp if _leading_coeff(p) > 0 else -cp)
+                 for e, c in p.items()}
+            try:
+                if p != _UNIT:
+                    _dict_divexact(a, p), _dict_divexact(b, p)
+                c = int_gcd(ca, cb)
+                return p if c == 1 else {e: c * x for e, x in p.items()}
+            except ArithmeticError:
+                pass
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     """gcd of integer-coefficient polys in k generators, with positive
     graded-lex leading coefficient.
 
-    For k >= 2 non-monomial operands a modular certificate runs first.
-    Let g = gcd(a, b) and fix a generator x_i.  Map Z[gens] to F_p[x_i]
-    (p = 2^61 - 1) by sending every other generator x_j to a fixed xi_j.
-    If the x_i-leading coefficient of a does not vanish there, then
-    neither does that of its factor g, so the image of g keeps degree
-    deg_i g and divides the images of a and b; a constant F_p gcd of the
-    two images therefore proves deg_i g = 0.  A generator in which a or b
-    has degree 0 needs no test.  Once every generator is proved absent,
-    g is the integer gcd of all coefficients.  When an image gcd is not
-    constant, or the leading coefficient still vanishes after a few
-    shifts of xi, the primitive pseudo-remainder sequence below decides.
-
-    A poly free of the last generator has the same keys over k - 1
-    generators, so contents and the gcd of contents need no re-keying.
+    For k >= 2 non-monomial operands the heuristic gcd GCDHEU (Char,
+    Geddes and Gonnet, J. Symbolic Comput. 7, 1989) runs first.  With
+    the integer contents divided out, it sets the last generator y to an
+    integer xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute
+    coefficient), takes the gcd h' of the images by the same method over
+    k - 1 generators, down to an integer gcd, and writes h' in balanced
+    base xi, digits in (-xi/2, xi/2]: a poly h with h(y = xi) = h'.  Its
+    primitive part P is accepted only if it divides a and b exactly; the
+    gcd is then igcd(content a, content b) P.  The division is the proof:
+    - Let G = gcd(a, b) = P u.  G(xi) divides h' = cont(h) P(xi), so
+      u(x', xi) divides cont(h): it is an integer c, 0 < |c| <= xi/2.
+    - Let a be the operand of smaller norm.  If u depended on x', its
+      x'-leading coefficient LC(u) in Z[y] would divide LC(a) and vanish
+      at xi, but every root rho of LC(a) has |rho| < 1 + |a| <= xi/2.
+    - So u is in Z[y] and divides a nonzero coefficient of a, whose
+      roots are below xi/2 too.  If deg u >= 1, then
+      |u(xi)| > (xi/2)^deg u >= xi/2 >= |c|, a contradiction: u is a
+      constant.
+    The inner gcd is exact: an integer gcd or a call that passed its own
+    division.  A failed division grows xi (times 73794/27011) for up to
+    _HEU_ATTEMPTS points; past them, or once an image coefficient could
+    pass _HEU_MAX_BITS bits, the primitive pseudo-remainder sequence in
+    the last generator decides, as it does for k = 1.  A poly free of the
+    last generator has the same keys over k - 1 generators: images and
+    contents need no re-keying.
     """
-    if not a:
-        g = dict(b)
-    elif not b:
-        g = dict(a)
+    if not a or not b:
+        g = dict(a or b)
     elif k == 0:
         return {0: int_gcd(a[0], b[0])}
-    elif len(a) == 1:
-        return _monomial_gcd(a, b, k)
-    elif len(b) == 1:
-        return _monomial_gcd(b, a, k)
+    elif (g := _monomial_gcd(a, b, k)) is not None:
+        return g
     elif k == 1:
         # one generator: the total degree is its exponent
         g = _uni_gcd_int({e >> _DEG_SHIFT: c for e, c in a.items()},
                          {e >> _DEG_SHIFT: c for e, c in b.items()})
         return {d * _GEN_KEY[0]: c for d, c in g.items()}
-    else:
-        cert = _coprime_certificate(a, b, k)
-        if cert is not None:
-            return cert
+    elif (g := _heu_gcd(a, b, k)) is None:
         ua, ub = _split_main(a, k), _split_main(b, k)
-        da, db = max(ua), max(ub)
-        if da == 0 or db == 0:
-            # one side is free of the main generator: its gcd with the
-            # other can only involve the other's content
-            ca = _poly_content(ua, k) if da else a
-            cb = _poly_content(ub, k) if db else b
-            g = _poly_gcd(ca, cb, k - 1)
-        else:
-            ca = _poly_content(ua, k)
-            cb = _poly_content(ub, k)
-            cont = _poly_gcd(ca, cb, k - 1)
-            fa = {d: _dict_divexact(c, ca) for d, c in ua.items()}
-            fb = {d: _dict_divexact(c, cb) for d, c in ub.items()}
-            if max(fa) < max(fb):
-                fa, fb = fb, fa
-            while fb:
-                r = _pseudo_rem(fa, fb)
-                fa = fb
-                if r:
-                    rc = _poly_content(r, k)
-                    fb = {d: _dict_divexact(c, rc) for d, c in r.items()}
-                else:
-                    fb = {}
-            g = _dict_mul(_join_main(fa, k), cont)
+        ca, cb = _poly_content(ua, k), _poly_content(ub, k)
+        fa = {d: _dict_divexact(c, ca) for d, c in ua.items()}
+        fb = {d: _dict_divexact(c, cb) for d, c in ub.items()}
+        if max(fa) < max(fb):
+            fa, fb = fb, fa
+        while fb:
+            fa, r = fb, _pseudo_rem(fa, fb)
+            rc = _poly_content(r, k)
+            fb = {d: _dict_divexact(c, rc) for d, c in r.items()}
+        g = _dict_mul(_join_main(fa, k), _poly_gcd(ca, cb, k - 1))
     if _leading_coeff(g) < 0:
         g = _dict_neg(g)
     return g

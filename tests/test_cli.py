@@ -348,6 +348,25 @@ def test_unusable_cache_dir_is_usage_error(capsys, tmp_path):
             assert err.count("\n") == 1
 
 
+def test_cache_command_on_a_file_is_usage_error(capsys, tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("kept")
+    for action in ("info", "clear"):
+        code, out, err = run_cli(["cache", action, "--cache-dir", str(plain)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot use cache directory {plain}: "
+                       f"Not a directory\n")
+    assert plain.read_text() == "kept"
+    # a path that does not exist is an empty cache, as before
+    missing = tmp_path / "missing"
+    code, out, _ = run_cli(["cache", "info", "--cache-dir", str(missing)],
+                           capsys)
+    assert code == 0
+    assert out == (f"0 cached polynomials, 0 bytes, at {missing}; "
+                   f"0 stale files, 0 bytes\n")
+
+
 @pytest.mark.parametrize("jobs,workers", [(2, 2), (500, len(CATALOG))])
 def test_check_pool_workers_capped_at_checks(jobs, workers, capsys,
                                               monkeypatch):

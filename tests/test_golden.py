@@ -1,13 +1,14 @@
 """`check all --json --seed 42` at n=1 and n=2 (degree 4) and n=3
-(degrees 2 and 3), and with symbolic q,t at n=2 (degree 3), must
-reproduce the recorded sha256 of every report line byte for byte, and so
-must `check recur-oracle-qt` with symbolic q,t at n=3 (degree 3).  So
-must the `compute --json` output of the five symbolic q,t constructions
-of the symbolic-qt benchmark workload: that polynomial JSON is what the
-disk cache stores.  Checks run with one coefficient or one expansion
-term perturbed must reproduce their recorded failing reports, labels
-and lhs/rhs text included: every binomial-formula entry on the default
-fields, and the sampled-a r path at r = 1/2."""
+(degrees 2 and 3), and with symbolic q,t at n=2 (degrees 3 and 4) and
+n=3 (degree 3), must reproduce the recorded sha256 of every report line
+byte for byte, and so must `check recur-oracle-qt` with symbolic q,t at
+n=3 (degree 3).  So must the `compute --json` output of the five
+symbolic q,t constructions of the symbolic-qt benchmark workload: that
+polynomial JSON is what the disk cache stores.  Checks run with one
+coefficient or one expansion term perturbed must reproduce their
+recorded failing reports, labels and lhs/rhs text included: every
+binomial-formula entry on the default fields, and the sampled-a r path
+at r = 1/2."""
 
 import hashlib
 import json
@@ -53,6 +54,16 @@ def test_check_all_n3_deg3_reports_match_golden(capsys):
 def test_check_all_symbolic_reports_match_golden(capsys):
     code, got = _digests(["--n", "2", "--deg", "3", "--symbolic"], capsys)
     want = (GOLDEN / "check_all_n2_deg3_symbolic_seed42.sha256").read_text()
+    assert code == 0
+    assert got == want.splitlines()
+
+
+@pytest.mark.parametrize("n,deg", [(3, 3), (2, 4)])
+def test_check_all_symbolic_desk_scale_matches_golden(n, deg, capsys):
+    code, got = _digests(["--n", str(n), "--deg", str(deg), "--symbolic"],
+                         capsys)
+    want = (GOLDEN / f"check_all_n{n}_deg{deg}_symbolic_seed42.sha256"
+            ).read_text()
     assert code == 0
     assert got == want.splitlines()
 

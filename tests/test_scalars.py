@@ -273,13 +273,13 @@ def test_integer_coercion():
     assert 1 / T == T.invert()
 
 
-# --- modular coprimality certificate in _poly_gcd ----------------------------
+# --- heuristic gcd in _poly_gcd ----------------------------------------------
 
 def _prs_gcd(a, b, k):
-    """_poly_gcd with the certificate disabled: the pseudo-remainder
+    """_poly_gcd with the heuristic disabled: the pseudo-remainder
     sequence alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "_coprime_certificate", lambda a, b, k: None)
+        mp.setattr(scalars, "_heu_gcd", lambda a, b, k: None)
         return scalars._poly_gcd(a, b, k)
 
 
@@ -294,9 +294,25 @@ def _unit(k, j):
     return tuple(int(i == j) for i in range(k))
 
 
-def _minus_xi(k, j, shift=0):
-    """x_j - (xi_j + shift), zero at the certificate's point."""
-    return _enc({_unit(k, j): 1, (0,) * k: -(scalars._XI[j] + shift)}, k)
+def _norm(a):
+    """Largest absolute coefficient of the primitive part of a."""
+    return max(map(abs, a.values())) // scalars._int_content(a.values())
+
+
+def _xis(a, b, count):
+    """The first count points the heuristic sets the last generator of a
+    and b to."""
+    xi = 2 * min(_norm(a), _norm(b)) + 2
+    out = []
+    for _ in range(count):
+        out.append(xi)
+        xi = xi * 73794 // 27011
+    return out
+
+
+def _minus(k, j, xi):
+    """x_j - xi."""
+    return _enc({_unit(k, j): 1, (0,) * k: -xi}, k)
 
 
 def _polys(k, deg, size):
@@ -328,14 +344,16 @@ def _gcd_cases(draw):
         planted = _enc({_unit(k, j): draw(st.integers(1, 3)),
                         (0,) * k: draw(st.integers(-3, 3))}, k)
     elif kind == "lc-vanishes":
-        a = _mul(a, _minus_xi(k, j), _enc({_unit(k, i): 1, (0,) * k: 1}, k))
+        xi, = _xis(a, b, 1)
+        a = _mul(a, _minus(k, j, xi), _enc({_unit(k, i): 1, (0,) * k: 1}, k))
     elif kind == "lc-vanishes-shared":
-        # both leading coefficients vanish at xi: every image of this
-        # factor is constant there
-        planted = scalars._dict_add(_mul(_minus_xi(k, j), _minus_xi(k, i)),
+        # a factor of both whose leading coefficients vanish at the first
+        # point of the unplanted pair
+        xi, = _xis(a, b, 1)
+        planted = scalars._dict_add(_mul(_minus(k, j, xi), _minus(k, i, xi)),
                                     _enc({(0,) * k: draw(st.integers(1, 3))}, k))
     else:
-        a = _mul(a, *[_minus_xi(k, j, s) for s in range(scalars._XI_SHIFTS)],
+        a = _mul(a, *[_minus(k, j, xi) for xi in _xis(a, b, 3)],
                  _enc({_unit(k, i): 1}, k))
     if planted is not None:
         a, b = _mul(a, planted), _mul(b, planted)
@@ -346,9 +364,11 @@ def _gcd_cases(draw):
 @given(_gcd_cases())
 def test_poly_gcd_matches_prs(case):
     a, b, k, planted = case
-    assert scalars._poly_gcd(a, b, k) == _prs_gcd(a, b, k)
+    want = _prs_gcd(a, b, k)
+    assert scalars._poly_gcd(a, b, k) == want
+    assert scalars._heu_gcd(a, b, k) in (None, want)
     if planted is not None:
-        assert scalars._coprime_certificate(a, b, k) is None
+        scalars._dict_divexact(want, planted)
 
 
 @st.composite
@@ -490,26 +510,51 @@ def test_quotient_examples():
     assert zero != x and x != zero
 
 
-def test_certificate_examples():
+def test_heuristic_gcd_examples(monkeypatch):
+    heu = scalars._heu_gcd
+    # content only
     two_q = _enc({(1, 0): 2, (0, 0): 2}, 2)
     four_t = _enc({(0, 1): 4, (0, 0): 2}, 2)
-    assert _dec(scalars._coprime_certificate(two_q, four_t, 2), 2) == {(0, 0): 2}
+    assert _dec(heu(two_q, four_t, 2), 2) == {(0, 0): 2}
     assert _dec(scalars._poly_gcd(two_q, four_t, 2), 2) == {(0, 0): 2}
-    # a's leading coefficient in q vanishes at xi: certified after a shift
-    q, one = _enc({(1, 0): 1}, 2), _enc({(0, 0): 1}, 2)
-    a = scalars._dict_add(_mul(_minus_xi(2, 1), q), one)
-    b = _enc({(1, 0): 1, (0, 1): 1}, 2)
-    assert _dec(scalars._coprime_certificate(a, b, 2), 2) == {(0, 0): 1}
-    # it vanishes at every shift: the pseudo-remainder sequence decides
-    a = scalars._dict_add(
-        _mul(*[_minus_xi(2, 1, s) for s in range(scalars._XI_SHIFTS)], q), one)
-    assert scalars._coprime_certificate(a, b, 2) is None
+    q_t = _enc({(1, 0): 1, (0, 1): 1}, 2)
+    assert _dec(heu(_mul(two_q, two_q, q_t), _mul(four_t, q_t, q_t), 2),
+                2) == {(1, 0): 2, (0, 1): 2}
+    # b - a = t - 8 vanishes at the first point, 8: the images agree
+    # there, the first lift is a, which does not divide b, and the
+    # second point proves the gcd is 1
+    a = _enc({(1, 0): 1, (0, 1): 1, (0, 0): -3}, 2)
+    b = _enc({(1, 0): 1, (0, 1): 2, (0, 0): -11}, 2)
+    assert _xis(a, b, 1) == [8]
+    assert _dec(heu(a, b, 2), 2) == {(0, 0): 1}
+    monkeypatch.setattr(scalars, "_HEU_ATTEMPTS", 1)
+    assert heu(a, b, 2) is None
     assert _dec(scalars._poly_gcd(a, b, 2), 2) == {(0, 0): 1}
-    # a common factor is never certified away
-    a = _enc({(1, 0): 1, (0, 0): 1}, 2)
-    f = _enc({(1, 1): 1, (0, 0): 1}, 2)
-    assert _dec(scalars._coprime_certificate(a, b, 2), 2) == {(0, 0): 1}
-    assert scalars._coprime_certificate(_mul(a, f), _mul(b, f), 2) is None
+    # with no attempt at all the pseudo-remainder sequence decides
+    monkeypatch.setattr(scalars, "_HEU_ATTEMPTS", 0)
+    assert heu(_mul(a, q_t), _mul(b, q_t), 2) is None
+    assert scalars._poly_gcd(_mul(a, q_t), _mul(b, q_t), 2) == q_t
+    monkeypatch.undo()
+    # an image coefficient could pass the bit cap: the same fallback
+    big = _enc({(1, 0): 1, (0, 1): 2 ** 70000, (0, 0): 1}, 2)
+    other = _enc({(1, 0): 1, (0, 1): -1, (0, 0): 3}, 2)
+    a, b = _mul(big, q_t), _mul(other, q_t)
+    assert heu(a, b, 2) is None
+    assert scalars._poly_gcd(a, b, 2) == _prs_gcd(a, b, 2) == q_t
+    # a common factor is never dropped, also where it is constant or
+    # small at a point near the operands' norms; every such factor here
+    # has negative coefficients, and the heuristic itself finds it
+    for c in range(1, 40):
+        for u in (_enc({(1, 1): 1, (1, 0): -c, (0, 0): 1}, 2),
+                  _enc({(0, 1): 1, (0, 0): -c}, 2),
+                  _enc({(0, 2): 1, (1, 0): -c, (0, 0): -1}, 2)):
+            for f, g in ((_enc({(1, 0): 1, (0, 0): 1}, 2),
+                          _enc({(1, 0): 1, (0, 0): 2}, 2)),
+                         (_enc({(0, 0): 1}, 2), q_t),
+                         (_enc({(1, 0): 1, (0, 0): -1}, 2),
+                          _enc({(0, 1): 3, (0, 0): -1}, 2))):
+                a, b = _mul(u, f), _mul(u, g)
+                assert heu(a, b, 2) == u, (c, u, f, g)
 
 
 def test_poly_gcd_and_canonical_forms_match_sympy():
