@@ -35,8 +35,7 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             reflect, rprime, _point)
 from .operators import hecke, sigma_op, sigma_word, symmetrize
 from .polyring import LaurentPoly, exact_div_check, shift_all
-from .scalars import (Quotient, Scalar, linear_combination_unreduced,
-                      seeded_rationals)
+from .scalars import Quotient, Scalar, linear_combination, seeded_rationals
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, sharp, spectral_qt,
@@ -189,7 +188,7 @@ def _swap(v: tuple, i: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def check_hecke_quadratic(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     t = cfg.gen("t")
     for fi, f in enumerate(ctx.random_polys(cfg)):
         for i in range(1, ctx.n):
@@ -199,7 +198,7 @@ def check_hecke_quadratic(ctx: CheckContext):
 
 
 def check_hecke_braid(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     for fi, f in enumerate(ctx.random_polys(cfg)):
         for i in range(1, ctx.n - 1):
             lhs = hecke(i, hecke(i + 1, hecke(i, f, cfg), cfg), cfg)
@@ -213,7 +212,7 @@ def check_hecke_braid(ctx: CheckContext):
 
 
 def check_sigma_braid(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     perms = list(all_permutations(ctx.n))
     for fi, f in enumerate(ctx.random_polys(cfg)):
         for i in range(1, ctx.n):
@@ -274,7 +273,7 @@ def check_recur_oracle(ctx: CheckContext):
 
 
 def check_vanish_extra(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     for alpha in ctx.compositions():
         g = g_recursive(alpha, cfg, ctx.cache)
         for beta in ctx.compositions(extra=1):
@@ -285,7 +284,7 @@ def check_vanish_extra(ctx: CheckContext):
 
 
 def check_spectral_closed_form(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     for alpha in ctx.compositions():
         bar = spectral_qt(alpha, cfg)
         ks = coleg_vector(alpha)
@@ -308,7 +307,7 @@ def check_eval(ctx: CheckContext):
 
 
 def check_inva(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     tau = tau_point(ctx.n, cfg)
     perms = list(all_permutations(ctx.n))
     for alpha in ctx.compositions():
@@ -324,7 +323,7 @@ def check_inva(ctx: CheckContext):
 
 
 def check_zerosp(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     origin = (cfg.zero(),) * ctx.n
     for alpha in ctx.compositions():
         lhs = closed_d(alpha, cfg) * g_recursive(
@@ -448,7 +447,7 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
             cof = [p * s for p, s in zip(accumulate(vals, mul, initial=one),
                                          reversed(suf[:-1]))]
             ctx.eq(label, _scaled_unreduced(lhs(dens[pos], a, cfg), cof[pos]),
-                   LaurentPoly(n, linear_combination_unreduced(
+                   LaurentPoly(n, linear_combination(
                        [c * w for c, w in zip(weights, cof)], rows),
                        _clean=True))
 
@@ -476,7 +475,7 @@ def _shift_one(f, a, cfg):
 
 
 def check_cor_rel(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     for alpha in ctx.compositions():
         lam, _ = dominant_sort(alpha)
         for mu in partitions_upto(ctx.n, ctx.d):
@@ -489,7 +488,7 @@ def check_cor_rel(ctx: CheckContext):
 
 
 def check_relate(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     wo = Permutation.longest(ctx.n)
     for alpha in ctx.compositions():
         h = reflect(g_recursive(alpha, cfg, ctx.cache), weight(alpha), cfg)
@@ -498,14 +497,14 @@ def check_relate(ctx: CheckContext):
 
 
 def check_relate2(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     for lam in partitions_upto(ctx.n, ctx.d):
         ctx.eq(f"lambda={lam}", rprime(lam, cfg, ctx.cache),
                reflect(r_sym(lam, cfg, ctx.cache), weight(lam), cfg))
 
 
 def check_dom(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     wo = Permutation.longest(ctx.n)
     r = cfg.gen("r")
     for beta in ctx.compositions():
@@ -522,7 +521,7 @@ def check_dom(ctx: CheckContext):
 
 
 def check_sym_lemma(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     for fi, f in enumerate(ctx.random_polys(cfg)):
         sf = symmetrize(f, cfg)
         for i in range(1, ctx.n):
@@ -532,7 +531,7 @@ def check_sym_lemma(ctx: CheckContext):
 
 
 def check_symm_lemma(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     for alpha in ctx.compositions():
         lam, _ = dominant_sort(alpha)
         r_l = r_sym(lam, cfg, ctx.cache)
@@ -550,7 +549,7 @@ def check_symm_lemma(ctx: CheckContext):
 
 
 def check_jack_eval_one(ctx: CheckContext):
-    cfg = ctx.r
+    cfg = ctx.cfg
     ones = (cfg.one(),) * ctx.n
     for alpha in ctx.compositions():
         lhs = closed_d(alpha, cfg) * e_top(alpha, cfg, ctx.cache).evaluate(ones)
@@ -571,7 +570,7 @@ def check_binom_sum_support(ctx: CheckContext):
 
 
 def check_divided_difference(ctx: CheckContext):
-    cfg = ctx.qt
+    cfg = ctx.cfg
     for fi, f in enumerate(ctx.random_polys(cfg)):
         for i in range(1, ctx.n):
             ctx.true(f"f#{fi}, i={i}",

@@ -86,8 +86,9 @@ def _reduced_sum(values: Sequence[Scalar], weights: Sequence[Scalar],
     zero factor is left out."""
     used = [(v, w) for v, w in zip(values, weights)
             if not v.is_zero() and not w.is_zero()]
-    return linear_combination([v for v, _ in used], [{0: w} for _, w in used],
-                              gens).get(0, Scalar.zero(gens))
+    total = linear_combination([v for v, _ in used],
+                               [{0: w} for _, w in used], gens).get(0)
+    return Scalar.zero(gens) if total is None else total.reduced()
 
 
 def factor_square(rows: Sequence[Sequence[Scalar]],
@@ -202,11 +203,14 @@ class FamilyCache:
 
     def _read(self, fk: FamilyKey) -> Optional[LaurentPoly]:
         """The stored polynomial, or None without a readable file that
-        holds exactly this key under the current schema."""
+        holds exactly this key under the current schema, with a
+        polynomial in len(index) variables."""
         try:
             data = json.loads(self._path(fk).read_text())
             if data["schema"] == CACHE_SCHEMA and data["key"] == fk.describe():
-                return LaurentPoly.from_json(data["poly"])
+                poly = LaurentPoly.from_json(data["poly"])
+                if poly.n == len(fk.index):
+                    return poly
         except (OSError, ValueError, LookupError, TypeError, AttributeError,
                 ArithmeticError):
             pass

@@ -301,9 +301,13 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping) -> "LaurentPoly":
+        n = data["n"]
         terms = {tuple(t["exp"]): Scalar.from_json(t["coeff"])
                  for t in data["terms"]}
-        return LaurentPoly(data["n"], terms)
+        if any(len(e) != n for e in terms):
+            raise DimensionError(f"an exponent vector of length other "
+                                 f"than n = {n}")
+        return LaurentPoly(n, terms)
 
 
 def exact_div_check(f: LaurentPoly, quotient: LaurentPoly, i: int) -> bool:

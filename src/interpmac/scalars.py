@@ -282,23 +282,6 @@ def _pseudo_rem(f: dict, g: dict) -> dict:
     return r
 
 
-def _monomial_gcd(a: Terms, b: Terms, k: int) -> Optional[Terms]:
-    """gcd of nonzero a and b if one is a monomial (as at k = 0), else None."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) != 1:
-        return None
-    (em, cm), = a.items()
-    g = _int_content(b.values(), abs(cm))
-    key = 0
-    if em:
-        for s, gen in zip(_SHIFT[:k], _GEN_KEY):
-            x = (em >> s) & _MASK
-            if x:
-                key += min(x, min([(e >> s) & _MASK for e in b])) * gen
-    return {key: g}
-
-
 # --- heuristic gcd: integer gcds of images at one big point ----------------
 
 _HEU_ATTEMPTS = 6
@@ -335,13 +318,14 @@ def _lift_balanced(h: Terms, k: int, xi: int, top: int):
 
 
 def _heu_gcd(a: Terms, b: Terms, k: int):
-    """gcd of nonzero a and b by the heuristic in _poly_gcd, or None."""
-    if (g := _monomial_gcd(a, b, k)) is not None:
-        return g
+    """gcd of non-monomial a and b in k >= 2 generators by the heuristic
+    in _poly_gcd, or None.  Operands free of the last generator and the
+    images take _poly_gcd over k - 1 generators (_uni_gcd_int at
+    k - 1 = 1), so only this level can give up."""
     s = _SHIFT[k - 1]
     da, db = [max([(e >> s) & _MASK for e in t]) for t in (a, b)]
     if not (da or db):
-        return _heu_gcd(a, b, k - 1)
+        return _poly_gcd(a, b, k - 1)
     ca, cb = _int_content(a.values()), _int_content(b.values())
     if ca != 1:
         a = {e: c // ca for e, c in a.items()}
@@ -354,9 +338,7 @@ def _heu_gcd(a: Terms, b: Terms, k: int):
                 > _HEU_MAX_BITS):
             return None
         fa, fb = _eval_last(a, k, xi), _eval_last(b, k, xi)
-        h = _heu_gcd(fa, fb, k - 1) if fa and fb else {}
-        if h is None:
-            return None
+        h = _poly_gcd(fa, fb, k - 1) if fa and fb else {}
         p = _lift_balanced(h, k, xi, min(da, db))
         if p:
             cp = _int_content(p.values())
@@ -377,15 +359,18 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     """gcd of integer-coefficient polys in k generators, with positive
     graded-lex leading coefficient.
 
-    For k >= 2 non-monomial operands the heuristic gcd GCDHEU (Char,
-    Geddes and Gonnet, J. Symbolic Comput. 7, 1989) runs first.  With
-    the integer contents divided out, it sets the last generator y to an
-    integer xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute
-    coefficient), takes the gcd h' of the images by the same method over
-    k - 1 generators, down to an integer gcd, and writes h' in balanced
-    base xi, digits in (-xi/2, xi/2]: a poly h with h(y = xi) = h'.  Its
-    primitive part P is accepted only if it divides a and b exactly; the
-    gcd is then igcd(content a, content b) P.  The division is the proof:
+    If one operand is a monomial, the gcd is the integer gcd of all
+    coefficients times the lowest power of each generator in both; at
+    k = 1 the primitive pseudo-remainder sequence _uni_gcd_int decides.
+    Otherwise the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7, 1989) runs first.  With the integer contents
+    divided out, it sets the last generator y to an integer
+    xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute coefficient),
+    takes the gcd h' of the images by _poly_gcd over k - 1 generators,
+    and writes h' in balanced base xi, digits in (-xi/2, xi/2]: a poly h
+    with h(y = xi) = h'.  Its primitive part P is accepted only if it
+    divides a and b exactly; the gcd is then igcd(content a, content b) P.
+    The division is the proof:
     - Let G = gcd(a, b) = P u.  G(xi) divides h' = cont(h) P(xi), so
       u(x', xi) divides cont(h): it is an integer c, 0 < |c| <= xi/2.
     - Let a be the operand of smaller norm.  If u depended on x', its
@@ -395,20 +380,28 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
       roots are below xi/2 too.  If deg u >= 1, then
       |u(xi)| > (xi/2)^deg u >= xi/2 >= |c|, a contradiction: u is a
       constant.
-    The inner gcd is exact: an integer gcd or a call that passed its own
-    division.  A failed division grows xi (times 73794/27011) for up to
+    A failed division grows xi (times 73794/27011) for up to
     _HEU_ATTEMPTS points; past them, or once an image coefficient could
     pass _HEU_MAX_BITS bits, the primitive pseudo-remainder sequence in
-    the last generator decides, as it does for k = 1.  A poly free of the
-    last generator has the same keys over k - 1 generators: images and
-    contents need no re-keying.
+    the last generator decides at this level only: every inner gcd is
+    exact.  A poly free of the last generator has the same keys over
+    k - 1 generators: images and contents need no re-keying.
     """
     if not a or not b:
         g = dict(a or b)
     elif k == 0:
         return {0: int_gcd(a[0], b[0])}
-    elif (g := _monomial_gcd(a, b, k)) is not None:
-        return g
+    elif len(a) == 1 or len(b) == 1:
+        if len(b) == 1:
+            a, b = b, a
+        (em, cm), = a.items()
+        key = 0
+        if em:
+            for s, gen in zip(_SHIFT[:k], _GEN_KEY):
+                x = (em >> s) & _MASK
+                if x:
+                    key += min(x, min([(e >> s) & _MASK for e in b])) * gen
+        return {key: _int_content(b.values(), abs(cm))}
     elif k == 1:
         # one generator: the total degree is its exponent
         g = _uni_gcd_int({e >> _DEG_SHIFT: c for e, c in a.items()},
@@ -888,16 +881,6 @@ class Quotient:
 
 def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
                        gens: Optional[tuple] = None) -> dict:
-    """{key: sum_j weights[j] * rows[j][key]} over the keys of the rows,
-    as canonical Scalars on gens, zero sums left out: the sums of
-    linear_combination_unreduced, each reduced once."""
-    return {key: v.reduced() for key, v in
-            linear_combination_unreduced(weights, rows, gens).items()}
-
-
-def linear_combination_unreduced(weights: Sequence[Scalar],
-                                 rows: Sequence[Mapping],
-                                 gens: Optional[tuple] = None) -> dict:
     """{key: sum_j weights[j] * rows[j][key]} over the keys of the rows,
     as unreduced Quotients on gens, zero sums left out.  gens defaults
     to the union of the generators of the weights and of the entries.

@@ -234,6 +234,22 @@ def test_cache_rebuilds_bad_files(tmp_path, capsys):
     index[(2, 1)].write_text(index[(1, 0)].read_text())
     assert run_cli(cmd, capsys)[:2] == (0, want)
     assert json.loads(index[(2, 1)].read_text())["key"]["index"] == [2, 1]
+    # so are a file with an exponent vector shorter than n and one whose
+    # polynomial has another number of variables than its index
+    good = {i: json.loads(f.read_text()) for i, f in index.items()}
+    first = cmd[:3] + ["1,0"] + cmd[4:]
+    want_first = run_cli(first, capsys)[:2]
+    short = dict(good[(1, 0)], poly={"n": 2, "terms": [{"exp": [1],
+                                                        "coeff": "1"}]})
+    index[(1, 0)].write_text(json.dumps(short))
+    wide = good[(2, 1)]["poly"]
+    wide = {"n": 3, "terms": [dict(t, exp=t["exp"] + [0])
+                              for t in wide["terms"]]}
+    index[(2, 1)].write_text(json.dumps(dict(good[(2, 1)], poly=wide)))
+    assert run_cli(first, capsys)[:2] == want_first
+    assert run_cli(cmd, capsys)[:2] == (0, want)
+    for i in ((1, 0), (2, 1)):
+        assert json.loads(index[i].read_text()) == good[i]
     assert sorted(cache_dir.iterdir()) == files
 
 

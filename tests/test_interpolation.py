@@ -423,7 +423,7 @@ def _augmented_solve(rows, rhs_cols, context="linear system"):
 def _inverse_solve(kind, n, deg, cfg, cache, symmetric, rhs):
     """Reference for `interpolation._solve`: the inverse of the system
     from `_augmented_solve`, applied to the values by
-    `linear_combination`."""
+    `linear_combination`, each sum reduced."""
     indices, groups = interpolation._basis(n, deg, symmetric)
     rows = interpolation.monomial_matrix(indices, groups, kind, cfg, cache)
     one, zero = Scalar.one(rows[0][0].gens), Scalar.zero(rows[0][0].gens)
@@ -435,7 +435,7 @@ def _inverse_solve(kind, n, deg, cfg, cache, symmetric, rhs):
     coeffs = linear_combination(
         [values[j] for j in used],
         [dict(enumerate(inv_cols[j])) for j in used]) if used else {}
-    return indices, LaurentPoly(n, {e: c for i, c in coeffs.items()
+    return indices, LaurentPoly(n, {e: c.reduced() for i, c in coeffs.items()
                                     for e in groups[i]}, _clean=True)
 
 

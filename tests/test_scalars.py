@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -401,10 +403,12 @@ def test_linear_combination_matches_termwise(case):
         for key, v in row.items():
             want[key] = w * v if key not in want else want[key] + w * v
     want = {key: v for key, v in want.items() if not v.is_zero()}
-    assert scalars.linear_combination(weights, rows) == want
+    got = scalars.linear_combination(weights, rows)
+    assert {key: v.reduced() for key, v in got.items()} == want
     # with the generators given, every entry lives on exactly those
     gens = GEN_ORDER
-    got = scalars.linear_combination(weights, rows, gens)
+    got = {key: v.reduced() for key, v in
+           scalars.linear_combination(weights, rows, gens).items()}
     assert {key: dumps_canonical(v.to_json()) for key, v in got.items()} == \
         {key: dumps_canonical(v.lift(gens).to_json()) for key, v in want.items()}
 
@@ -555,6 +559,28 @@ def test_heuristic_gcd_examples(monkeypatch):
                           _enc({(0, 1): 3, (0, 0): -1}, 2))):
                 a, b = _mul(u, f), _mul(u, g)
                 assert heu(a, b, 2) == u, (c, u, f, g)
+
+
+def test_heuristic_gcd_recovers_from_an_inner_miss(monkeypatch):
+    # a pair of `check all --n 2 --deg 4 --symbolic --seed 42` whose gcd
+    # is the monomial x_0^9.  When the inner levels ran the heuristic
+    # themselves, the one-generator level missed at all of its points on
+    # the first pair of one-generator images, and its None sent the
+    # whole call to the pseudo-remainder sequence
+    data = json.loads((pathlib.Path(__file__).parent / "data"
+                       / "heu_gcd_inner_fallback.json").read_text())
+    k = data["k"]
+    a, b = [_enc({tuple(map(int, e.split(","))): c
+                  for e, c in data[x].items()}, k) for x in ("a", "b")]
+    want = _prs_gcd(a, b, k)
+    assert _dec(want, k) == {(9, 0, 0): 1}
+    assert scalars._heu_gcd(a, b, k) == want
+    splits = []
+    split_main = scalars._split_main
+    monkeypatch.setattr(scalars, "_split_main",
+                        lambda t, k: splits.append(k) or split_main(t, k))
+    assert scalars._poly_gcd(a, b, k) == want
+    assert splits == []
 
 
 def test_poly_gcd_and_canonical_forms_match_sympy():
