@@ -14,6 +14,7 @@ import os
 import pathlib
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .errors import (DivisionByZero, InterpmacError, SpecializationCollision,
                      UsageError)
@@ -240,31 +241,34 @@ def _check_configs(args) -> tuple:
     return qt, r
 
 
-def _report_data(report) -> dict:
-    return {"report": report.to_json(),
-            "elapsed_ms": report.elapsed_ms,
-            "passed": report.passed}
+# A pool worker's one cache, kept across its checks.  Only the pool
+# initializer sets it, so no command leaves a cache in the caller.
+_worker_cache = None
+
+
+def _init_worker(cache_dir):
+    global _worker_cache
+    _worker_cache = FamilyCache(cache_dir)
 
 
 def _report_worker(check_id: str, n: int, d: int, seed: str,
-                   qt: FieldConfig, r: FieldConfig, cache_dir) -> dict:
-    return _report_data(run_check(check_id, n, d, seed=seed, qt=qt, r=r,
-                                  cache=FamilyCache(cache_dir)))
+                   qt: FieldConfig, r: FieldConfig, cache=None):
+    return run_check(check_id, n, d, seed=seed, qt=qt, r=r,
+                     cache=_worker_cache if cache is None else cache)
 
 
-def _emit_report(report_data: dict, as_json: bool, timings: bool):
-    rep = report_data["report"]
+def _emit_report(report, as_json: bool, timings: bool):
+    rep = report.to_json()
     if timings:
-        rep = dict(rep)
-        rep["elapsed_ms"] = round(report_data["elapsed_ms"], 3)
+        rep["elapsed_ms"] = round(report.elapsed_ms, 3)
     if as_json:
         print(dumps_canonical(rep), flush=True)
     else:
-        status = "ok  " if report_data["passed"] else "FAIL"
+        status = "ok  " if report.passed else "FAIL"
         line = f"{status} {rep['id']:22s} instances={rep['instances']}"
         if timings:
-            line += f" elapsed={report_data['elapsed_ms']:.0f}ms"
-        if not report_data["passed"]:
+            line += f" elapsed={report.elapsed_ms:.0f}ms"
+        if not report.passed:
             first = rep["failures"][0]
             line += f"  first failure: {first['instance']}"
         print(line, flush=True)
@@ -284,29 +288,26 @@ def cmd_check(args) -> int:
     qt, r = _check_configs(args)
     cache_dir = _cache_dir(args)
     cache = FamilyCache(cache_dir)  # an unusable directory fails here
+    # built here, so that it calls the module's current _report_worker
+    run = partial(_report_worker, n=n, d=d, seed=str(args.seed), qt=qt, r=r)
 
-    all_passed = True
+    pool = None
     if args.jobs > 1 and len(ids) > 1:
         # imported here: multiprocessing costs every other command start-up
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(ids)))
-        try:
-            futures = [pool.submit(_report_worker, cid, n, d, str(args.seed),
-                                   qt, r, cache_dir)
-                       for cid in ids]
-            for future in futures:
-                data = future.result()
-                _emit_report(data, args.json, args.timings)
-                all_passed = all_passed and data["passed"]
-        finally:
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(ids)),
+                                   initializer=_init_worker,
+                                   initargs=(cache_dir,))
+    all_passed = True
+    try:
+        for report in (pool.map(run, ids) if pool
+                       else map(partial(run, cache=cache), ids)):
+            _emit_report(report, args.json, args.timings)
+            all_passed &= report.passed
+    finally:
+        if pool:
             # on an early exit (closed pipe, interrupt) start no more checks
             pool.shutdown(cancel_futures=True)
-    else:
-        for check_id in ids:
-            data = _report_data(run_check(check_id, n, d, seed=str(args.seed),
-                                          cache=cache, qt=qt, r=r))
-            _emit_report(data, args.json, args.timings)
-            all_passed = all_passed and data["passed"]
     return 0 if all_passed else 1
 
 

@@ -115,8 +115,7 @@ class CheckContext:
     def compositions(self, extra: int = 0) -> list:
         return enumerate_compositions(self.n, self.d + extra)
 
-    def random_polys(self, cfg: FieldConfig, count: int = 3,
-                     max_deg: int = 2) -> list:
+    def random_polys(self, count: int = 3, max_deg: int = 2) -> list:
         """Seeded random polynomials with small integer coefficients."""
         monos = enumerate_compositions(self.n, max_deg)
         out = []
@@ -127,31 +126,30 @@ class CheckContext:
                     if self.rng.random() < 0.5:
                         c = self.rng.randint(-6, 6)
                         if c:
-                            terms[e] = cfg.scalar(c)
+                            terms[e] = self.cfg.scalar(c)
             out.append(LaurentPoly(self.n, terms))
         return out
 
     # -- evaluation parameter handling ---------------------------------------------
 
-    def symbolic_a(self, base: FieldConfig) -> Scalar:
+    def symbolic_a(self) -> Scalar:
         self.a_certification = "symbolic"
-        return Scalar.generator("a", base.gens() + ("a",))
+        return Scalar.generator("a", self.cfg.gens() + ("a",))
 
-    def a_values(self, base: FieldConfig, k: int,
-                 nonzero: Sequence[LaurentPoly] = ()) -> list:
-        """Pairs (a, values): either the symbolic a or, per the base
+    def a_values(self, k: int, nonzero: Sequence[LaurentPoly] = ()) -> list:
+        """Pairs (a, values): either the symbolic a or, per the check's
         field, k distinct seeded rationals a that pass the pre-flight, and
         the values of the nonzero polynomials at a acting on the base
         point.  No sampled a makes one of those values zero, so an
         expansion over them never reduces to 0 == 0."""
-        origin = base.base_point(self.n) if nonzero else None
+        origin = self.cfg.base_point(self.n) if nonzero else None
 
         def values(a):
-            point = base.act(origin, a) if nonzero else None
+            point = self.cfg.act(origin, a) if nonzero else None
             return [p.evaluate(point) for p in nonzero]
 
-        if base.symbolic:
-            a = self.symbolic_a(base)
+        if self.cfg.symbolic:
+            a = self.symbolic_a()
             return [(a, values(a))]
         out = []
         stream = seeded_rationals(self.rng)
@@ -190,7 +188,7 @@ def _swap(v: tuple, i: int) -> tuple:
 def check_hecke_quadratic(ctx: CheckContext):
     cfg = ctx.cfg
     t = cfg.gen("t")
-    for fi, f in enumerate(ctx.random_polys(cfg)):
+    for fi, f in enumerate(ctx.random_polys()):
         for i in range(1, ctx.n):
             u = hecke(i, f, cfg) + f
             v = hecke(i, u, cfg) - u.scale(t)
@@ -199,7 +197,7 @@ def check_hecke_quadratic(ctx: CheckContext):
 
 def check_hecke_braid(ctx: CheckContext):
     cfg = ctx.cfg
-    for fi, f in enumerate(ctx.random_polys(cfg)):
+    for fi, f in enumerate(ctx.random_polys()):
         for i in range(1, ctx.n - 1):
             lhs = hecke(i, hecke(i + 1, hecke(i, f, cfg), cfg), cfg)
             rhs = hecke(i + 1, hecke(i, hecke(i + 1, f, cfg), cfg), cfg)
@@ -214,7 +212,7 @@ def check_hecke_braid(ctx: CheckContext):
 def check_sigma_braid(ctx: CheckContext):
     cfg = ctx.cfg
     perms = list(all_permutations(ctx.n))
-    for fi, f in enumerate(ctx.random_polys(cfg)):
+    for fi, f in enumerate(ctx.random_polys()):
         for i in range(1, ctx.n):
             ctx.eq(f"f#{fi}, involution i={i}",
                    sigma_op(i, sigma_op(i, f, cfg), cfg), f)
@@ -243,8 +241,8 @@ def check_eigen(ctx: CheckContext):
 def check_discr(ctx: CheckContext):
     cfg = ctx.cfg
     base = cfg.base_point(ctx.n)
-    fs = ctx.random_polys(cfg, count=2)
-    for a, _ in ctx.a_values(cfg, k=max(f.total_degree() for f in fs) + 3):
+    fs = ctx.random_polys(count=2)
+    for a, _ in ctx.a_values(k=max(f.total_degree() for f in fs) + 3):
         for fi, f in enumerate(fs):
             pf = cfg.raise_op(f)
             xf = [cfg.exchange_op(i, f) for i in range(1, ctx.n)]
@@ -300,7 +298,7 @@ def check_eval(ctx: CheckContext):
         g = g_recursive(alpha, cfg, ctx.cache)
         d_a = closed_d(alpha, cfg)
         e_a = closed_e(alpha, cfg)
-        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(k=weight(alpha) + 2):
             lhs = d_a * g.evaluate(cfg.act(base, a))
             rhs = e_a * closed_phi(alpha, cfg, a)
             ctx.eq(f"alpha={alpha}, a={a}", lhs, rhs)
@@ -313,7 +311,7 @@ def check_inva(ctx: CheckContext):
     for alpha in ctx.compositions():
         d_a = closed_d(alpha, cfg)
         g_a = g_recursive(alpha, cfg, ctx.cache)
-        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(k=weight(alpha) + 2):
             base = d_a * g_a.evaluate(tau.scale(a))
             for w in perms:
                 beta = w.act(alpha)
@@ -358,7 +356,7 @@ def check_derecur(ctx: CheckContext):
             beta = w.act(alpha)
             ctx.eq(f"e-invariance alpha={alpha}, w={w.word}",
                    closed_e(beta, cfg), e_a)
-        for a, _ in ctx.a_values(cfg, k=weight(alpha) + 2):
+        for a, _ in ctx.a_values(k=weight(alpha) + 2):
             phi_a = closed_phi(alpha, cfg, a)
             for w in perms:
                 beta = w.act(alpha)
@@ -373,7 +371,7 @@ def check_oko(ctx: CheckContext):
     two degrees higher."""
     cfg = ctx.cfg
     kind = cfg.o_kind
-    a = ctx.symbolic_a(cfg)
+    a = ctx.symbolic_a()
     for alpha in ctx.compositions():
         deg = weight(alpha)
         o = okounkov(alpha, cfg, a, ctx.cache)
@@ -436,7 +434,7 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
         coefs = [(binom_sym if symmetric else binom)(index, m, bcfg, cache)
                  for m in down]
         samples = [(None, vals)] if at is not None else \
-            ctx.a_values(cfg, k=weight(index) + 2, nonzero=dens)
+            ctx.a_values(k=weight(index) + 2, nonzero=dens)
         for a, vals in samples:
             label = f"{upper}={index}" + ("" if a is None else f", a={a}")
             weights = coefs if a is None else cfg.binom_weights(a, down, coefs)
@@ -522,7 +520,7 @@ def check_dom(ctx: CheckContext):
 
 def check_sym_lemma(ctx: CheckContext):
     cfg = ctx.cfg
-    for fi, f in enumerate(ctx.random_polys(cfg)):
+    for fi, f in enumerate(ctx.random_polys()):
         sf = symmetrize(f, cfg)
         for i in range(1, ctx.n):
             ctx.eq(f"f#{fi}, output symmetric i={i}", sf.swap_adjacent(i), sf)
@@ -538,7 +536,7 @@ def check_symm_lemma(ctx: CheckContext):
         rp_l = rprime(lam, cfg, ctx.cache)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gp_a = gprime(alpha, cfg, ctx.cache)
-        for a, (val_r, val_g) in ctx.a_values(cfg, k=weight(alpha) + 2,
+        for a, (val_r, val_g) in ctx.a_values(k=weight(alpha) + 2,
                                               nonzero=(r_l, g_a)):
             lhs = _scaled_unreduced(symmetrize(shift_all(g_a, a), cfg), val_r)
             rhs = _scaled_unreduced(shift_all(r_l, a), val_g)
@@ -570,8 +568,7 @@ def check_binom_sum_support(ctx: CheckContext):
 
 
 def check_divided_difference(ctx: CheckContext):
-    cfg = ctx.cfg
-    for fi, f in enumerate(ctx.random_polys(cfg)):
+    for fi, f in enumerate(ctx.random_polys()):
         for i in range(1, ctx.n):
             ctx.true(f"f#{fi}, i={i}",
                      exact_div_check(f, f.divided_difference(i), i))

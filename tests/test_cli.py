@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from interpmac import cli
+from interpmac import cli, interpolation
 from interpmac.interpolation import CACHE_SCHEMA
 from interpmac.identities import CATALOG, CheckDef
 from interpmac.polyring import LaurentPoly
@@ -16,6 +16,33 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """An in-process stand-in for the process pool: one worker that runs
+    the initializer once and every task inline, so no process starts and
+    a large --jobs is never tried for real.  Returns the max_workers of
+    each pool made."""
+    import concurrent.futures
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.append(max_workers)
+            initializer(*initargs)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    # the initializer sets the worker's cache; drop it after the test
+    monkeypatch.setattr(cli, "_worker_cache", None)
+    return seen
 
 
 def test_compute_g_pretty(capsys):
@@ -140,19 +167,22 @@ def test_check_timings_json_adds_only_elapsed(capsys):
     assert reports == [json.loads(line) for line in plain.splitlines()]
 
 
-def test_check_failure_exit_code(capsys):
+def test_check_failure_exit_code(capsys, inline_pool):
     def failing(ctx):
         ctx.eq("forced", 1, 2)
 
     CATALOG["unit-fail"] = CheckDef("unit-fail", "forced failure", "1 = 2",
                                     ("qt",), failing)
     try:
-        code, out, _ = run_cli(["check", "unit-fail", "--n", "1",
-                                "--deg", "1"], capsys)
-        assert code == 1
-        assert "FAIL" in out
+        # serially, and through the pool to the stand-in's one worker
+        for argv in (["unit-fail"], ["all", "--jobs", "2"]):
+            code, out, _ = run_cli(["check", *argv, "--n", "1",
+                                    "--deg", "1"], capsys)
+            assert code == 1
+            assert out.splitlines()[-1].startswith("FAIL unit-fail")
     finally:
         del CATALOG["unit-fail"]
+    assert inline_pool == [2]
 
 
 def test_list_checks(capsys):
@@ -275,14 +305,29 @@ def test_check_json_deterministic_across_processes(tmp_path):
     assert out1.stdout == out2.stdout
 
 
-def test_jobs_output_matches_serial():
+def test_jobs_output_matches_serial(tmp_path):
     base = [sys.executable, "-m", "interpmac", "check", "all", "--n", "1",
             "--deg", "2", "--seed", "3", "--json"]
-    serial = subprocess.run(base, capture_output=True, text=True)
-    parallel = subprocess.run(base + ["--jobs", "2"], capture_output=True,
-                              text=True)
-    assert serial.returncode == 0 and parallel.returncode == 0
-    assert serial.stdout == parallel.stdout
+    pooled = base + ["--jobs", "2"]
+    cached = pooled + ["--cache-dir", str(tmp_path / "c")]
+    # the cached pooled run twice: the cold pass writes, the warm one reads
+    runs = [subprocess.run(cmd, capture_output=True, text=True)
+            for cmd in (base, pooled, cached, cached)]
+    assert [run.returncode for run in runs] == [0] * 4
+    assert all(run.stdout == runs[0].stdout for run in runs)
+    assert list((tmp_path / "c").iterdir())
+
+
+def test_pooled_specialization_error_ends_as_serial():
+    base = [sys.executable, "-m", "interpmac", "check", "all", "--n", "2",
+            "--deg", "2", "--r", "-1"]
+    serial, pooled = (subprocess.run(cmd, capture_output=True, text=True)
+                      for cmd in (base, base + ["--jobs", "2"]))
+    assert serial.returncode == pooled.returncode == 3
+    assert serial.stdout == pooled.stdout
+    for run in (serial, pooled):
+        assert run.stderr.count("\n") == 1
+        assert run.stderr.startswith("specialization error:")
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -385,30 +430,30 @@ def test_cache_command_on_a_file_is_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("jobs,workers", [(2, 2), (500, len(CATALOG))])
 def test_check_pool_workers_capped_at_checks(jobs, workers, capsys,
-                                              monkeypatch):
-    # an inline stand-in for the pool: it records max_workers and starts
-    # no process, so a large --jobs is never tried for real
-    import concurrent.futures
-    seen = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        InlinePool)
+                                              inline_pool):
     code, out, _ = run_cli(["check", "all", "--n", "1", "--deg", "1",
                             "--jobs", str(jobs), "--json"], capsys)
     assert code == 0 and len(out.splitlines()) == len(CATALOG)
-    assert seen == [workers]
+    assert inline_pool == [workers]
+
+
+def test_pool_worker_keeps_one_cache(capsys, monkeypatch, inline_pool):
+    # a worker builds and factors each system once, as a serial run does
+    factor = interpolation.factor_square
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return factor(*args)
+
+    monkeypatch.setattr(interpolation, "factor_square", counting)
+    argv = ["check", "all", "--n", "2", "--deg", "2", "--json"]
+    serial = run_cli(argv, capsys)
+    serial_calls = len(calls)
+    calls.clear()
+    assert run_cli(argv + ["--jobs", "2"], capsys) == serial
+    assert inline_pool == [2]
+    assert serial_calls > 0 and len(calls) == serial_calls
 
 
 def test_compute_exponent_past_the_kernel_slots_is_usage_error(capsys):
