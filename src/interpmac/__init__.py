@@ -12,9 +12,8 @@ from .interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
                             rprime, solve_square)
 from .polyring import LaurentPoly
 from .scalars import Scalar
-from .shapes import (CellStats, Permutation, SpectralPoint, contains,
-                     diagram_stats, dominant_sort, enumerate_compositions,
-                     partitions_upto, spectral_qt, spectral_r)
+from .shapes import (CellStats, Permutation, contains, diagram_stats,
+                     dominant_sort, enumerate_compositions, partitions_upto)
 from .variant import FieldConfig, qt_config, r_config
 
 __version__ = "0.1.0"

@@ -38,8 +38,7 @@ from .polyring import LaurentPoly, exact_div_check, shift_all
 from .scalars import Quotient, Scalar, linear_combination, seeded_rationals
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
-                     rearrangements, sharp, spectral_qt,
-                     spectral_r, tau_point, weight)
+                     rearrangements, sharp, weight)
 from .variant import FieldConfig, qt_config, r_config
 
 
@@ -284,7 +283,7 @@ def check_vanish_extra(ctx: CheckContext):
 def check_spectral_closed_form(ctx: CheckContext):
     cfg = ctx.cfg
     for alpha in ctx.compositions():
-        bar = spectral_qt(alpha, cfg)
+        bar = cfg.bar(alpha)
         ks = coleg_vector(alpha)
         for i in range(ctx.n):
             want = cfg.gen_power("q", alpha[i]) * cfg.gen_power("t", -ks[i])
@@ -306,18 +305,19 @@ def check_eval(ctx: CheckContext):
 
 def check_inva(ctx: CheckContext):
     cfg = ctx.cfg
-    tau = tau_point(ctx.n, cfg)
+    base = cfg.base_point(ctx.n)
     perms = list(all_permutations(ctx.n))
     for alpha in ctx.compositions():
         d_a = closed_d(alpha, cfg)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         for a, _ in ctx.a_values(k=weight(alpha) + 2):
-            base = d_a * g_a.evaluate(tau.scale(a))
+            pt = cfg.act(base, a)
+            want = d_a * g_a.evaluate(pt)
             for w in perms:
                 beta = w.act(alpha)
                 val = closed_d(beta, cfg) * g_recursive(
-                    beta, cfg, ctx.cache).evaluate(tau.scale(a))
-                ctx.eq(f"alpha={alpha}, w={w.word}, a={a}", val, base)
+                    beta, cfg, ctx.cache).evaluate(pt)
+                ctx.eq(f"alpha={alpha}, w={w.word}, a={a}", val, want)
 
 
 def check_zerosp(ctx: CheckContext):
@@ -395,7 +395,8 @@ _FAMILIES = {
     "R'": lambda i, cfg, cache: rprime(i, cfg, cache),
     "P": lambda i, cfg, cache: r_sym(i, cfg, cache).top_part(weight(i)),
 }
-_FIXED_POINTS = {"0": lambda n, cfg: (cfg.zero(),) * n, "tau": tau_point,
+_FIXED_POINTS = {"0": lambda n, cfg: (cfg.zero(),) * n,
+                 "tau": lambda n, cfg: cfg.base_point(n),
                  "ones": lambda n, cfg: (cfg.one(),) * n}
 
 
@@ -513,7 +514,7 @@ def check_dom(ctx: CheckContext):
                (wo * w_b * wo).word)
         tl = cfg.tilde(beta)
         lhs = tuple(-tl[ctx.n - 1 - i] for i in range(ctx.n))
-        bar = spectral_r(beta, cfg)
+        bar = cfg.bar(beta)
         rhs = tuple(bar[i] + r * (ctx.n - 1) for i in range(ctx.n))
         ctx.eq(f"reflection beta={beta}", lhs, rhs)
 

@@ -40,9 +40,9 @@ from .errors import DivisionByZero, SpecializationCollision, UsageError
 from .operators import hecke  # noqa: F401
 from .polyring import LaurentPoly, negate_shift_all
 from .scalars import Scalar, _common_gens, dumps_canonical, linear_combination
-from .shapes import (SpectralPoint, diagram_stats, enumerate_compositions,
-                     is_composition, is_partition, partitions_upto,
-                     rearrangements, sharp, weight)
+from .shapes import (diagram_stats, enumerate_compositions, is_composition,
+                     is_partition, partitions_upto, rearrangements, sharp,
+                     weight)
 from .variant import FieldConfig
 
 
@@ -280,7 +280,7 @@ def disk_cache_files(disk_dir: Path) -> tuple:
 # interpolation systems: point kind, basis, matrix, solve, re-check
 # ---------------------------------------------------------------------------
 
-def _point(kind: str, v: tuple, cfg: FieldConfig, cache: FamilyCache) -> SpectralPoint:
+def _point(kind: str, v: tuple, cfg: FieldConfig, cache: FamilyCache) -> tuple:
     """The point of index v; kind names a point method of the field
     config (bar, tilde, bar_inv)."""
     return cache.memo(("pt", kind, cfg.cache_token(), v),

@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
-                     UnsupportedSubstitution)
+                     UnsupportedSubstitution, UsageError)
 from .scalars import Quotient, Scalar, evaluate_laurent
 from .shapes import Permutation
 
@@ -172,14 +172,14 @@ class LaurentPoly:
     # -- evaluation and substitution -------------------------------------------------
 
     def evaluate(self, point) -> Scalar:
-        """Exact value at a SpectralPoint or sequence of Scalars: the
-        value of evaluate_unreduced, reduced once, which gives the same
-        canonical form as a term-by-term sum."""
+        """Exact value at a sequence of Scalars: the value of
+        evaluate_unreduced, reduced once, which gives the same canonical
+        form as a term-by-term sum."""
         return self.evaluate_unreduced(point).reduced()
 
     def evaluate_unreduced(self, point) -> Quotient:
-        """Exact value at a SpectralPoint or sequence of Scalars, as the
-        sum of the terms over one common denominator, not reduced (see
+        """Exact value at a sequence of Scalars, as the sum of the terms
+        over one common denominator, not reduced (see
         scalars.evaluate_laurent).  The coefficient part of that work,
         the lcm pieces and each coefficient's cofactor, is planned on the
         first evaluation over a generator set and kept in _plans (terms
@@ -307,6 +307,9 @@ class LaurentPoly:
         if any(len(e) != n for e in terms):
             raise DimensionError(f"an exponent vector of length other "
                                  f"than n = {n}")
+        if any(type(k) is not int for e in terms for k in e) \
+                or len(terms) != len(data["terms"]):
+            raise UsageError("exponents must be distinct vectors of ints")
         return LaurentPoly(n, terms)
 
 

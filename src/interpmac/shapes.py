@@ -1,17 +1,11 @@
-"""Compositions, integer vectors, permutations, diagram statistics, the
-containment order, and spectral points in both coefficient fields.  The
-point builders take a field config (variant.py), which calls them as its
-`bar` and `base_point` methods."""
-
-from __future__ import annotations
+"""Compositions, integer vectors, permutations, diagram statistics and the
+containment order.  Spectral points are built by the field configs
+(variant.py)."""
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionError, UsageError
-
-if TYPE_CHECKING:
-    from .variant import FieldConfig
 
 
 def weight(v: Sequence[int]) -> int:
@@ -193,63 +187,3 @@ def contains(beta: Sequence[int], alpha: Sequence[int]) -> bool:
         elif not a <= b:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    coords: tuple
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def scale(self, c) -> "SpectralPoint":
-        return SpectralPoint(tuple(x * c for x in self.coords))
-
-    def shift(self, c) -> "SpectralPoint":
-        return SpectralPoint(tuple(x + c for x in self.coords))
-
-
-def tau_point(n: int, cfg: FieldConfig) -> SpectralPoint:
-    """tau = (1, t^{-1}, ..., t^{1-n})."""
-    return SpectralPoint(tuple(cfg.gen_power("t", 1 - j) for j in range(1, n + 1)))
-
-
-def rho_point(n: int, cfg: FieldConfig) -> SpectralPoint:
-    """rho = r*(0, -1, ..., 1-n)."""
-    r = cfg.gen("r")
-    return SpectralPoint(tuple(r * (1 - j) for j in range(1, n + 1)))
-
-
-def spectral_qt(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
-    """v-bar with coordinates q^{v_i} (w_v tau)_i."""
-    if cfg.variant != "qt":
-        raise UsageError("spectral_qt needs a q,t field")
-    _, w = dominant_sort(v)
-    winv = w.inverse()
-    coords = tuple(
-        cfg.gen_power("q", v[i - 1]) * cfg.gen_power("t", 1 - winv.apply(i))
-        for i in range(1, len(v) + 1))
-    return SpectralPoint(coords)
-
-
-def spectral_r(v: Sequence[int], cfg: FieldConfig) -> SpectralPoint:
-    """v-bar(r) = v + w_v rho."""
-    if cfg.variant != "r":
-        raise UsageError("spectral_r needs an r field")
-    _, w = dominant_sort(v)
-    winv = w.inverse()
-    r = cfg.gen("r")
-    coords = tuple(
-        cfg.scalar(v[i - 1]) + r * (1 - winv.apply(i))
-        for i in range(1, len(v) + 1))
-    return SpectralPoint(coords)
-
-
-def reciprocal_point(p: SpectralPoint) -> SpectralPoint:
-    return SpectralPoint(tuple(x.invert() for x in p.coords))

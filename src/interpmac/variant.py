@@ -4,7 +4,9 @@ the q,t side and its Jack-limit (r) twin differ in.
 A field config is a `QtConfig` or an `RConfig`.  Every q,t construction
 and identity has an r twin that differs only in what the two classes
 hold, so callers use the config they are given (`cfg.bar(v)`,
-`cfg.act(point, a)`, `cfg.o_kind`) and are written once.  Operators are
+`cfg.act(point, a)`, `cfg.o_kind`) and are written once.  The configs
+build every spectral point (bar, tilde, bar_inv, the base point tau or
+rho, and a acting on a point) as a plain tuple of Scalars.  Operators are
 called through their modules (`operators.hecke`, never a stored
 reference), so whatever replaces those module attributes, such as the
 per-layer tracer in perfbench, sees every call.
@@ -19,8 +21,7 @@ from typing import ClassVar, Sequence
 from . import operators, polyring
 from .errors import SpecializationCollision, UsageError
 from .scalars import Scalar
-from .shapes import (CellStats, SpectralPoint, reciprocal_point, rho_point,
-                     spectral_qt, spectral_r, tau_point, weight)
+from .shapes import CellStats, dominant_sort, weight
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class FieldConfig:
             out["inverted"] = True
         return out
 
-    def tilde(self, beta: Sequence[int]) -> SpectralPoint:
+    def tilde(self, beta: Sequence[int]) -> tuple:
         """The spectral point of -w_o(beta)."""
         return self.bar(tuple(-x for x in reversed(beta)))
 
@@ -129,18 +130,22 @@ class QtConfig(FieldConfig):
     def exchange_num(self) -> Scalar:
         return self.one() - self.gen("t")
 
-    def bar(self, v: Sequence[int]) -> SpectralPoint:
-        return spectral_qt(v, self)
+    def bar(self, v: Sequence[int]) -> tuple:
+        """v-bar with coordinates q^{v_i} (w_v tau)_i."""
+        _, w = dominant_sort(v)
+        return tuple(self.gen_power("q", x) * self.gen_power("t", 1 - k)
+                     for x, k in zip(v, w.inverse().word))
 
-    def bar_inv(self, v: Sequence[int]) -> SpectralPoint:
+    def bar_inv(self, v: Sequence[int]) -> tuple:
         """The coordinatewise reciprocal of bar(v)."""
-        return reciprocal_point(self.bar(v))
+        return tuple(x.invert() for x in self.bar(v))
 
-    def base_point(self, n: int) -> SpectralPoint:
-        return tau_point(n, self)
+    def base_point(self, n: int) -> tuple:
+        """tau = (1, t^{-1}, ..., t^{1-n})."""
+        return tuple(self.gen_power("t", -j) for j in range(n))
 
-    def act(self, point: SpectralPoint, a: Scalar) -> SpectralPoint:
-        return point.scale(a)
+    def act(self, point: tuple, a: Scalar) -> tuple:
+        return tuple(x * a for x in point)
 
     def act_all(self, f, a: Scalar):
         return polyring.scale_all(f, a)
@@ -154,13 +159,13 @@ class QtConfig(FieldConfig):
     def exchange_op(self, i: int, f):
         return operators.hecke(i, f, self)
 
-    def exchange_den(self, bar: SpectralPoint, i: int) -> Scalar:
+    def exchange_den(self, bar: tuple, i: int) -> Scalar:
         return self.one() - bar[i - 1] / bar[i]
 
     def xi(self, i: int, f):
         return operators.xi_qt(i, f, self)
 
-    def eigenvalue(self, bar: SpectralPoint, i: int) -> Scalar:
+    def eigenvalue(self, bar: tuple, i: int) -> Scalar:
         return bar[i - 1].invert()
 
     def d_cell(self, s: CellStats) -> Scalar:
@@ -179,18 +184,18 @@ class QtConfig(FieldConfig):
         """Each c_beta times a^{|beta|}, the factor scaling brings in."""
         return [a ** weight(m) * c for m, c in zip(lowers, coefs)]
 
-    def discr_exchange(self, bar: SpectralPoint, i: int) -> tuple:
+    def discr_exchange(self, bar: tuple, i: int) -> tuple:
         t = self.gen("t")
         den = bar[i - 1] - bar[i]
         return (t - 1) * bar[i - 1] / den, (bar[i - 1] - t * bar[i]) / den
 
-    def derecur_raise(self, alpha: tuple, bar: SpectralPoint, n: int) -> tuple:
+    def derecur_raise(self, alpha: tuple, bar: tuple, n: int) -> tuple:
         """d, e and phi(0) ratios of alpha over alpha#."""
         return (self.one() - self.gen_power("t", n) * bar[-1],
                 self.gen_power("t", 1 - n) - self.gen("t") * bar[-1],
                 -self.gen_power("q", alpha[-1] - 1))
 
-    def derecur_exchange(self, bar: SpectralPoint, i: int) -> tuple:
+    def derecur_exchange(self, bar: tuple, i: int) -> tuple:
         x = bar[i - 1] / bar[i]
         return self.one() - self.gen("t") * x, self.one() - x
 
@@ -206,14 +211,20 @@ class RConfig(FieldConfig):
     def exchange_num(self) -> Scalar:
         return self.gen("r")
 
-    def bar(self, v: Sequence[int]) -> SpectralPoint:
-        return spectral_r(v, self)
+    def bar(self, v: Sequence[int]) -> tuple:
+        """v-bar(r) = v + w_v rho."""
+        _, w = dominant_sort(v)
+        r = self.gen("r")
+        return tuple(self.scalar(x) + r * (1 - k)
+                     for x, k in zip(v, w.inverse().word))
 
-    def base_point(self, n: int) -> SpectralPoint:
-        return rho_point(n, self)
+    def base_point(self, n: int) -> tuple:
+        """rho = r*(0, -1, ..., 1-n)."""
+        r = self.gen("r")
+        return tuple(r * -j for j in range(n))
 
-    def act(self, point: SpectralPoint, a: Scalar) -> SpectralPoint:
-        return point.shift(a)
+    def act(self, point: tuple, a: Scalar) -> tuple:
+        return tuple(x + a for x in point)
 
     def act_all(self, f, a: Scalar):
         return polyring.shift_all(f, a)
@@ -227,13 +238,13 @@ class RConfig(FieldConfig):
     def exchange_op(self, i: int, f):
         return operators.sigma_op(i, f, self)
 
-    def exchange_den(self, bar: SpectralPoint, i: int) -> Scalar:
+    def exchange_den(self, bar: tuple, i: int) -> Scalar:
         return bar[i - 1] - bar[i]
 
     def xi(self, i: int, f):
         return operators.xi_r(i, f, self)
 
-    def eigenvalue(self, bar: SpectralPoint, i: int) -> Scalar:
+    def eigenvalue(self, bar: tuple, i: int) -> Scalar:
         return bar[i - 1]
 
     def d_cell(self, s: CellStats) -> Scalar:
@@ -248,17 +259,17 @@ class RConfig(FieldConfig):
     def binom_weights(self, a: Scalar, lowers: list, coefs: list) -> list:
         return coefs
 
-    def discr_exchange(self, bar: SpectralPoint, i: int) -> tuple:
+    def discr_exchange(self, bar: tuple, i: int) -> tuple:
         r = self.gen("r")
         den = bar[i - 1] - bar[i]
         return r / den, (den - r) / den
 
-    def derecur_raise(self, alpha: tuple, bar: SpectralPoint, n: int) -> tuple:
+    def derecur_raise(self, alpha: tuple, bar: tuple, n: int) -> tuple:
         """d and e ratios of alpha over alpha#; phi(0) has no such rule."""
         ratio = self.gen("r") * n + bar[-1]
         return ratio, ratio, None
 
-    def derecur_exchange(self, bar: SpectralPoint, i: int) -> tuple:
+    def derecur_exchange(self, bar: tuple, i: int) -> tuple:
         x = bar[i - 1] - bar[i]
         return x + self.gen("r"), x
 

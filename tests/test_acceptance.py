@@ -18,7 +18,6 @@ from interpmac.interpolation import (FamilyCache, binom, g_recursive,
                                      okounkov)
 from interpmac.polyring import LaurentPoly
 from interpmac.scalars import Scalar
-from interpmac.shapes import tau_point
 from interpmac.variant import qt_config, r_config
 
 DESK = [(1, 4), (2, 4), (3, 3)]
@@ -101,7 +100,7 @@ def test_criterion_3_evaluation_formulas(caches):
     # point equals (a-1)/t
     a = Scalar.generator("a", ("q", "t", "a"))
     g = g_recursive((0, 1), QT, caches[2])
-    hand = g.evaluate(tau_point(2, QT).scale(a)) == \
+    hand = g.evaluate(QT.act(QT.base_point(2), a)) == \
         (a - 1) * QT.gen_power("t", -1)
 
     ok = not bad and mode_ok and hand

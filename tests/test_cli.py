@@ -280,6 +280,17 @@ def test_cache_rebuilds_bad_files(tmp_path, capsys):
     assert run_cli(cmd, capsys)[:2] == (0, want)
     for i in ((1, 0), (2, 1)):
         assert json.loads(index[i].read_text()) == good[i]
+    # and so are files with an exponent entry that is not an int, or with
+    # one exponent vector in two terms
+    good_text = index[(1, 0)].read_text()
+    terms = good[(1, 0)]["poly"]["terms"]
+    at = [t["exp"] for t in terms].index([1, 0])
+    for exp in (["1", 0], [1.5, 0], [True, 0], terms[at - 1]["exp"]):
+        bad = [dict(t, exp=exp) if j == at else t for j, t in enumerate(terms)]
+        index[(1, 0)].write_text(json.dumps(
+            dict(good[(1, 0)], poly={"n": 2, "terms": bad})))
+        assert run_cli(first, capsys)[:2] == want_first, exp
+        assert index[(1, 0)].read_text() == good_text, exp
     assert sorted(cache_dir.iterdir()) == files
 
 

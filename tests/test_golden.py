@@ -3,8 +3,10 @@
 n=3 (degree 3), must reproduce the recorded sha256 of every report line
 byte for byte, and so must `check recur-oracle-qt` with symbolic q,t at
 n=3 (degree 3).  So must the `compute --json` output of the five
-symbolic q,t constructions of the symbolic-qt benchmark workload: that
-polynomial JSON is what the disk cache stores.  Checks run with one
+symbolic q,t constructions of the symbolic-qt benchmark workload (that
+polynomial JSON is what the disk cache stores) and of eleven requests
+that evaluate at every point kind (bar, tilde, bar_inv), under both
+actions of a, on the r, specialized and inverted fields.  Checks run with one
 coefficient or one expansion term perturbed must reproduce their
 recorded failing reports, labels and lhs/rhs text included: every
 binomial-formula entry on the default fields, and the sampled-a r path
@@ -77,8 +79,9 @@ def test_recur_oracle_symbolic_n3_matches_golden(capsys):
     assert got == want.splitlines()
 
 
-COMPUTE = [line.split("  ", 1) for line in
-           (GOLDEN / "compute_symbolic_qt.sha256").read_text().splitlines()]
+COMPUTE = [line.split("  ", 1)
+           for name in ("compute_symbolic_qt.sha256", "compute_points.sha256")
+           for line in (GOLDEN / name).read_text().splitlines()]
 
 
 @pytest.mark.parametrize("digest,request_args", COMPUTE,

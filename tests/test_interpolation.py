@@ -18,8 +18,7 @@ from interpmac.interpolation import (FamilyCache, FamilyKey, binom, binom_sym,
 from interpmac.operators import hecke, sigma_op
 from interpmac.polyring import LaurentPoly
 from interpmac.scalars import Scalar, dumps_canonical, linear_combination
-from interpmac.shapes import (enumerate_compositions, partitions_upto,
-                              spectral_qt, spectral_r, tau_point, weight)
+from interpmac.shapes import enumerate_compositions, partitions_upto, weight
 from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
@@ -145,7 +144,7 @@ def test_defining_conditions_rechecked(cache):
     assert g.coefficient(alpha, QT.zero()) == QT.one()
     for beta in enumerate_compositions(2, 3):
         if beta != alpha:
-            assert g.evaluate(spectral_qt(beta, QT)).is_zero()
+            assert g.evaluate(QT.bar(beta)).is_zero()
 
 
 def test_recursion_matches_oracle(cache):
@@ -165,8 +164,7 @@ def test_descent_choice_independence(cache):
             swapped = list(alpha)
             swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
             sub = g_recursive(tuple(swapped), variant, cache)
-            bar = spectral_qt(alpha, variant) if variant.variant == "qt" \
-                else spectral_r(alpha, variant)
+            bar = variant.bar(alpha)
             if variant.variant == "qt":
                 d = variant.one() - bar[i - 1] / bar[i]
                 step = hecke(i, sub, variant) + \
@@ -184,7 +182,7 @@ def test_extra_vanishing(cache):
         g = g_recursive(alpha, QT, cache)
         for beta in enumerate_compositions(2, 3):
             if beta != alpha and not contains(beta, alpha):
-                assert g.evaluate(spectral_qt(beta, QT)).is_zero()
+                assert g.evaluate(QT.bar(beta)).is_zero()
 
 
 # -- closed-form scalars ---------------------------------------------------
@@ -216,7 +214,7 @@ def test_eval_hand_instance(cache):
     # G_(0,1)(a tau) = (a-1)/t, symbolically in q, t, a
     a = Scalar.generator("a", ("q", "t", "a"))
     g = g_recursive((0, 1), QT, cache)
-    value = g.evaluate(tau_point(2, QT).scale(a))
+    value = g.evaluate(QT.act(QT.base_point(2), a))
     assert value == (a - 1) * QT.gen_power("t", -1)
 
 
@@ -275,8 +273,8 @@ def test_binom_sym_requires_partitions(cache):
     with pytest.raises(UsageError):
         binom_sym((1, 2), (0, 0), R, cache)
     assert binom_sym((2, 1), (1, 1), R, cache) == \
-        r_sym((1, 1), R, cache).evaluate(spectral_r((2, 1), R)) / \
-        r_sym((1, 1), R, cache).evaluate(spectral_r((1, 1), R))
+        r_sym((1, 1), R, cache).evaluate(R.bar((2, 1))) / \
+        r_sym((1, 1), R, cache).evaluate(R.bar((1, 1)))
 
 
 # -- reciprocity --------------------------------------------------------------
@@ -369,7 +367,7 @@ def test_denominators_nonvanishing(cache):
     for beta in enumerate_compositions(2, 3):
         assert not g_recursive(beta, QT, cache).evaluate(origin2).is_zero()
         assert not e_top(beta, QT, cache).evaluate(
-            tau_point(2, QT)).is_zero()
+            QT.base_point(2)).is_zero()
         assert not e_top(beta, R, cache).evaluate(ones2).is_zero()
 
 

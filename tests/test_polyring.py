@@ -5,15 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpmac.errors import (DegreeError, DimensionError, DivisionByZero,
-                              UnsupportedSubstitution)
+                              InterpmacError, UnsupportedSubstitution)
 from interpmac import scalars
 from interpmac.interpolation import FamilyCache, FamilyKey, g_recursive
 from interpmac.polyring import (LaurentPoly, exact_div_check,
                                 negate_shift_all, scale_all, shift_all)
 from interpmac.scalars import Scalar, clear_denominators, dumps_canonical
-from interpmac.shapes import (Permutation, enumerate_compositions,
-                              reciprocal_point, spectral_qt, spectral_r,
-                              tau_point)
+from interpmac.shapes import Permutation, enumerate_compositions
 from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
@@ -31,7 +29,7 @@ def const(c, n=2):
 
 def test_evaluate_examples():
     f = x(2) - const(QT.gen_power("t", -1))
-    assert f.evaluate(tau_point(2, QT)).is_zero()
+    assert f.evaluate(QT.base_point(2)).is_zero()
     assert const(ONE).evaluate((QT.scalar(7), QT.scalar(9))) == ONE
     g = x(1) * x(2)
     q, tinv = QT.gen("q"), QT.gen_power("t", -1)
@@ -43,7 +41,7 @@ def test_evaluate_zero_at_negative_power():
     with pytest.raises(DivisionByZero):
         f.evaluate((QT.zero(), QT.one()))
     # (0, 0)-bar = rho = (0, -r): its zero coordinate only at a negative power
-    rho = spectral_r((0, 0), R)
+    rho = R.bar((0, 0))
     g = LaurentPoly(2, {(-1, 1): R.one(), (0, 2): R.gen("r")})
     with pytest.raises(DivisionByZero):
         g.evaluate(rho)
@@ -200,11 +198,11 @@ QT_SPEC = qt_config(2, 3)
 # coefficient fields: the generator sets coefficients are drawn from, and
 # the spectral points (before inversion) the coordinates come from
 EVAL_FIELDS = {
-    "Q": ([()], lambda v: spectral_qt(v, QT_SPEC)),
-    "Q(r)": ([(), ("r",)], lambda v: spectral_r(v, R)),
-    "Q(q,t)": ([(), ("q",), ("t",), ("q", "t")], lambda v: spectral_qt(v, QT)),
+    "Q": ([()], QT_SPEC.bar),
+    "Q(r)": ([(), ("r",)], R.bar),
+    "Q(q,t)": ([(), ("q",), ("t",), ("q", "t")], QT.bar),
     "Q(r,a)": ([(), ("r",), ("a",), ("r", "a")],
-               lambda v: spectral_r(v, R).shift(A)),
+               lambda v: R.act(R.bar(v), A)),
 }
 
 
@@ -227,7 +225,7 @@ def evaluation_cases(draw):
     terms = {e: draw(small_scalars(draw(st.sampled_from(coeff_gens))))
              for e in exps}
     v = draw(st.tuples(*[st.integers(0, 3)] * n))
-    coords = point(v).coords
+    coords = point(v)
     if draw(st.booleans()):  # mixed generator sets: shift some by a
         coords = tuple(c + A if draw(st.booleans()) else c for c in coords)
     if draw(st.booleans()):  # the bar-inv point
@@ -257,10 +255,10 @@ def test_evaluate_matches_termwise(case):
 
 
 def test_evaluate_zero_and_constant_polynomials():
-    pt = reciprocal_point(spectral_r((1, 2), R)).shift(A)
-    assert LaurentPoly.zero(2).evaluate(pt).gens == pt.coords[0].gens
+    pt = R.act(tuple(x.invert() for x in R.bar((1, 2))), A)
+    assert LaurentPoly.zero(2).evaluate(pt).gens == pt[0].gens
     assert LaurentPoly.zero(2).evaluate(pt) == _evaluate_termwise(
-        LaurentPoly.zero(2), pt.coords)
+        LaurentPoly.zero(2), pt)
     c = R.gen("r") / (R.gen("r") + 3)
     assert LaurentPoly.constant(2, c).evaluate(pt) is c
 
@@ -279,8 +277,8 @@ def _plan_points():
     """Q(r), Q(r,a), rational and inverted-q,t points, in turn."""
     out = []
     for v in ((1, 2), (2, 1), (3, 1)):
-        out += [spectral_r(v, R), spectral_r(v, R).shift(A),
-                spectral_qt(v, QT_SPEC), spectral_qt(v, QT.with_inverted())]
+        out += [R.bar(v), R.act(R.bar(v), A),
+                QT_SPEC.bar(v), QT.with_inverted().bar(v)]
     return out
 
 
@@ -289,7 +287,7 @@ def test_evaluation_plan_per_generator_set():
     for pt in _plan_points() + _plan_points()[::-1]:
         got = f.evaluate(pt)
         fresh = LaurentPoly(f.n, dict(f.terms)).evaluate(pt)
-        want = _evaluate_termwise(f, pt.coords)
+        want = _evaluate_termwise(f, pt)
         for other in (fresh, want):
             assert got == other and got.gens == other.gens
             assert dumps_canonical(got.to_json()) == \
@@ -343,7 +341,7 @@ def test_small_g_evaluations_match_sympy():
                     for pt in (bar, cfg.act(bar, a)):
                         got = g.evaluate(pt)
                         want = sympy.cancel(g_expr.subs(
-                            dict(zip(xs, map(expr, pt.coords))),
+                            dict(zip(xs, map(expr, pt))),
                             simultaneous=True))
                         assert sympy.cancel(expr(got) - want) == 0, (alpha, v)
                         if got.gens:
@@ -359,6 +357,13 @@ def test_json_round_trip_and_term_order():
     assert LaurentPoly.from_json(data) == f
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == [(0, 0), (1, 0), (0, 1)]
+    # an exponent entry that is not an int, or one vector in two terms
+    for exp in (["1", 0], [1.5, 0], [True, 0], [0, 1]):
+        bad = dict(data, terms=[dict(data["terms"][1], exp=exp),
+                                *data["terms"][::2]])
+        with pytest.raises(InterpmacError) as err:
+            LaurentPoly.from_json(bad)
+        assert isinstance(err.value, ValueError)
 
 
 def test_dimension_mismatch():

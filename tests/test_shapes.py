@@ -4,15 +4,10 @@ from math import comb
 import pytest
 
 from interpmac.errors import DimensionError
-from interpmac.shapes import (CellStats, Permutation, coleg_vector, contains,
+from interpmac.shapes import (CellStats, Permutation, contains,
                               diagram_stats, dominant_sort,
                               enumerate_compositions, partitions_upto,
-                              rearrangements, sharp, spectral_qt, spectral_r,
-                              tau_point)
-from interpmac.variant import qt_config, r_config
-
-QT = qt_config()
-R = r_config()
+                              rearrangements, sharp)
 
 
 def _inversions(w: Permutation) -> int:
@@ -113,46 +108,6 @@ def test_contains_padding_on_partitions():
     # on partitions the order is entrywise
     assert contains((3, 1, 0), (2, 1, 0))
     assert not contains((2, 2, 0), (3, 0, 0))
-
-
-def test_spectral_qt_examples():
-    assert spectral_qt((0, 0), QT).coords == tau_point(2, QT).coords
-    tinv = QT.gen_power("t", -1)
-    q = QT.gen("q")
-    assert spectral_qt((0, 1), QT).coords == (tinv, q)
-    assert spectral_qt((1, 0), QT).coords == (q, tinv)
-
-
-def test_spectral_closed_form():
-    for alpha in enumerate_compositions(3, 3):
-        pt = spectral_qt(alpha, QT)
-        ks = coleg_vector(alpha)
-        for i in range(3):
-            assert pt[i] == QT.gen_power("q", alpha[i]) * \
-                QT.gen_power("t", -ks[i])
-
-
-def test_spectral_r_examples():
-    r = R.gen("r")
-    assert spectral_r((0, 0), R).coords == (R.zero(), -r)
-    assert spectral_r((0, 1), R).coords == (-r, R.one())
-    assert spectral_r((1, 0), R).coords == (R.one(), -r)
-
-
-def test_tilde_examples():
-    assert QT.tilde((0, 0)).coords == tau_point(2, QT).coords
-    assert R.tilde((1, 0)).coords == (R.zero(), -R.one() - R.gen("r"))
-    assert QT.tilde((3,)).coords == (QT.gen_power("q", -3),)
-
-
-def test_spectral_injectivity_at_default_specialization():
-    cfg = qt_config(2, 3)
-    for n, d in [(2, 4), (3, 3)]:
-        seen = {}
-        for beta in enumerate_compositions(n, d):
-            key = tuple(c.as_fraction() for c in spectral_qt(beta, cfg))
-            assert key not in seen, (beta, seen[key])
-            seen[key] = beta
 
 
 def test_partitions_and_rearrangements():
