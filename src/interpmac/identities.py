@@ -245,20 +245,25 @@ def check_discr(ctx: CheckContext):
         for fi, f in enumerate(fs):
             pf = cfg.raise_op(f)
             xf = [cfg.exchange_op(i, f) for i in range(1, ctx.n)]
+            f_at = {}  # composition w -> f at the a-acted point of w
+
+            def f_value(w):
+                if w not in f_at:
+                    f_at[w] = f.evaluate(
+                        cfg.act(_point("bar", w, cfg, ctx.cache), a))
+                return f_at[w]
+
             for v in ctx.compositions():
-                bar = cfg.bar(v)
+                bar = _point("bar", v, cfg, ctx.cache)
                 pt = cfg.act(bar, a)
                 lhs = pf.evaluate(pt)
                 # the raising operator's factor x_n - tau_n (x_n - rho_n)
-                rhs = (pt[-1] - base[-1]) * f.evaluate(
-                    cfg.act(cfg.bar(sharp(v)), a))
+                rhs = (pt[-1] - base[-1]) * f_value(sharp(v))
                 ctx.eq(f"raise: f#{fi}, v={v}, a={a}", lhs, rhs)
-                fv = f.evaluate(pt)
                 for i in range(1, ctx.n):
                     c_v, c_swap = cfg.discr_exchange(bar, i)
                     lhs = xf[i - 1].evaluate(pt)
-                    rhs = c_v * fv + c_swap * f.evaluate(
-                        cfg.act(cfg.bar(_swap(v, i)), a))
+                    rhs = c_v * f_value(v) + c_swap * f_value(_swap(v, i))
                     ctx.eq(f"exchange: f#{fi}, v={v}, i={i}, a={a}", lhs, rhs)
 
 

@@ -571,9 +571,11 @@ def closed_phi(alpha: Sequence[int], cfg: FieldConfig, a) -> Scalar:
 def _binomial(poly: LaurentPoly, upper: tuple, lower: tuple,
               cfg: FieldConfig, cache: FamilyCache, what: str) -> Scalar:
     """poly, the interpolation polynomial of lower, at the spectral point
-    of upper over its value at the point of lower."""
+    of upper over its value at the point of lower; what names the family
+    and keys that value in the cache, shared by every upper index."""
     num = poly.evaluate(_point("bar", upper, cfg, cache))
-    den = poly.evaluate(_point("bar", lower, cfg, cache))
+    den = cache.memo(("own-value", what, cfg.cache_token(), lower),
+                     lambda: poly.evaluate(_point("bar", lower, cfg, cache)))
     if den.is_zero():
         raise DivisionByZero(f"{what} denominator vanished at index {lower}")
     return num / den

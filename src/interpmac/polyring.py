@@ -180,10 +180,10 @@ class LaurentPoly:
     def evaluate_unreduced(self, point) -> Quotient:
         """Exact value at a sequence of Scalars, as the sum of the terms
         over one common denominator, not reduced (see
-        scalars.evaluate_laurent).  The coefficient part of that work,
-        the lcm pieces and each coefficient's cofactor, is planned on the
-        first evaluation over a generator set and kept in _plans (terms
-        never change after construction)."""
+        scalars.evaluate_laurent).  What depends only on the terms (the
+        exponent shape, the lcm pieces and each coefficient's cofactor)
+        is planned on the first evaluation over a generator set and kept
+        in _plans (terms never change after construction)."""
         coords = tuple(point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")

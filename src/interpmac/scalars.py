@@ -26,6 +26,12 @@ wrapping.  For a quotient ea - eb the guard bits detect a slot that
 borrows: (ea - eb + _GUARD) keeps every guard bit set exactly when
 every exponent of ea is at least that of eb.
 
+A polynomial is evaluated over one common denominator, left unreduced
+(evaluate_laurent).  At a point whose coordinates are each one term over
+one term, such as every q,t spectral point, each term's power product is
+one monomial c*X^k, so the term is its cleared numerator with every key
+shifted by k and every coefficient scaled by c.
+
 Multivariate gcds run the heuristic gcd at integer points xi >= 2 min
 norm + 2, each answer proved by an exact division; past a few points or
 a bit cap, a pseudo-remainder sequence decides (see _poly_gcd).
@@ -907,6 +913,47 @@ def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],
     return out
 
 
+def _term_shape(terms: Mapping[tuple, Scalar]) -> tuple:
+    """What an evaluation needs of the exponents alone: (lo, hi, active,
+    keys), with lo[i] <= 0 <= hi[i] the lowest and highest exponent of
+    x_i, active the coordinates where one of them is nonzero, and keys[j]
+    the exponents of term j on the active coordinates."""
+    n = len(next(iter(terms)))
+    lo, hi = [0] * n, [0] * n
+    for e in terms:
+        for i, x in enumerate(e):
+            if x < lo[i]:
+                lo[i] = x
+            elif x > hi[i]:
+                hi[i] = x
+    active = [i for i in range(n) if lo[i] or hi[i]]
+    if len(active) == n:
+        return lo, hi, active, list(terms)
+    return lo, hi, active, [tuple(e[i] for i in active) for e in terms]
+
+
+def _monomial_factors(lifted: Mapping[int, Scalar], lo: Sequence[int],
+                      hi: Sequence[int]) -> Optional[list]:
+    """One table {p: (key, c)} per lifted coordinate x_i = u_i/v_i, in
+    order, with c*X^key = u_i^(p - s_i) * v_i^(T_i - p), when every one of
+    them is one term over one term (a zero coordinate is not); None
+    otherwise.  Raises DegreeError where the power tables of u_i and v_i
+    up to T_i - s_i would."""
+    tables = []
+    for i, x in lifted.items():
+        if len(x.num) != 1 or len(x.den) != 1:
+            return None
+        (ku, cu), = x.num.items()
+        (kv, cv), = x.den.items()
+        s, top = lo[i], hi[i]
+        if max(ku, kv) * (top - s) >= _KEY_LIMIT:
+            raise _degree_overflow()
+        tables.append({p: (ku * (p - s) + kv * (top - p),
+                           cu ** (p - s) * cv ** (top - p))
+                       for p in range(s, top + 1)})
+    return tables
+
+
 def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
                      plans: dict) -> Quotient:
     """Exact value of sum_e terms[e] * prod_i coords[i]**e[i] over
@@ -917,28 +964,29 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
     s_i <= 0 <= T_i the lowest and highest exponent of x_i.  Every term
     becomes the integer polynomial num*(L/den) * prod_i u_i^(e_i-s_i)
     v_i^(T_i-e_i); their sum is the numerator, over the factors of
-    L * prod_i u_i^(-s_i) v_i^(T_i) as the pieces, so that reduced()
-    takes one gcd per factor of that denominator.  The value lives on
-    the generator set the term-by-term sum would have: that of the
-    coefficients and of every coordinate raised to a nonzero power.
+    L * prod_i u_i^(-s_i) v_i^(T_i) other than 1 as the pieces, so that
+    reduced() takes one gcd per factor of that denominator.  The value
+    lives on the generator set the term-by-term sum would have: that of
+    the coefficients and of every coordinate raised to a nonzero power.
     A constant polynomial gives its coefficient.
 
-    The pieces of L and the cofactors L/den depend only on the terms and
-    the generator set: they are planned once per set, in plans (a dict
-    kept with the terms), so a call only builds the power tables of the
-    point, the products num*(L/den) and the sum.
+    Where every such x_i is one term over one term, as at every q,t
+    spectral point and its a-scalings, each product over i is one
+    monomial c*X^k, and a term adds its cleared numerator shifted by
+    the key k and scaled by the int c.  Otherwise the products come from
+    power tables of u_i and v_i, shared between terms with a common
+    prefix of exponents.  Both give the same sum.
+
+    What depends only on the terms is planned once per generator set in
+    plans (a dict kept with the terms): the exponent shape (_term_shape,
+    the same in every plan), the pieces of L and the cofactors L/den.  A
+    call then builds only the per-point factors, the products
+    num*(L/den) and the sum.
     """
     if not terms:
         return Quotient(coords[0].gens if coords else (), {}, [])
-    n = len(coords)
-    lo, hi = [0] * n, [0] * n
-    for e in terms:
-        for i, x in enumerate(e):
-            if x < lo[i]:
-                lo[i] = x
-            elif x > hi[i]:
-                hi[i] = x
-    active = [i for i in range(n) if lo[i] or hi[i]]
+    plan = next(iter(plans.values()), None)
+    lo, hi, active, keys = plan[0] if plan else _term_shape(terms)
     if not active:
         return Quotient.of(next(iter(terms.values())))
     for i in active:
@@ -946,45 +994,62 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
             raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
     coeffs = list(terms.values())
     gens = _common_gens(coeffs + [coords[i] for i in active])
-    k = len(gens)
-    unit = _dict_const(1)
     coeffs = [c.lift(gens) for c in coeffs]
-    if gens not in plans:
-        plans[gens] = _clearing_plan(coeffs, k)
-    pieces, cofactors = plans[gens]
+    plan = plans.get(gens)
+    if plan is None:
+        plan = plans[gens] = ((lo, hi, active, keys),
+                              *_clearing_plan(coeffs, len(gens)))
+    _, pieces, cofactors = plan
     nums = _cleared(coeffs, cofactors)
-
-    # factor[i][x] = u_i^(x - s_i) * v_i^(T_i - x), built from power tables
     lifted = {i: coords[i].lift(gens) for i in active}
-    factor: dict = {}
-    for i, x in lifted.items():
-        s, top = lo[i], hi[i]
-        upow, vpow = [unit], [unit]
-        for _ in range(top - s):
-            upow.append(_dict_mul(upow[-1], x.num))
-            vpow.append(_dict_mul(vpow[-1], x.den))
-        factor[i] = {p: _dict_mul(upow[p - s], vpow[top - p])
-                     for p in range(s, top + 1)}
-
-    # products of the factors, shared between terms with a common prefix
-    # of exponents on the active coordinates
-    mono: dict = {(): unit}
     total: Terms = {}
-    for e, num in zip(terms, nums):
-        key = tuple(e[i] for i in active)
-        m = mono.get(key)
-        if m is None:
-            j = len(key) - 1
-            while key[:j] not in mono:
-                j -= 1
-            m = mono[key[:j]]
-            for j in range(j, len(key)):
-                m = _dict_mul(m, factor[active[j]][key[j]])
-                mono[key[:j + 1]] = m
-        _dict_addmul(total, num, m)
+    tables = _monomial_factors(lifted, lo, hi)
+    if tables is not None:
+        for key, num in zip(keys, nums):
+            shift, c = 0, 1
+            for table, p in zip(tables, key):
+                k, cp = table[p]
+                shift += k
+                c *= cp
+            if max(num) + shift >= _KEY_LIMIT:
+                raise _degree_overflow()
+            for e, a in num.items():
+                e += shift
+                s = total.get(e, 0) + a * c
+                if s:
+                    total[e] = s
+                else:
+                    del total[e]
+    else:
+        # factor[i][p] = u_i^(p - s_i) * v_i^(T_i - p), from power tables
+        unit = _dict_const(1)
+        factor: dict = {}
+        for i, x in lifted.items():
+            s, top = lo[i], hi[i]
+            upow, vpow = [unit], [unit]
+            for _ in range(top - s):
+                upow.append(_dict_mul(upow[-1], x.num))
+                vpow.append(_dict_mul(vpow[-1], x.den))
+            factor[i] = {p: _dict_mul(upow[p - s], vpow[top - p])
+                         for p in range(s, top + 1)}
+        mono: dict = {(): unit}
+        for key, num in zip(keys, nums):
+            m = mono.get(key)
+            if m is None:
+                j = len(key) - 1
+                while key[:j] not in mono:
+                    j -= 1
+                m = mono[key[:j]]
+                for j in range(j, len(key)):
+                    m = _dict_mul(m, factor[active[j]][key[j]])
+                    mono[key[:j + 1]] = m
+            _dict_addmul(total, num, m)
     for i, x in lifted.items():
         # a new list: the plan keeps the coefficients' pieces
-        pieces = pieces + [x.num] * -lo[i] + [x.den] * hi[i]
+        if x.num != _UNIT:
+            pieces = pieces + [x.num] * -lo[i]
+        if x.den != _UNIT:
+            pieces = pieces + [x.den] * hi[i]
     return Quotient(gens, total, pieces)
 
 

@@ -24,6 +24,11 @@ from .scalars import Scalar
 from .shapes import CellStats, dominant_sort, weight
 
 
+# (config, generator, exponent) -> that power; a config is a frozen
+# dataclass, so equal configs share their powers
+_GEN_POWERS: dict = {}
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Which coefficient field to compute in; one subclass per side.
@@ -89,7 +94,11 @@ class FieldConfig:
         return g.invert() if self.inverted else g
 
     def gen_power(self, name: str, k: int) -> Scalar:
-        return self.gen(name) ** k
+        key = (self, name, k)
+        got = _GEN_POWERS.get(key)
+        if got is None:
+            got = _GEN_POWERS[key] = self.gen(name) ** k
+        return got
 
     def with_inverted(self) -> "FieldConfig":
         return type(self)(self.assignments, not self.inverted)

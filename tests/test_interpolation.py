@@ -269,6 +269,26 @@ def test_inverted_binomial_specialized(cache):
                 binom_sym(lam, mu, rec, cache)
 
 
+def test_binomials_share_the_value_at_the_lower_point(cache):
+    """G_beta at its own point is evaluated once for every upper index."""
+    beta = (1, 0)
+    calls = []
+    real = LaurentPoly.evaluate
+
+    def spy(self, point):
+        calls.append(tuple(point))
+        return real(self, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LaurentPoly, "evaluate", spy)
+        got = [binom(alpha, beta, QT, cache)
+               for alpha in ((2, 0), (1, 1), (0, 2), (2, 1))]
+    assert calls.count(QT.bar(beta)) == 1
+    fresh = FamilyCache()
+    assert got == [binom(alpha, beta, QT, fresh)
+                   for alpha in ((2, 0), (1, 1), (0, 2), (2, 1))]
+
+
 def test_binom_sym_requires_partitions(cache):
     with pytest.raises(UsageError):
         binom_sym((1, 2), (0, 0), R, cache)

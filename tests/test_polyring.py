@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -310,6 +312,137 @@ def test_evaluation_plan_leaves_json_equality_and_disk_cache(tmp_path):
     assert stored == f and stored._plans is None
     assert dumps_canonical(stored.to_json()) == before
     assert [stored.evaluate(pt) for pt in _plan_points()] == values
+
+
+# -- the monomial branch of evaluate_laurent ---------------------------------------
+
+QT_NEG = qt_config(Fraction(5, 3), -7)
+QA = ("q", "t", "a")
+RA = ("r", "a")
+
+
+def _monomial(gens, draw):
+    """c * prod g^k over gens with a random rational c and exponents in
+    -2..2: one term over one term once canonical."""
+    k = len(gens)
+    e = draw(st.tuples(*[st.integers(-2, 2)] * k))
+    c = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+    up = tuple(max(x, 0) for x in e)
+    down = tuple(max(-x, 0) for x in e)
+    return Scalar(gens, scalars._pack_terms({up: c.numerator}, k),
+                  scalars._pack_terms({down: c.denominator}, k))
+
+
+# coefficient generator sets and coordinates: every coordinate one term
+# over one term
+MONOMIAL_FIELDS = {
+    "Q q=2,t=3": ([()], lambda v, draw: QT_SPEC.bar(v)),
+    "Q q=5/3,t=-7": ([()], lambda v, draw: QT_NEG.bar(v)),
+    "Q(q,t)": ([(), ("q",), ("q", "t")], lambda v, draw: QT.bar(v)),
+    "Q(q,t) inverted": ([(), ("t",), ("q", "t")],
+                        lambda v, draw: QT.with_inverted().bar(v)),
+    "Q(q,t,a)": ([(), ("q", "t"), QA],
+                 lambda v, draw: QT.act(QT.bar(v), A)),
+    "Q(q,t,a) bar_inv": ([(), ("a",), QA],
+                         lambda v, draw: QT.act(QT.bar_inv(v), A)),
+    "Q(r) c*r": ([(), ("r",)],
+                 lambda v, draw: tuple(_monomial(("r",), draw) for _ in v)),
+    "Q(r,a)": ([(), ("r",), RA],
+               lambda v, draw: tuple(_monomial(RA, draw) for _ in v)),
+}
+
+
+@st.composite
+def monomial_cases(draw):
+    coeff_gens, point = MONOMIAL_FIELDS[
+        draw(st.sampled_from(sorted(MONOMIAL_FIELDS)))]
+    n = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1,
+                         max_size=6, unique=True))
+    terms = {e: draw(small_scalars(draw(st.sampled_from(coeff_gens))))
+             for e in exps}
+    terms = {e: c for e, c in terms.items() if not c.is_zero()}
+    coords = point(draw(st.tuples(*[st.integers(0, 3)] * n)), draw)
+    if draw(st.booleans()):
+        coords = tuple(c.invert() for c in coords)
+    return LaurentPoly(n, terms), coords
+
+
+def _generic(f, coords):
+    """f at coords through the power-table path alone."""
+    with mock.patch.object(scalars, "_monomial_factors", lambda *args: None):
+        return LaurentPoly(f.n, dict(f.terms)).evaluate_unreduced(coords)
+
+
+def _spied(f, coords):
+    """(value, whether each call planned monomial factors)."""
+    seen = []
+    real = scalars._monomial_factors
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out is not None)
+        return out
+
+    with mock.patch.object(scalars, "_monomial_factors", spy):
+        return f.evaluate_unreduced(coords), seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monomial_cases())
+def test_monomial_branch_matches_generic(case):
+    f, coords = case
+    got, seen = _spied(f, coords)
+    assert all(seen)
+    want = _generic(f, coords)
+    assert got.gens == want.gens
+    assert got.num == want.num and got.pieces == want.pieces
+    assert scalars._UNIT not in got.pieces
+    value = got.reduced()
+    for other in (want.reduced(), _evaluate_termwise(f, coords)):
+        assert value == other and value.gens == other.gens
+        assert dumps_canonical(value.to_json()) == \
+            dumps_canonical(other.to_json())
+
+
+def test_monomial_branch_degree_error():
+    q = QT.gen("q")
+    for f, pt in (
+            # a power table of q^2 past the degree limit
+            (LaurentPoly(1, {(2048,): ONE, (0,): ONE}), (q * q,)),
+            (LaurentPoly(1, {(-2048,): ONE, (0,): ONE}), (q * q,)),
+            # the denominator's table, though no term takes a power of it
+            (LaurentPoly(1, {(2048,): ONE}), (1 / (q * q),)),
+            # a cleared numerator of degree 4000 shifted by q^96
+            (LaurentPoly(1, {(96,): q ** 4000, (0,): ONE}), (q,))):
+        with pytest.raises(DegreeError):
+            _spied(f, pt)
+        with pytest.raises(DegreeError):
+            _generic(f, pt)
+    # one degree lower, both give the exact value
+    q4094 = scalars._pack_terms({(4094, 0): 1}, 2)
+    for f, pt, want in (
+            (LaurentPoly(1, {(2047,): ONE, (0,): ONE}), (q * q,),
+             q ** 4094 + 1),
+            (LaurentPoly(1, {(-2047,): ONE, (0,): ONE}), (q * q,),
+             Scalar(QT.gens(), {**q4094, 0: 1}, q4094)),
+            (LaurentPoly(1, {(95,): q ** 4000, (0,): ONE}), (q,),
+             q ** 4095 + 1)):
+        got, seen = _spied(f, pt)
+        assert seen == [True]
+        assert got.num == _generic(f, pt).num
+        assert got.reduced() == want
+
+
+def test_zero_coordinate_takes_the_generic_path():
+    q = QT.gen("q")
+    f = LaurentPoly(2, {(1, 1): ONE, (0, 2): q, (0, -1): ONE})
+    got, seen = _spied(f, (QT.zero(), q))
+    assert seen == [False]
+    assert got == _evaluate_termwise(f, (QT.zero(), q)) == q ** 3 + 1 / q
+    g = LaurentPoly(2, {(-1, 1): ONE, (0, 2): q})
+    with pytest.raises(DivisionByZero):
+        _spied(g, (QT.zero(), q))
 
 
 def test_small_g_evaluations_match_sympy():

@@ -125,3 +125,13 @@ def test_act_scales_on_qt_and_shifts_on_r():
     r = R.gen("r")
     assert R.act(R.bar((1, 0)), b) == (R.one() + b, b - r)
     assert R.act(R.base_point(2), b) == (b, b - r)
+
+
+def test_gen_power_is_shared_between_equal_configs():
+    q = QT.gen("q")
+    assert QT.gen_power("q", -2) == 1 / (q * q)
+    assert qt_config().gen_power("q", -2) is QT.gen_power("q", -2)
+    assert qt_config(2, 3).gen_power("t", 2) == 9
+    assert qt_config(2, 3).with_inverted().gen_power("t", 2) == \
+        Fraction(1, 9)
+    assert QT.with_inverted().gen_power("q", 3) == q ** -3
