@@ -15,11 +15,11 @@ Families (CLI spellings in parentheses):
 The oracle G, R, Gprime, Rprime and O are each the unique polynomial
 of degree <= |index| with prescribed values at spectral points, built
 by one dense solve: its matrix A is factored once per field as PA = LU
-over the canonical field, with first-nonzero pivoting, column by column
-(left-looking).  Forward and back substitution, and each entry of a new
-column of the factorization, are one weighted sum reduced once, by one
-routine.  The factorization is memoized; degree, vanishing and
-normalization of all but O are re-checked after construction.
+by Gaussian elimination in field arithmetic, with first-nonzero
+pivoting.  Forward and back substitution compute each unknown as one
+weighted sum reduced once.  The factorization is memoized; degree,
+vanishing and normalization of all but O are re-checked after
+construction.
 """
 
 from __future__ import annotations
@@ -93,36 +93,31 @@ def _reduced_sum(values: Sequence[Scalar], weights: Sequence[Scalar],
 
 def factor_square(rows: Sequence[Sequence[Scalar]],
                   context: str = "linear system") -> Elimination:
-    """PA = LU of the square matrix rows over its field, left-looking:
-    column c, its rows taken in the order perm, is forward substituted,
-    each entry r through the lower[r] of length min(r, c) known so far by
-    the sum `Elimination.solve` uses.  Its first nonzero entry at or
-    below the diagonal is the pivot, swapped into row c together with
-    perm and the partial rows of L, and the entries below it over the
-    pivot extend L.  Raises SpecializationCollision when the matrix is
+    """PA = LU of the square matrix rows over its field, by right-looking
+    Gaussian elimination in Scalar arithmetic: at step c the pivot is the
+    first nonzero entry at or below the diagonal in column c of the
+    updated matrix.  Its row is swapped into row c together with perm and
+    the rows of L so far, and each row r below adds -L[r][c] times the
+    pivot row.  Raises SpecializationCollision when the matrix is
     singular."""
     m = len(rows)
     gens = _common_gens([v for row in rows for v in row]) if m else ()
-    one = (Scalar.one(gens),)
-    perm, lower, upper = list(range(m)), [()] * m, [[] for _ in range(m)]
+    a = [list(row) for row in rows]
+    perm, lower, upper = list(range(m)), [()] * m, []
     for c in range(m):
-        col = [rows[p][c] for p in perm]
-        for r, weights in enumerate(lower):
-            col[r] = _reduced_sum([col[r]] + col[:len(weights)],
-                                  one + weights, gens)
-        pivot = next((r for r in range(c, m) if not col[r].is_zero()), None)
+        pivot = next((r for r in range(c, m) if not a[r][c].is_zero()), None)
         if pivot is None:
             raise SpecializationCollision(f"singular system in {context}")
-        for v in (perm, lower, col):
+        for v in (perm, lower, a):
             v[c], v[pivot] = v[pivot], v[c]
-        for i in range(c):
-            upper[i].append(-col[i] * upper[i][0])
-        inv = col[c].invert()
-        upper[c].append(inv)
+        inv = a[c][c].invert()
+        upper.append((inv,) + tuple(-u * inv for u in a[c][c + 1:]))
         for r in range(c + 1, m):
-            lower[r] += (-col[r] * inv,)
-    return Elimination(gens, tuple(perm), tuple(lower),
-                       tuple(map(tuple, upper)))
+            lower[r] += (-a[r][c] * inv,)
+            if not a[r][c].is_zero():
+                a[r][c + 1:] = [v + lower[r][c] * u
+                                for v, u in zip(a[r][c + 1:], a[c][c + 1:])]
+    return Elimination(gens, tuple(perm), tuple(lower), tuple(upper))
 
 
 def solve_square(rows: Sequence[Sequence[Scalar]],

@@ -1,6 +1,9 @@
-"""Operator calculus on polynomials: the raising operator and Hecke
-operators in the q,t case, their degenerations in the r case, word
-actions of the degenerate operators, and the symmetrizer.
+"""Operator calculus on polynomials: the raising operator, the Hecke
+operators H_i of the q,t case and their degenerations sigma_i in the r
+case, the Xi operators, word actions and the symmetrizer.  A q,t
+operator and its r twin share one body and differ only in constants;
+word actions and the symmetrizer run through `cfg.exchange_op`, so on
+q,t they are H_w and the Hecke symmetrizer.
 
 Operator chains written as products apply right to left (the rightmost
 factor acts first); empty chains are the identity.  The eigen-equation
@@ -24,37 +27,27 @@ def _check_index(i: int, n: int):
         raise IndexError(f"operator index {i} out of range for n={n}")
 
 
-def _rotate_substitution(f: LaurentPoly, first_coeff, first_shift,
-                         cfg: FieldConfig) -> LaurentPoly:
-    """f(c*x_n + d, x_1, ..., x_{n-1})."""
+def _raise(f: LaurentPoly, coeff, shift, root, cfg: FieldConfig) -> LaurentPoly:
+    """(x_n + root) * f(c*x_n + d, x_1, ..., x_{n-1}): the variables
+    rotate, then x_n alone is substituted."""
     n = f.n
-    one = cfg.one()
-    zero = cfg.zero()
-    maps = {1: (first_coeff, n, first_shift)}
-    for i in range(2, n + 1):
-        maps[i] = (one, i - 1, zero)
-    return f.affine_substitute(maps)
+    g = f.permute_vars(Permutation((n,) + tuple(range(1, n))))
+    g = g.affine_substitute({n: (coeff, n, shift)})
+    return (LaurentPoly.variable(n, n, cfg.one())
+            + LaurentPoly.constant(n, root)) * g
 
 
 def phi_qt(f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
     """(x_n - t^{1-n}) * f(x_n/q, x_1, ..., x_{n-1})."""
-    n = f.n
-    g = _rotate_substitution(f, cfg.gen("q").invert(), cfg.zero(), cfg)
-    factor = (LaurentPoly.variable(n, n, cfg.one())
-              - LaurentPoly.constant(n, cfg.gen_power("t", 1 - n)))
-    return factor * g
+    return _raise(f, cfg.gen("q").invert(), cfg.zero(),
+                  -cfg.gen_power("t", 1 - f.n), cfg)
 
 
 def phi_r(f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
     """(x_n + (n-1)r) * f(x_n - 1, x_1, ..., x_{n-1})."""
     if not f.is_polynomial():
         raise UnsupportedSubstitution("the x_n - 1 shift needs a polynomial")
-    n = f.n
-    one = cfg.one()
-    g = _rotate_substitution(f, one, -one, cfg)
-    factor = (LaurentPoly.variable(n, n, one)
-              + LaurentPoly.constant(n, cfg.gen("r") * (n - 1)))
-    return factor * g
+    return _raise(f, cfg.one(), -cfg.one(), cfg.gen("r") * (f.n - 1), cfg)
 
 
 def hecke(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
@@ -74,48 +67,44 @@ def sigma_op(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
 
 
 def sigma_word(w: Permutation, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
-    """sigma(w) f along a reduced word of w."""
+    """The exchange operators along a reduced word of w: sigma(w) f on
+    an r field, H_w f on a q,t field."""
     out = f
     for i in reversed(w.reduced_word()):
-        out = sigma_op(i, out, cfg)
+        out = cfg.exchange_op(i, out)
     return out
+
+
+def _xi_chain(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
+    """E_i..E_{n-1} Phi E_1..E_{i-1} f, with E the exchange operators
+    and Phi the raising operator of cfg."""
+    n = f.n
+    if not 1 <= i <= n:
+        raise IndexError(f"operator index {i} out of range for n={n}")
+    g = f
+    for j in range(i - 1, 0, -1):
+        g = cfg.exchange_op(j, g)
+    g = cfg.raise_op(g)
+    for j in range(n - 1, i - 1, -1):
+        g = cfg.exchange_op(j, g)
+    return g
 
 
 def xi_qt(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
     """Xi_i f = x_i^{-1} f + x_i^{-1} H_i..H_{n-1} Phi H_1..H_{i-1} f."""
-    n = f.n
-    if not 1 <= i <= n:
-        raise IndexError(f"operator index {i} out of range for n={n}")
-    g = f
-    for j in range(i - 1, 0, -1):
-        g = hecke(j, g, cfg)
-    g = phi_qt(g, cfg)
-    for j in range(n - 1, i - 1, -1):
-        g = hecke(j, g, cfg)
     xinv = LaurentPoly.monomial(
-        n, tuple(-1 if m == i else 0 for m in range(1, n + 1)), cfg.one())
-    return xinv * (f + g)
+        f.n, tuple(-1 if m == i else 0 for m in range(1, f.n + 1)), cfg.one())
+    return xinv * (f + _xi_chain(i, f, cfg))
 
 
 def xi_r(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
     """Xi~_i f = x_i f - sigma_i..sigma_{n-1} Phi~ sigma_1..sigma_{i-1} f."""
-    n = f.n
-    if not 1 <= i <= n:
-        raise IndexError(f"operator index {i} out of range for n={n}")
-    g = f
-    for j in range(i - 1, 0, -1):
-        g = sigma_op(j, g, cfg)
-    g = phi_r(g, cfg)
-    for j in range(n - 1, i - 1, -1):
-        g = sigma_op(j, g, cfg)
-    return LaurentPoly.variable(n, i, cfg.one()) * f - g
+    return LaurentPoly.variable(f.n, i, cfg.one()) * f - _xi_chain(i, f, cfg)
 
 
 def symmetrize(f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
-    """Average of sigma(w) f over the symmetric group."""
-    total = LaurentPoly.zero(f.n)
-    count = 0
-    for w in all_permutations(f.n):
-        total = total + sigma_word(w, f, cfg)
-        count += 1
-    return total.scale(cfg.scalar(1) / cfg.scalar(count))
+    """Average of the word action over the symmetric group: of sigma(w) f
+    on an r field, of H_w f (the Hecke symmetrizer U over n!) on q,t."""
+    perms = list(all_permutations(f.n))
+    total = sum((sigma_word(w, f, cfg) for w in perms), LaurentPoly.zero(f.n))
+    return total.scale(cfg.scalar(1) / cfg.scalar(len(perms)))

@@ -302,6 +302,8 @@ class LaurentPoly:
     @staticmethod
     def from_json(data: Mapping) -> "LaurentPoly":
         n = data["n"]
+        if type(n) is not int:
+            raise UsageError("the variable count n must be an int")
         terms = {tuple(t["exp"]): Scalar.from_json(t["coeff"])
                  for t in data["terms"]}
         if any(len(e) != n for e in terms):

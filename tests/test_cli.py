@@ -292,6 +292,20 @@ def test_cache_rebuilds_bad_files(tmp_path, capsys):
         assert run_cli(first, capsys)[:2] == want_first, exp
         assert index[(1, 0)].read_text() == good_text, exp
     assert sorted(cache_dir.iterdir()) == files
+    # and so is a file whose variable count equals the index length but is
+    # not an int
+    one = ["compute", "G", "--alpha", "1", "--json", "--cache-dir",
+           str(cache_dir)]
+    want_one = run_cli(one, capsys)[:2]
+    path = next(f for f in cache_dir.glob("*.json")
+                if json.loads(f.read_text())["key"]["index"] == [1])
+    good_one = path.read_text()
+    for n in (True, 1.0):
+        data = json.loads(good_one)
+        data["poly"]["n"] = n
+        path.write_text(json.dumps(data))
+        assert run_cli(one, capsys)[:2] == want_one, n
+        assert path.read_text() == good_one, n
 
 
 def test_compute_negative_rational_with_space(capsys):

@@ -3,10 +3,11 @@ import random
 import pytest
 
 from interpmac.errors import UnsupportedSubstitution
+from interpmac.interpolation import FamilyCache, g_recursive, r_sym
 from interpmac.operators import (hecke, phi_qt, phi_r, sigma_op, sigma_word,
                                  symmetrize, xi_qt, xi_r)
 from interpmac.polyring import LaurentPoly
-from interpmac.shapes import Permutation
+from interpmac.shapes import Permutation, dominant_sort, enumerate_compositions
 from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
@@ -137,3 +138,71 @@ def test_symmetrizer_is_projector():
     for i in (1, 2):
         assert sf.swap_adjacent(i) == sf
         assert symmetrize(sigma_op(i, f, R), R) == sf
+
+
+# -- the raising step against the full rotation -----------------------------------
+
+def _phi_reference(f, coeff, shift, root, cfg):
+    """(x_n + root) * f(c*x_n + d, x_1, ..., x_{n-1}), substituting every
+    variable by the rotation map {1: (c, n, d), i: (1, i-1, 0)}."""
+    n = f.n
+    maps = {1: (coeff, n, shift)}
+    for i in range(2, n + 1):
+        maps[i] = (cfg.one(), i - 1, cfg.zero())
+    factor = (LaurentPoly.variable(n, n, cfg.one())
+              + LaurentPoly.constant(n, root))
+    return factor * f.affine_substitute(maps)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_against_full_rotation(n):
+    rng = random.Random(n)
+    q_inv, t_root = QT.gen("q").invert(), -QT.gen_power("t", 1 - n)
+    r_root = R.gen("r") * (n - 1)
+    for _ in range(6):
+        exps = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(4)]
+        exps.append((-1,) + (0,) * (n - 2) + (1,))
+        f = LaurentPoly(n, {e: QT.gen_power("q", rng.randint(-1, 1))
+                            * rng.randint(1, 5) for e in exps})
+        got = phi_qt(f, QT)
+        want = _phi_reference(f, q_inv, QT.zero(), t_root, QT)
+        assert got == want and got.to_json() == want.to_json()
+        g = LaurentPoly(n, {tuple(map(abs, e)): R.gen("r") + rng.randint(-3, 3)
+                            for e in exps})
+        got = phi_r(g, R)
+        want = _phi_reference(g, R.one(), -R.one(), r_root, R)
+        assert got == want and got.to_json() == want.to_json()
+    with pytest.raises(UnsupportedSubstitution, match="needs a polynomial"):
+        phi_r(LaurentPoly.monomial(n, (0,) * (n - 1) + (-1,), R.one()), R)
+
+
+# -- word actions on a q,t field: the Hecke operators H_w and U/n! ---------------
+
+def test_hecke_word_reduced_word_independence():
+    # H(w_o) at n=3 along both standard reduced words
+    f = LaurentPoly(3, {(2, 0, 1): QT.one(), (0, -1, 1): QT.gen("q")})
+    via1 = f
+    for i in [1, 2, 1]:
+        via1 = hecke(i, via1, QT)
+    via2 = f
+    for i in [2, 1, 2]:
+        via2 = hecke(i, via2, QT)
+    assert via1 == via2
+    assert sigma_word(Permutation.longest(3), f, QT) == via1
+
+
+@pytest.mark.parametrize("cfg, n, deg", [
+    (qt_config(2, 3), 2, 3), (qt_config(2, 3), 3, 2), (QT, 2, 2), (QT, 3, 1),
+    (R, 2, 3), (R, 3, 2)],
+    ids=["q2t3-n2", "q2t3-n3", "qt-n2", "qt-n3", "r-n2", "r-n3"])
+def test_symmetrized_g_is_r_sym(cfg, n, deg):
+    """The symmetrization of G_alpha, scaled to coefficient 1 at x^lambda
+    with lambda the dominant sort of alpha, is R_lambda: on a q,t field
+    through the Hecke symmetrizer, on an r field through sigma."""
+    cache = FamilyCache()
+    for alpha in enumerate_compositions(n, deg):
+        lam, _ = dominant_sort(alpha)
+        s = symmetrize(g_recursive(alpha, cfg, cache), cfg)
+        lead = s.coefficient(lam, cfg.zero())
+        assert not lead.is_zero(), alpha
+        assert s.scale(lead.invert()) == r_sym(lam, cfg, cache), alpha

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interpmac.errors import (DegreeError, DimensionError, DivisionByZero,
-                              InterpmacError, UnsupportedSubstitution)
+                              InterpmacError, UnsupportedSubstitution,
+                              UsageError)
 from interpmac import scalars
 from interpmac.interpolation import FamilyCache, FamilyKey, g_recursive
 from interpmac.polyring import (LaurentPoly, exact_div_check,
@@ -497,6 +498,10 @@ def test_json_round_trip_and_term_order():
         with pytest.raises(InterpmacError) as err:
             LaurentPoly.from_json(bad)
         assert isinstance(err.value, ValueError)
+    # a variable count that is not an int, bools included
+    for n in (True, 2.0, "2"):
+        with pytest.raises(UsageError):
+            LaurentPoly.from_json(dict(data, n=n))
 
 
 def test_dimension_mismatch():
