@@ -35,7 +35,7 @@ from .interpolation import (FamilyCache, binom, binom_sym, closed_d, closed_e,
                             reflect, rprime, _point)
 from .operators import hecke, sigma_op, sigma_word, symmetrize
 from .polyring import LaurentPoly, exact_div_check, shift_all
-from .scalars import Quotient, Scalar, linear_combination, seeded_rationals
+from .scalars import Scalar, linear_combination, seeded_rationals
 from .shapes import (Permutation, all_permutations, coleg_vector, contains,
                      dominant_sort, enumerate_compositions, partitions_upto,
                      rearrangements, sharp, weight)
@@ -166,14 +166,6 @@ class CheckContext:
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _scaled_unreduced(f: LaurentPoly, c: Scalar) -> LaurentPoly:
-    """f.scale(c) with every coefficient left an unreduced Quotient."""
-    if c.is_zero():
-        return LaurentPoly.zero(f.n)
-    return LaurentPoly(f.n, {e: Quotient.of(x) * c for e, x in f.terms.items()},
-                       _clean=True)
-
-
 def _swap(v: tuple, i: int) -> tuple:
     out = list(v)
     out[i - 1], out[i] = out[i], out[i - 1]
@@ -230,11 +222,11 @@ def check_sigma_braid(ctx: CheckContext):
 def check_eigen(ctx: CheckContext):
     cfg = ctx.cfg
     for alpha in ctx.compositions():
-        g = g_recursive(alpha, cfg, ctx.cache)
+        gu = g_recursive(alpha, cfg, ctx.cache).unreduced()
         bar = cfg.bar(alpha)
         for i in range(1, ctx.n + 1):
-            ctx.eq(f"alpha={alpha}, i={i}", cfg.xi(i, g),
-                   g.scale(cfg.eigenvalue(bar, i)))
+            ctx.eq(f"alpha={alpha}, i={i}", cfg.xi(i, gu),
+                   gu.scale(cfg.eigenvalue(bar, i)))
 
 
 def check_discr(ctx: CheckContext):
@@ -441,6 +433,7 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
                  for m in down]
         samples = [(None, vals)] if at is not None else \
             ctx.a_values(k=weight(index) + 2, nonzero=dens)
+        top = dens[pos].unreduced()
         for a, vals in samples:
             label = f"{upper}={index}" + ("" if a is None else f", a={a}")
             weights = coefs if a is None else cfg.binom_weights(a, down, coefs)
@@ -450,7 +443,7 @@ def _binomial_formula(ctx: CheckContext, den: str, basis: str,
                                   initial=one))
             cof = [p * s for p, s in zip(accumulate(vals, mul, initial=one),
                                          reversed(suf[:-1]))]
-            ctx.eq(label, _scaled_unreduced(lhs(dens[pos], a, cfg), cof[pos]),
+            ctx.eq(label, lhs(top, a, cfg).scale(cof[pos]),
                    LaurentPoly(n, linear_combination(
                        [c * w for c, w in zip(weights, cof)], rows),
                        _clean=True))
@@ -495,7 +488,8 @@ def check_relate(ctx: CheckContext):
     cfg = ctx.cfg
     wo = Permutation.longest(ctx.n)
     for alpha in ctx.compositions():
-        h = reflect(g_recursive(alpha, cfg, ctx.cache), weight(alpha), cfg)
+        h = reflect(g_recursive(alpha, cfg, ctx.cache).unreduced(),
+                    weight(alpha), cfg)
         ctx.eq(f"alpha={alpha}", gprime(alpha, cfg, ctx.cache),
                sigma_word(wo, h.permute_vars(wo), cfg))
 
@@ -504,7 +498,8 @@ def check_relate2(ctx: CheckContext):
     cfg = ctx.cfg
     for lam in partitions_upto(ctx.n, ctx.d):
         ctx.eq(f"lambda={lam}", rprime(lam, cfg, ctx.cache),
-               reflect(r_sym(lam, cfg, ctx.cache), weight(lam), cfg))
+               reflect(r_sym(lam, cfg, ctx.cache).unreduced(), weight(lam),
+                       cfg))
 
 
 def check_dom(ctx: CheckContext):
@@ -542,14 +537,16 @@ def check_symm_lemma(ctx: CheckContext):
         rp_l = rprime(lam, cfg, ctx.cache)
         g_a = g_recursive(alpha, cfg, ctx.cache)
         gp_a = gprime(alpha, cfg, ctx.cache)
+        ru, gu = r_l.unreduced(), g_a.unreduced()
+        sym_gp = symmetrize(gp_a.unreduced(), cfg)
+        rpu = rp_l.unreduced()
         for a, (val_r, val_g) in ctx.a_values(k=weight(alpha) + 2,
                                               nonzero=(r_l, g_a)):
-            lhs = _scaled_unreduced(symmetrize(shift_all(g_a, a), cfg), val_r)
-            rhs = _scaled_unreduced(shift_all(r_l, a), val_g)
+            lhs = symmetrize(shift_all(gu, a), cfg).scale(val_r)
+            rhs = shift_all(ru, a).scale(val_g)
             ctx.eq(f"shifted: alpha={alpha}, a={a}", lhs, rhs)
-            lhs = _scaled_unreduced(symmetrize(gp_a, cfg), val_r)
-            rhs = _scaled_unreduced(rp_l, val_g)
-            ctx.eq(f"primed: alpha={alpha}, a={a}", lhs, rhs)
+            ctx.eq(f"primed: alpha={alpha}, a={a}", sym_gp.scale(val_r),
+                   rpu.scale(val_g))
 
 
 def check_jack_eval_one(ctx: CheckContext):

@@ -12,11 +12,12 @@ checks pin both conventions.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .errors import UnsupportedSubstitution
 from .polyring import LaurentPoly
-from .shapes import Permutation, all_permutations
+from .shapes import Permutation
 
 if TYPE_CHECKING:
     from .variant import FieldConfig
@@ -104,7 +105,17 @@ def xi_r(i: int, f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
 
 def symmetrize(f: LaurentPoly, cfg: FieldConfig) -> LaurentPoly:
     """Average of the word action over the symmetric group: of sigma(w) f
-    on an r field, of H_w f (the Hecke symmetrizer U over n!) on q,t."""
-    perms = list(all_permutations(f.n))
-    total = sum((sigma_word(w, f, cfg) for w in perms), LaurentPoly.zero(f.n))
-    return total.scale(cfg.scalar(1) / cfg.scalar(len(perms)))
+    on an r field, of H_w f (the Hecke symmetrizer U over n!) on q,t.
+
+    The sum over S_n is F_{n-1}...F_1 f with F_k = 1 + E_k + E_{k-1}E_k
+    + ... + E_1...E_k, E = cfg.exchange_op: every w in S_{k+1} is one
+    minimal coset representative s_j...s_k (or 1) times an element of
+    S_k, with lengths adding, so its word action is the product of
+    theirs.  That is n(n-1)/2 operator applications in all."""
+    total = f
+    for k in range(1, f.n):
+        step = total
+        for j in range(k, 0, -1):
+            step = cfg.exchange_op(j, step)
+            total = total + step
+    return total.scale(cfg.scalar(1) / cfg.scalar(factorial(f.n)))

@@ -5,7 +5,14 @@ in order, pairwise with Scalar +, a sum that reaches zero dropped, so a
 coefficient's generator set depends on that order.  Summing each monomial
 once (scalars.linear_combination) was measured slower: +20% wall on check
 all --n 3 --deg 3 through + and *, +30% CPU on symbolic q,t substitution,
-whose coefficients like 1/q put denominators into the one sum."""
+whose coefficients like 1/q put denominators into the one sum.
+
+A polynomial that is only compared takes unreduced() first: each
+coefficient becomes a scalars.Quotient over one common denominator, and
+every operation here then runs unchanged on integer numerators with no
+gcd, because Quotient arithmetic never reduces.  Constructions keep
+canonical Scalars: reducing once per coefficient after an unreduced
+recursion step was measured slower."""
 
 from __future__ import annotations
 
@@ -15,7 +22,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution, UsageError)
-from .scalars import Quotient, Scalar, evaluate_laurent
+from .scalars import (Quotient, Scalar, evaluate_laurent,
+                      over_one_denominator)
 from .shapes import Permutation
 
 
@@ -44,9 +52,11 @@ def _products(a: Mapping, b: Mapping) -> Iterator[tuple]:
 class LaurentPoly:
     """Map from integer exponent vectors to nonzero Scalars.
 
-    A check may hold unreduced Quotients as the coefficients instead, to
-    compare two polynomials monomial by monomial without reducing; such
-    a polynomial is only compared (==, is_zero) and printed."""
+    A check may hold unreduced Quotients as the coefficients instead (see
+    unreduced), to compare two polynomials monomial by monomial without
+    reducing; such a polynomial goes through the ring operations,
+    substitutions and operators, is compared (==, is_zero) and printed,
+    but is not hashed, evaluated or serialized."""
 
     __slots__ = ("n", "terms", "_plans")
 
@@ -85,6 +95,17 @@ class LaurentPoly:
         """x_i (1-based) with the given unit coefficient."""
         e = tuple(1 if j == i else 0 for j in range(1, n + 1))
         return LaurentPoly(n, {e: one}, _clean=True)
+
+    def unreduced(self) -> "LaurentPoly":
+        """The same polynomial with every coefficient num/den an unreduced
+        Quotient num*(L/den) over the lcm L of the denominators, all
+        terms on one list of L's pieces: sums of its coefficients, and
+        of their products with one Scalar, add numerators only."""
+        if not self.terms:
+            return self
+        return LaurentPoly(self.n, dict(zip(
+            self.terms, over_one_denominator(list(self.terms.values())))),
+            _clean=True)
 
     # -- ring structure ---------------------------------------------------------
 

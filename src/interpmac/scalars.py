@@ -6,8 +6,13 @@ in an ordered subset of the generators q, t, r, a (a field config in
 variant.py says which subset its field uses).  Every operation
 returns a canonical form, so structural equality is mathematical
 equality.  A Quotient is a value left unreduced, a numerator over a
-list of denominator pieces: evaluation and linear combination produce
-one first, and a comparison needs no reduction (see Quotient).
+list of denominator pieces: evaluation, linear combination and
+over_one_denominator produce one first, sums and products of Quotients
+stay unreduced (a sum over the same pieces is one numerator sum), and a
+comparison needs no reduction (see Quotient).  A Scalar operation with
+a Quotient operand returns NotImplemented, so the Quotient's reflected
+method takes it.  A sum of two Scalars over one denominator takes one
+gcd, of the numerator sum with that denominator.
 
 A polynomial is a dict from monomial keys to nonzero int coefficients.
 The key of x_0^e_0 ... x_{k-1}^e_{k-1} (k <= 4 generators) is one int:
@@ -532,6 +537,8 @@ class Scalar:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
+        if other.__class__ is Quotient:
+            return NotImplemented
         a, b = self._pair(other)
         k = len(a.gens)
         if a.den == _UNIT and b.den == _UNIT:
@@ -541,6 +548,16 @@ class Scalar:
             return b
         if not b.num:
             return a
+        if a.den == b.den:
+            # what the path below computes with g1 = den, da = db = 1
+            t = _dict_add(a.num, b.num)
+            if not t:
+                return Scalar.zero(a.gens)
+            g2 = _poly_gcd(t, a.den, k)
+            if g2 == _UNIT:
+                return Scalar(a.gens, t, a.den, _canonical=True)
+            return Scalar(a.gens, _dict_divexact(t, g2),
+                          _dict_divexact(a.den, g2), _canonical=True)
         # denominators-only reduction: with reduced inputs the result
         # below is already canonical
         g1 = _poly_gcd(a.den, b.den, k)
@@ -569,6 +586,8 @@ class Scalar:
         return Scalar(self.gens, _dict_neg(self.num), self.den, _canonical=True)
 
     def __sub__(self, other) -> "Scalar":
+        if other.__class__ is Quotient:
+            return NotImplemented
         a, b = self._pair(other)
         return a + (-b)
 
@@ -576,6 +595,8 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other) -> "Scalar":
+        if other.__class__ is Quotient:
+            return NotImplemented
         a, b = self._pair(other)
         k = len(a.gens)
         if a.den == _UNIT and b.den == _UNIT:
@@ -817,8 +838,13 @@ class Quotient:
     num * prod(other.pieces) == other.num * prod(pieces) in Z[gens]
     (pieces common to both sides cancel first).  That is the same
     relation as equality of the canonical forms, with zero tolerance.
-    reduced() gives the canonical Scalar; a Quotient prints as that
-    Scalar."""
+    Sums, differences and products with Quotients or Scalars stay
+    unreduced: a sum of two values over the same pieces (the same list,
+    or equal lists) is one numerator sum, and otherwise the pieces of
+    both, common ones counted once, are the denominator.  A Scalar
+    operand is Quotient.of(it): Scalar arithmetic hands a Quotient
+    operand over to these methods.  reduced() gives the canonical
+    Scalar; a Quotient prints as that Scalar."""
 
     __slots__ = ("gens", "num", "pieces", "_reduced")
 
@@ -862,7 +888,31 @@ class Quotient:
     def __mul__(self, other) -> "Quotient":
         """The product, unreduced, on the generators Scalar * would give."""
         a, b = self._pair(other)
-        return Quotient(a.gens, _dict_mul(a.num, b.num), a.pieces + b.pieces)
+        pieces = a.pieces + b.pieces if a.pieces and b.pieces \
+            else a.pieces or b.pieces
+        return Quotient(a.gens, _dict_mul(a.num, b.num), pieces)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other) -> "Quotient":
+        a, b = self._pair(other)
+        if a.pieces is b.pieces or a.pieces == b.pieces:
+            return Quotient(a.gens, _dict_add(a.num, b.num), a.pieces)
+        own, rest = _uncommon(a.pieces, b.pieces)
+        return Quotient(a.gens, _dict_add(_dict_mul(a.num, _dict_prod(rest)),
+                                          _dict_mul(b.num, _dict_prod(own))),
+                        a.pieces + rest)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Quotient":
+        return Quotient(self.gens, _dict_neg(self.num), self.pieces)
+
+    def __sub__(self, other) -> "Quotient":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "Quotient":
+        return (-self) + other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Quotient, Scalar)):
@@ -870,12 +920,9 @@ class Quotient:
         a, b = self._pair(other)
         if not a.num or not b.num:
             return not a.num and not b.num
-        own, rest = [], list(b.pieces)
-        for p in a.pieces:
-            if p in rest:
-                rest.remove(p)
-            else:
-                own.append(p)
+        if a.pieces is b.pieces:
+            return a.num == b.num
+        own, rest = _uncommon(a.pieces, b.pieces)
         return _dict_mul(a.num, _dict_prod(rest)) == \
             _dict_mul(b.num, _dict_prod(own))
 
@@ -883,6 +930,27 @@ class Quotient:
         return str(self.reduced())
 
     __repr__ = __str__
+
+
+def _uncommon(a: list, b: list) -> tuple:
+    """(own, rest): the pieces of a not in b and of b not in a, each
+    piece matched at most once."""
+    own, rest = [], list(b)
+    for p in a:
+        if p in rest:
+            rest.remove(p)
+        else:
+            own.append(p)
+    return own, rest
+
+
+def over_one_denominator(values: Sequence[Scalar]) -> list:
+    """The values as unreduced Quotients num*(L/den) over the lcm L of
+    their denominators, all on one list of L's pieces (see
+    _clearing_plan), on the generators their sum would have."""
+    gens = _common_gens(values)
+    nums, pieces = clear_denominators(values, gens)
+    return [Quotient(gens, num, pieces) for num in nums]
 
 
 def linear_combination(weights: Sequence[Scalar], rows: Sequence[Mapping],

@@ -1,8 +1,8 @@
-"""`check all --json --seed 42` at n=1 and n=2 (degree 4) and n=3
-(degrees 2 and 3), and with symbolic q,t at n=2 (degrees 3 and 4) and
-n=3 (degree 3), must reproduce the recorded sha256 of every report line
-byte for byte, and so must `check recur-oracle-qt` with symbolic q,t at
-n=3 (degree 3).  So must the `compute --json` output of the five
+"""`check all --json --seed 42` at n=1 and n=2 (degree 4), n=3
+(degrees 2 and 3) and n=4 (degree 2), and with symbolic q,t at n=2
+(degrees 3 and 4) and n=3 (degree 3), must reproduce the recorded sha256
+of every report line byte for byte, and so must `check recur-oracle-qt`
+with symbolic q,t at n=3 (degree 3).  So must the `compute --json` output of the five
 symbolic q,t constructions of the symbolic-qt benchmark workload (that
 polynomial JSON is what the disk cache stores) and of eleven requests
 that evaluate at every point kind (bar, tilde, bar_inv), under both
@@ -27,7 +27,7 @@ from interpmac.scalars import dumps_canonical
 from interpmac.variant import r_config
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
-DEGREE = {1: 4, 2: 4, 3: 2}
+DEGREE = {1: 4, 2: 4, 3: 2, 4: 2}
 
 
 def _digests(args, capsys, check_id="all") -> tuple:
@@ -37,7 +37,7 @@ def _digests(args, capsys, check_id="all") -> tuple:
                   f"{json.loads(line)['id']}" for line in out.splitlines()]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_check_all_reports_match_golden(n, capsys):
     deg = DEGREE[n]
     code, got = _digests(["--n", str(n), "--deg", str(deg)], capsys)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,10 @@ from interpmac.errors import UnsupportedSubstitution
 from interpmac.interpolation import FamilyCache, g_recursive, r_sym
 from interpmac.operators import (hecke, phi_qt, phi_r, sigma_op, sigma_word,
                                  symmetrize, xi_qt, xi_r)
-from interpmac.polyring import LaurentPoly
-from interpmac.shapes import Permutation, dominant_sort, enumerate_compositions
+from interpmac.polyring import (LaurentPoly, negate_shift_all, scale_all,
+                                shift_all)
+from interpmac.shapes import (Permutation, all_permutations, dominant_sort,
+                              enumerate_compositions)
 from interpmac.variant import qt_config, r_config
 
 QT = qt_config()
@@ -206,3 +209,68 @@ def test_symmetrized_g_is_r_sym(cfg, n, deg):
         lead = s.coefficient(lam, cfg.zero())
         assert not lead.is_zero(), alpha
         assert s.scale(lead.invert()) == r_sym(lam, cfg, cache), alpha
+
+
+def _word_sum_symmetrize(f, cfg):
+    """The symmetrizer as the per-word sum of sigma_word over S_n."""
+    perms = list(all_permutations(f.n))
+    total = LaurentPoly.zero(f.n)
+    for w in perms:
+        total = total + sigma_word(w, f, cfg)
+    return total.scale(cfg.scalar(1) / cfg.scalar(len(perms)))
+
+
+@pytest.mark.parametrize("cfg", [R, qt_config(2, 3), QT],
+                         ids=["r", "q2t3", "qt"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetrize_by_cosets_matches_word_sum(cfg, n):
+    rng = random.Random(f"cosets|{n}")
+    monos = enumerate_compositions(n, 3)
+    for _ in range(3):
+        f = LaurentPoly(n, {e: cfg.scalar(rng.randint(-3, 3))
+                            for e in rng.sample(monos, 5)})
+        f = f.scale(cfg.exchange_num())
+        want = _word_sum_symmetrize(f, cfg)
+        got = symmetrize(f, cfg)
+        assert got == want
+        assert got.pretty() == want.pretty()
+
+
+def _operators(cfg):
+    """(name, f -> operator image) for every operator that runs on cfg."""
+    c = cfg.scalar(Fraction(5, 7)) + cfg.exchange_num()
+    ops = [("sigma_word", lambda f: sigma_word(Permutation.longest(f.n), f,
+                                               cfg)),
+           ("symmetrize", lambda f: symmetrize(f, cfg)),
+           ("shift_all", lambda f: shift_all(f, c)),
+           ("scale_all", lambda f: scale_all(f, c)),
+           ("negate_shift_all", lambda f: negate_shift_all(f, c))]
+    if cfg.variant == "qt":
+        ops += [("hecke", lambda f: hecke(f.n - 1, f, cfg)),
+                ("phi_qt", lambda f: phi_qt(f, cfg)),
+                ("xi_qt", lambda f: xi_qt(1, f, cfg))]
+    else:
+        ops += [("sigma_op", lambda f: sigma_op(f.n - 1, f, cfg)),
+                ("phi_r", lambda f: phi_r(f, cfg)),
+                ("xi_r", lambda f: xi_r(1, f, cfg))]
+    return ops
+
+
+@pytest.mark.parametrize("cfg, n, deg", [
+    (qt_config(2, 3), 2, 2), (qt_config(2, 3), 3, 2), (QT, 2, 2),
+    (QT, 3, 1), (R, 2, 2), (R, 3, 2), (r_config(Fraction(1, 2)), 2, 2),
+    (r_config(Fraction(1, 2)), 3, 2)],
+    ids=["q2t3-n2", "q2t3-n3", "qt-n2", "qt-n3", "r-n2", "r-n3",
+         "r1/2-n2", "r1/2-n3"])
+def test_operators_on_unreduced_coefficients(cfg, n, deg):
+    """Each operator on G_alpha with unreduced coefficients equals, and
+    prints as, the operator on G_alpha itself."""
+    cache = FamilyCache()
+    ops = _operators(cfg)
+    for alpha in enumerate_compositions(n, deg):
+        g = g_recursive(alpha, cfg, cache)
+        gu = g.unreduced()
+        for name, op in ops:
+            want, got = op(g), op(gu)
+            assert got == want and want == got, (name, alpha)
+            assert got.pretty() == want.pretty(), (name, alpha)

@@ -712,3 +712,59 @@ def test_add_and_mul_match_termwise(pair):
     f, g = pair
     _same_outcome(LaurentPoly.__add__, _ref_add, f, g)
     _same_outcome(LaurentPoly.__mul__, _ref_mul, f, g)
+
+
+# -- unreduced coefficients: the compare-only form against the canonical one -------
+
+def _same_unreduced(got, want):
+    """got, computed on unreduced coefficients, equals want both ways
+    and prints the same."""
+    assert got == want and want == got
+    assert got.pretty() == want.pretty()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mixed_polys())
+def test_unreduced_equals_and_prints_the_same(f):
+    u = f.unreduced()
+    _same_unreduced(u, f)
+    assert list(u.terms) == list(f.terms)
+    pieces = {id(c.pieces) for c in u.terms.values()}
+    assert len(pieces) <= 1
+
+
+def test_unreduced_off_by_one_is_unequal():
+    f = x(1).scale(QT.gen("q") / (QT.gen("t") + 1)) + const(QT.gen("t").invert())
+    g = f + const(ONE)
+    assert f.unreduced() != g and g != f.unreduced()
+    assert f.unreduced() != g.unreduced()
+    # coefficients on one shared piece list compare by numerators alone
+    u = f.unreduced()
+    assert u.scale(QT.scalar(2)) != u and u.scale(QT.scalar(1)) == u
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(substitution_cases())
+def test_affine_substitute_on_unreduced_coefficients(case):
+    f, maps = case
+    try:
+        want = f.affine_substitute(maps)
+    except (DivisionByZero, UnsupportedSubstitution):
+        return
+    _same_unreduced(f.unreduced().affine_substitute(maps), want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(mixed_polys(n=n), mixed_polys(n=n),
+                        st.integers(1, n - 1))))
+def test_ring_operations_on_unreduced_coefficients(case):
+    f, g, i = case
+    fu, gu = f.unreduced(), g.unreduced()
+    _same_unreduced(fu.divided_difference(i), f.divided_difference(i))
+    for a, b in [(fu, gu), (fu, g), (f, gu)]:
+        _same_unreduced(a + b, f + g)
+        _same_unreduced(a - b, f - g)
+        _same_unreduced(a * b, f * g)
+    for c in g.terms.values():
+        _same_unreduced(fu.scale(c), f.scale(c))

@@ -846,3 +846,94 @@ def test_lift_into_appended_generators_keeps_keys():
     # a generator moved to another slot is re-keyed
     a = Scalar.generator("a", ("a",))
     assert _dec(a.lift(("r", "a")).num, 2) == {(0, 1): 1}
+
+
+def _den_cases(gens, rng, count):
+    """(x, y) pairs of canonical Scalars over gens with x.den == y.den != 1:
+    d = f1*f2, x = n1/d and y = n2/d, where n1 + n2 is f1*u (a common
+    factor with d), -n1 (a sum that cancels to 0) or unrelated."""
+    k = len(gens)
+
+    def poly(terms, deg):
+        return _enc({tuple(rng.randint(0, deg) for _ in range(k)):
+                     rng.randint(-4, 4) for _ in range(terms)}, k)
+
+    out = []
+    while len(out) < count:
+        f1, f2 = poly(2, 2), poly(2, 1)
+        if k == 0:
+            f1, f2 = {0: rng.randint(2, 9)}, {0: rng.randint(1, 5)}
+        d = scalars._dict_mul(f1, f2)
+        if not d or scalars._leading_coeff(d) < 0:
+            continue
+        n1 = poly(3, 2)
+        kind = len(out) % 3
+        n2 = (scalars._dict_add(scalars._dict_mul(f1, poly(2, 1)),
+                                scalars._dict_neg(n1)) if kind == 0
+              else scalars._dict_neg(n1) if kind == 1 else poly(3, 2))
+        if not n1 or not n2:
+            continue
+        x, y = Scalar(gens, n1, d), Scalar(gens, n2, d)
+        if x.den == d and y.den == d and d != {0: 1}:
+            out.append((x, y))
+    return out
+
+
+@pytest.mark.parametrize("gens", [(), ("r",), ("r", "a"), ("q", "t")],
+                         ids=["Q", "Q(r)", "Q(r,a)", "Q(q,t)"])
+def test_equal_denominator_sum_matches_general_path(gens):
+    rng = random.Random(f"equal-den|{gens}")
+    zeros = 0
+    for x, y in _den_cases(gens, rng, 60):
+        # the general path: over den * den, reduced by the constructor
+        want = Scalar(gens, scalars._dict_add(
+            scalars._dict_mul(x.num, y.den), scalars._dict_mul(y.num, x.den)),
+            scalars._dict_mul(x.den, y.den))
+        got = x + y
+        assert (got.num, got.den) == (want.num, want.den)
+        assert dumps_canonical(got.to_json()) == \
+            dumps_canonical(want.to_json())
+        assert (x - (-y)) == got
+        zeros += got.is_zero()
+    assert zeros >= 20
+
+
+def _quotient_sum_cases(rng, gens):
+    """(x, y, qx, qy): random Scalars and Quotients equal to them, on
+    their own pieces, on one shared piece list, and on equal but
+    distinct lists."""
+    for _ in range(25):
+        x, y = _random_scalar(rng), _random_scalar(rng)
+        if gens != GENS:
+            x, y = x.lift(gens), y.lift(gens) * Scalar.generator("a", gens)
+        yield x, y, scalars.Quotient.of(x), scalars.Quotient.of(y)
+        qx, qy = scalars.over_one_denominator([x, y])
+        assert qx.pieces is qy.pieces
+        yield x, y, qx, qy
+        yield x, y, qx, scalars.Quotient(qy.gens, qy.num, list(qy.pieces))
+
+
+@pytest.mark.parametrize("gens", [GENS, ("q", "t", "a")],
+                         ids=["Q(q,t)", "Q(q,t,a)"])
+def test_quotient_sums_match_scalar_arithmetic(gens):
+    rng = random.Random(f"quotient-sum|{gens}")
+    for x, y, qx, qy in _quotient_sum_cases(rng, gens):
+        for got, want in [(qx + qy, x + y), (qx - qy, x - y), (-qx, -x),
+                          (qx + y, x + y), (x + qy, x + y),
+                          (qx - y, x - y), (x - qy, x - y),
+                          (y * qx, x * y), (qx * y, x * y)]:
+            assert isinstance(got, scalars.Quotient)
+            assert got.reduced() == want and got == want
+        assert (qx - qx).is_zero() and (x - qx).is_zero()
+        assert (qx == qy) == (x == y) and (qx == qx + qy - qy)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_quotient_cases())
+def test_quotient_sums_match_reduced_sums(case):
+    x, y, _, _ = case
+    rx, ry = x.reduced(), y.reduced()
+    assert (x + y).reduced() == rx + ry
+    assert (x - y).reduced() == rx - ry
+    assert (ry + x).reduced() == (x + ry).reduced() == rx + ry
+    assert (rx - y).reduced() == rx - ry
