@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (DegreeError, DimensionError, DivisionByZero,
                      UnsupportedSubstitution, UsageError)
-from .scalars import (Quotient, Scalar, evaluate_laurent,
+from .scalars import (Quotient, Scalar, evaluate_laurent, evaluation_plan,
                       over_one_denominator)
 from .shapes import Permutation
 
@@ -58,11 +58,11 @@ class LaurentPoly:
     substitutions and operators, is compared (==, is_zero) and printed,
     but is not hashed, evaluated or serialized."""
 
-    __slots__ = ("n", "terms", "_plans")
+    __slots__ = ("n", "terms", "_plan")
 
     def __init__(self, n: int, terms: Optional[Mapping] = None, _clean=False):
         self.n = n
-        self._plans = None  # see evaluate
+        self._plan = None  # see evaluate_unreduced
         if terms is None:
             self.terms = {}
         elif _clean:
@@ -203,14 +203,14 @@ class LaurentPoly:
         over one common denominator, not reduced (see
         scalars.evaluate_laurent).  What depends only on the terms (the
         exponent shape, the lcm pieces and each coefficient's cofactor)
-        is planned on the first evaluation over a generator set and kept
-        in _plans (terms never change after construction)."""
+        is planned on the first evaluation and kept in _plan, one plan
+        for every point (terms never change after construction)."""
         coords = tuple(point)
         if len(coords) != self.n:
             raise DimensionError("point length mismatch")
-        if self._plans is None:
-            self._plans = {}
-        return evaluate_laurent(self.terms, coords, self._plans)
+        if self._plan is None and self.terms:
+            self._plan = evaluation_plan(self.terms)
+        return evaluate_laurent(self.terms, coords, self._plan)
 
     def permute_vars(self, w: Permutation) -> "LaurentPoly":
         """(w.f)(x) = f at the w-permuted variables: exponent vectors

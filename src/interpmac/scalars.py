@@ -15,13 +15,14 @@ method takes it.  A sum of two Scalars over one denominator takes one
 gcd, of the numerator sum with that denominator.
 
 A polynomial is a dict from monomial keys to nonzero int coefficients.
-The key of x_0^e_0 ... x_{k-1}^e_{k-1} (k <= 4 generators) is one int:
-four slots of _W = 13 bits, generator j in slot 3 - j (the first
-generator in the most significant slot, unused slots zero), and the
-total degree above them.  Integer order is then graded-lex order, so
-the leading term is max(keys), a monomial product is ea + eb, and an
-embedding into appended generators ((r) into (r, a), (q, t) into
-(q, t, a)) keeps every key.
+The key of q^e_0 t^e_1 r^e_2 a^e_3 is one int: four slots of _W = 13
+bits, one per generator, the slot of GEN_ORDER[j] at bit (3 - j) * _W
+(q the most significant), and the total degree above them.  A generator
+has its slot whatever generator tuple a value carries, and one the value
+does not use has exponent 0, so keys, canonical forms and gcds do not
+depend on that tuple: lifting a value into more generators keeps its
+dicts.  Integer order is graded-lex order with q > t > r > a, so the
+leading term is max(keys) and a monomial product is ea + eb.
 
 Every key has total degree at most MAX_DEGREE = 2^12 - 1, so each
 exponent stays below the top bit of its slot, the guard bit.  The sum
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -64,7 +66,7 @@ Terms = dict  # packed monomial key -> nonzero int coefficient
 _W = 13
 _MASK = (1 << _W) - 1
 _DEG_SHIFT = len(GEN_ORDER) * _W
-# bit offset of generator j's slot, and the key of the generator itself
+# bit offset of the slot of GEN_ORDER[j], and the key of that generator
 _SHIFT = tuple((len(GEN_ORDER) - 1 - j) * _W for j in range(len(GEN_ORDER)))
 _GEN_KEY = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFT)
 _GUARD = sum(1 << (s + _W - 1) for s in _SHIFT)
@@ -74,38 +76,38 @@ _KEY_LIMIT = (MAX_DEGREE + 1) << _DEG_SHIFT
 _UNIT: Terms = {0: 1}  # for comparisons only; never handed out
 
 
-def _unpack(key: int, k: int) -> tuple:
-    """Exponent tuple of a key over k generators."""
-    return tuple([(key >> s) & _MASK for s in _SHIFT[:k]])
+@cache
+def _slots(gens: tuple) -> tuple:
+    """The slots a value on the generators gens may use, in GEN_ORDER."""
+    return tuple(sorted(GEN_ORDER.index(g) for g in gens))
 
 
-def _pack_terms(terms: Mapping[tuple, int], k: int) -> Terms:
-    """Polynomial given by exponent tuples of length k, packed; raises
-    DegreeError for an exponent the slots cannot hold."""
+def _unpack(key: int, gens: tuple) -> tuple:
+    """Exponent tuple of a key, one exponent per generator of gens."""
+    return tuple([(key >> _SHIFT[GEN_ORDER.index(g)]) & _MASK for g in gens])
+
+
+def _pack_terms(terms: Mapping[tuple, int], gens: tuple) -> Terms:
+    """Polynomial given by exponent tuples, one exponent per generator of
+    gens, packed; raises DegreeError for an exponent the slots cannot
+    hold."""
+    keys = [_GEN_KEY[GEN_ORDER.index(g)] for g in gens]
     out: Terms = {}
     for e, c in terms.items():
-        if len(e) != k or min(e, default=0) < 0 or sum(e) > MAX_DEGREE:
+        if len(e) != len(gens) or min(e, default=0) < 0 \
+                or sum(e) > MAX_DEGREE:
             raise DegreeError(
                 f"exponent {e} outside the polynomial kernel's range: "
-                f"{k} nonnegative exponents of total degree at most "
-                f"{MAX_DEGREE}")
+                f"{len(gens)} nonnegative exponents of total degree at "
+                f"most {MAX_DEGREE}")
         if c:
-            out[sum(map(mul, e, _GEN_KEY))] = c
+            out[sum(map(mul, e, keys))] = c
     return out
 
 
 def _degree_overflow() -> DegreeError:
     return DegreeError(f"product of total degree above {MAX_DEGREE}, the "
                        f"limit of the polynomial kernel")
-
-
-def _used_gens(polys: Iterable[Terms], k: int) -> list:
-    """Positions of the generators with a nonzero exponent in some term."""
-    bits = 0
-    for t in polys:
-        for e in t:
-            bits |= e
-    return [j for j in range(k) if (bits >> _SHIFT[j]) & _MASK]
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +216,10 @@ def _dict_divexact(a: Terms, b: Terms) -> Terms:
 
 # --- gcd fallback: primitive pseudo-remainder sequence in the last generator
 
-def _split_main(a: Terms, k: int) -> dict:
-    """View a k-generator poly as univariate in the last generator, with
-    (k-1)-generator coefficients."""
-    s, g = _SHIFT[k - 1], _GEN_KEY[k - 1]
+def _split_main(a: Terms, slots: tuple) -> dict:
+    """View a poly in the slots as univariate in the last slot's
+    generator, with coefficients in the others."""
+    s, g = _SHIFT[slots[-1]], _GEN_KEY[slots[-1]]
     out: dict[int, Terms] = {}
     for e, c in a.items():
         d = (e >> s) & _MASK
@@ -225,17 +227,18 @@ def _split_main(a: Terms, k: int) -> dict:
     return out
 
 
-def _join_main(uni: Mapping[int, Terms], k: int) -> Terms:
-    g = _GEN_KEY[k - 1]
+def _join_main(uni: Mapping[int, Terms], slots: tuple) -> Terms:
+    g = _GEN_KEY[slots[-1]]
     return {e + d * g: c for d, sub in uni.items() for e, c in sub.items()}
 
 
-def _poly_content(uni: Mapping[int, Terms], k: int) -> Terms:
-    """gcd of the coefficients of a k-generator poly given by its
-    univariate view in the last generator."""
+def _poly_content(uni: Mapping[int, Terms], slots: tuple) -> Terms:
+    """gcd of the coefficients of a poly in the slots given by its
+    univariate view in the last one."""
     g: Terms = {}
+    rest = slots[:-1]
     for sub in uni.values():
-        g = _poly_gcd(g, sub, k - 1)
+        g = _poly_gcd(g, sub, rest)
         if g == _UNIT:
             break
     return g
@@ -299,9 +302,9 @@ _HEU_ATTEMPTS = 6
 _HEU_MAX_BITS = 1 << 16  # cap on the bit length of an image coefficient
 
 
-def _eval_last(a: Terms, k: int, xi: int) -> Terms:
-    """a at x_{k-1} = xi, keyed over the first k - 1 generators."""
-    s, g = _SHIFT[k - 1], _GEN_KEY[k - 1]
+def _eval_last(a: Terms, slots: tuple, xi: int) -> Terms:
+    """a at y = xi, y the generator of the last of the slots."""
+    s, g = _SHIFT[slots[-1]], _GEN_KEY[slots[-1]]
     out: Terms = {}
     for e, c in a.items():
         d = (e >> s) & _MASK
@@ -311,10 +314,11 @@ def _eval_last(a: Terms, k: int, xi: int) -> Terms:
     return {e: c for e, c in out.items() if c}
 
 
-def _lift_balanced(h: Terms, k: int, xi: int, top: int):
-    """The poly of degree <= top in x_{k-1} with coefficients in (-xi/2,
-    xi/2] (balanced base-xi digits) and image h at x_{k-1} = xi, or None."""
-    g, out = _GEN_KEY[k - 1], {}
+def _lift_balanced(h: Terms, slots: tuple, xi: int, top: int):
+    """The poly of degree <= top in y, the generator of the last of the
+    slots, with coefficients in (-xi/2, xi/2] (balanced base-xi digits)
+    and image h at y = xi, or None."""
+    g, out = _GEN_KEY[slots[-1]], {}
     for e, c in h.items():
         for _ in range(top + 1):
             c, d = divmod(c, xi)
@@ -328,15 +332,15 @@ def _lift_balanced(h: Terms, k: int, xi: int, top: int):
     return out
 
 
-def _heu_gcd(a: Terms, b: Terms, k: int):
-    """gcd of non-monomial a and b in k >= 2 generators by the heuristic
-    in _poly_gcd, or None.  Operands free of the last generator and the
-    images take _poly_gcd over k - 1 generators (_uni_gcd_int at
-    k - 1 = 1), so only this level can give up."""
-    s = _SHIFT[k - 1]
+def _heu_gcd(a: Terms, b: Terms, slots: tuple):
+    """gcd of non-monomial a and b in two or more slots by the heuristic
+    in _poly_gcd, or None.  Operands free of the last slot's generator
+    and the images take _poly_gcd over the other slots (_uni_gcd_int
+    where one is left), so only this level can give up."""
+    s, rest = _SHIFT[slots[-1]], slots[:-1]
     da, db = [max([(e >> s) & _MASK for e in t]) for t in (a, b)]
     if not (da or db):
-        return _poly_gcd(a, b, k - 1)
+        return _poly_gcd(a, b, rest)
     ca, cb = _int_content(a.values()), _int_content(b.values())
     if ca != 1:
         a = {e: c // ca for e, c in a.items()}
@@ -348,9 +352,9 @@ def _heu_gcd(a: Terms, b: Terms, k: int):
         if (max(da, db) * xi.bit_length() + max(na, nb).bit_length()
                 > _HEU_MAX_BITS):
             return None
-        fa, fb = _eval_last(a, k, xi), _eval_last(b, k, xi)
-        h = _poly_gcd(fa, fb, k - 1) if fa and fb else {}
-        p = _lift_balanced(h, k, xi, min(da, db))
+        fa, fb = _eval_last(a, slots, xi), _eval_last(b, slots, xi)
+        h = _poly_gcd(fa, fb, rest) if fa and fb else {}
+        p = _lift_balanced(h, slots, xi, min(da, db))
         if p:
             cp = _int_content(p.values())
             p = {e: c // (cp if _leading_coeff(p) > 0 else -cp)
@@ -366,18 +370,20 @@ def _heu_gcd(a: Terms, b: Terms, k: int):
     return None
 
 
-def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
-    """gcd of integer-coefficient polys in k generators, with positive
+def _poly_gcd(a: Terms, b: Terms, slots: tuple) -> Terms:
+    """gcd of integer-coefficient polys whose keys use only the given
+    slots (positions in GEN_ORDER, in increasing order), with positive
     graded-lex leading coefficient.
 
     If one operand is a monomial, the gcd is the integer gcd of all
-    coefficients times the lowest power of each generator in both; at
-    k = 1 the primitive pseudo-remainder sequence _uni_gcd_int decides.
-    Otherwise the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
-    J. Symbolic Comput. 7, 1989) runs first.  With the integer contents
-    divided out, it sets the last generator y to an integer
-    xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute coefficient),
-    takes the gcd h' of the images by _poly_gcd over k - 1 generators,
+    coefficients times the lowest power of each generator in both; in
+    one slot the primitive pseudo-remainder sequence _uni_gcd_int
+    decides.  Otherwise the heuristic gcd GCDHEU (Char, Geddes and
+    Gonnet, J. Symbolic Comput. 7, 1989) runs first.  With the integer
+    contents divided out, it sets y, the generator of the last slot, to
+    an integer xi >= 2 min(|a|, |b|) + 2 (|.| the largest absolute
+    coefficient), takes the gcd h' of the images by _poly_gcd over the
+    other slots,
     and writes h' in balanced base xi, digits in (-xi/2, xi/2]: a poly h
     with h(y = xi) = h'.  Its primitive part P is accepted only if it
     divides a and b exactly; the gcd is then igcd(content a, content b) P.
@@ -394,13 +400,13 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
     A failed division grows xi (times 73794/27011) for up to
     _HEU_ATTEMPTS points; past them, or once an image coefficient could
     pass _HEU_MAX_BITS bits, the primitive pseudo-remainder sequence in
-    the last generator decides at this level only: every inner gcd is
-    exact.  A poly free of the last generator has the same keys over
-    k - 1 generators: images and contents need no re-keying.
+    the last slot decides at this level only: every inner gcd is exact.
+    A poly free of the last slot's generator has the same keys in the
+    other slots: images and contents need no re-keying.
     """
     if not a or not b:
         g = dict(a or b)
-    elif k == 0:
+    elif not slots:
         return {0: int_gcd(a[0], b[0])}
     elif len(a) == 1 or len(b) == 1:
         if len(b) == 1:
@@ -408,28 +414,30 @@ def _poly_gcd(a: Terms, b: Terms, k: int) -> Terms:
         (em, cm), = a.items()
         key = 0
         if em:
-            for s, gen in zip(_SHIFT[:k], _GEN_KEY):
+            for j in slots:
+                s = _SHIFT[j]
                 x = (em >> s) & _MASK
                 if x:
-                    key += min(x, min([(e >> s) & _MASK for e in b])) * gen
+                    key += min(x, min([(e >> s) & _MASK for e in b])) \
+                        * _GEN_KEY[j]
         return {key: _int_content(b.values(), abs(cm))}
-    elif k == 1:
-        # one generator: the total degree is its exponent
+    elif len(slots) == 1:
+        # one slot: the total degree is its exponent
         g = _uni_gcd_int({e >> _DEG_SHIFT: c for e, c in a.items()},
                          {e >> _DEG_SHIFT: c for e, c in b.items()})
-        return {d * _GEN_KEY[0]: c for d, c in g.items()}
-    elif (g := _heu_gcd(a, b, k)) is None:
-        ua, ub = _split_main(a, k), _split_main(b, k)
-        ca, cb = _poly_content(ua, k), _poly_content(ub, k)
+        return {d * _GEN_KEY[slots[0]]: c for d, c in g.items()}
+    elif (g := _heu_gcd(a, b, slots)) is None:
+        ua, ub = _split_main(a, slots), _split_main(b, slots)
+        ca, cb = _poly_content(ua, slots), _poly_content(ub, slots)
         fa = {d: _dict_divexact(c, ca) for d, c in ua.items()}
         fb = {d: _dict_divexact(c, cb) for d, c in ub.items()}
         if max(fa) < max(fb):
             fa, fb = fb, fa
         while fb:
             fa, r = fb, _pseudo_rem(fa, fb)
-            rc = _poly_content(r, k)
+            rc = _poly_content(r, slots)
             fb = {d: _dict_divexact(c, rc) for d, c in r.items()}
-        g = _dict_mul(_join_main(fa, k), _poly_gcd(ca, cb, k - 1))
+        g = _dict_mul(_join_main(fa, slots), _poly_gcd(ca, cb, slots[:-1]))
     if _leading_coeff(g) < 0:
         g = _dict_neg(g)
     return g
@@ -440,19 +448,9 @@ def _in_gen_order(used) -> tuple:
     return tuple(g for g in GEN_ORDER if g in used)
 
 
-def _lift_positions(gens: tuple, into: tuple) -> list:
-    """The position in into of each generator of gens."""
-    if any(g not in into for g in gens):
+def _check_lift(gens: tuple, into: tuple) -> None:
+    if not set(gens) <= set(into):
         raise UsageError(f"cannot lift {gens} into {into}")
-    return [into.index(g) for g in gens]
-
-
-def _lift_terms(terms: Terms, pos: Sequence[int]) -> Terms:
-    """Re-key a poly in len(pos) generators, old generator j going to
-    position pos[j]."""
-    moves = list(zip(_SHIFT, [_GEN_KEY[p] for p in pos]))
-    return {sum(((e >> s) & _MASK) * g for s, g in moves): c
-            for e, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +463,9 @@ class Scalar:
 
     Canonical form: numerator and denominator are coprime integer
     polynomials and the denominator has positive graded-lex leading
-    coefficient.  Instances are immutable and hashable.
+    coefficient.  Keys do not depend on gens, so neither does the
+    canonical form: equal values have equal dicts.  Instances are
+    immutable and hashable.
     """
 
     __slots__ = ("gens", "num", "den", "_hash")
@@ -493,8 +493,8 @@ class Scalar:
     def generator(name: str, gens: tuple) -> "Scalar":
         if name not in gens:
             raise UsageError(f"generator {name!r} not among {gens}")
-        return Scalar(gens, {_GEN_KEY[gens.index(name)]: 1}, _dict_const(1),
-                      _canonical=True)
+        return Scalar(gens, {_GEN_KEY[GEN_ORDER.index(name)]: 1},
+                      _dict_const(1), _canonical=True)
 
     @staticmethod
     def zero(gens: tuple = ()) -> "Scalar":
@@ -513,18 +513,11 @@ class Scalar:
         return self.den == _UNIT
 
     def lift(self, gens: tuple) -> "Scalar":
-        """Embed into a larger ordered generator set."""
+        """The same value on a larger generator set, sharing the dicts."""
         if gens == self.gens:
             return self
-        if gens[:len(self.gens)] == self.gens:
-            # appended generators: every key stays, the dicts are shared
-            return Scalar(gens, self.num, self.den, _canonical=True)
-        pos = _lift_positions(self.gens, gens)
-        num, den = _lift_terms(self.num, pos), _lift_terms(self.den, pos)
-        if pos != sorted(pos) and _leading_coeff(den) < 0:
-            # reordering generators can move the graded-lex leading term
-            num, den = _dict_neg(num), _dict_neg(den)
-        return Scalar(gens, num, den, _canonical=True)
+        _check_lift(self.gens, gens)
+        return Scalar(gens, self.num, self.den, _canonical=True)
 
     def _pair(self, other) -> tuple["Scalar", "Scalar"]:
         if isinstance(other, Scalar):
@@ -540,7 +533,6 @@ class Scalar:
         if other.__class__ is Quotient:
             return NotImplemented
         a, b = self._pair(other)
-        k = len(a.gens)
         if a.den == _UNIT and b.den == _UNIT:
             return Scalar(a.gens, _dict_add(a.num, b.num), a.den,
                           _canonical=True)
@@ -553,14 +545,15 @@ class Scalar:
             t = _dict_add(a.num, b.num)
             if not t:
                 return Scalar.zero(a.gens)
-            g2 = _poly_gcd(t, a.den, k)
+            g2 = _poly_gcd(t, a.den, _slots(a.gens))
             if g2 == _UNIT:
                 return Scalar(a.gens, t, a.den, _canonical=True)
             return Scalar(a.gens, _dict_divexact(t, g2),
                           _dict_divexact(a.den, g2), _canonical=True)
         # denominators-only reduction: with reduced inputs the result
         # below is already canonical
-        g1 = _poly_gcd(a.den, b.den, k)
+        slots = _slots(a.gens)
+        g1 = _poly_gcd(a.den, b.den, slots)
         if g1 == _UNIT:
             num = _dict_add(_dict_mul(a.num, b.den), _dict_mul(b.num, a.den))
             if not num:
@@ -572,7 +565,7 @@ class Scalar:
         t = _dict_add(_dict_mul(a.num, db), _dict_mul(b.num, da))
         if not t:
             return Scalar.zero(a.gens)
-        g2 = _poly_gcd(t, g1, k)
+        g2 = _poly_gcd(t, g1, slots)
         if g2 != _UNIT:
             t = _dict_divexact(t, g2)
             den = _dict_mul(da, _dict_divexact(b.den, g2))
@@ -598,14 +591,14 @@ class Scalar:
         if other.__class__ is Quotient:
             return NotImplemented
         a, b = self._pair(other)
-        k = len(a.gens)
         if a.den == _UNIT and b.den == _UNIT:
             return Scalar(a.gens, _dict_mul(a.num, b.num), a.den,
                           _canonical=True)
         if not a.num or not b.num:
             return Scalar.zero(a.gens)
-        g1 = _poly_gcd(a.num, b.den, k)
-        g2 = _poly_gcd(b.num, a.den, k)
+        slots = _slots(a.gens)
+        g1 = _poly_gcd(a.num, b.den, slots)
+        g2 = _poly_gcd(b.num, a.den, slots)
         na = a.num if g1 == _UNIT else _dict_divexact(a.num, g1)
         db = b.den if g1 == _UNIT else _dict_divexact(b.den, g1)
         nb = b.num if g2 == _UNIT else _dict_divexact(b.num, g2)
@@ -643,37 +636,23 @@ class Scalar:
         return out
 
     def __eq__(self, other) -> bool:
+        # canonical forms do not depend on the generator set
         if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other, self.gens)
+            other = Scalar.from_fraction(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.num == b.num and a.den == b.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        # equality lifts both sides to a common generator set, so hash a
-        # key free of unused generators and of their order: the used ones
-        # in GEN_ORDER, with the sign normalized for that order (keys are
-        # re-packed only when the used generators are not already the
-        # leading ones in that order); rationals hash like the Fraction
+        # equal values have equal dicts; rationals hash like the Fraction
         # they equal
         if self._hash is None:
-            used = sorted(_used_gens((self.num, self.den), len(self.gens)),
-                          key=lambda j: GEN_ORDER.index(self.gens[j]))
-            if not used:
-                self._hash = hash(Fraction(self.num.get(0, 0), self.den[0]))
+            num, den = self.num, self.den
+            if max(den) == 0 and max(num, default=0) == 0:
+                self._hash = hash(Fraction(num.get(0, 0), den[0]))
             else:
-                num, den = self.num, self.den
-                if used != list(range(len(used))):
-                    # an unused generator has exponent 0: any slot will do
-                    pos = [used.index(j) if j in used else 0
-                           for j in range(len(self.gens))]
-                    num, den = _lift_terms(num, pos), _lift_terms(den, pos)
-                sign = 1 if _leading_coeff(den) > 0 else -1
-                self._hash = hash((
-                    tuple(self.gens[j] for j in used),
-                    frozenset((e, sign * c) for e, c in num.items()),
-                    frozenset((e, sign * c) for e, c in den.items())))
+                self._hash = hash((frozenset(num.items()),
+                                   frozenset(den.items())))
         return self._hash
 
     # -- presentation ----------------------------------------------------------
@@ -691,7 +670,7 @@ class Scalar:
             c = terms[e]
             mono = "*".join(
                 f"{g}^{p}" if p != 1 else g
-                for g, p in zip(self.gens, _unpack(e, len(self.gens))) if p)
+                for g, p in zip(self.gens, _unpack(e, self.gens)) if p)
             if mono:
                 lead = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{lead}{mono}")
@@ -721,8 +700,7 @@ class Scalar:
         if not self.gens:
             f = self.as_fraction()
             return f"{f.numerator}/{f.denominator}"
-        k = len(self.gens)
-        enc = lambda t: {",".join(map(str, _unpack(e, k))): str(c)
+        enc = lambda t: {",".join(map(str, _unpack(e, self.gens))): str(c)
                          for e, c in t.items()}
         return {"num": enc(self.num), "den": enc(self.den), "gens": list(self.gens)}
 
@@ -739,7 +717,7 @@ class Scalar:
                              f"of {GEN_ORDER}")
         dec = lambda t: _pack_terms(
             {tuple(int(x) for x in e.split(",")) if e else (): int(c)
-             for e, c in t.items()}, len(gens))
+             for e, c in t.items()}, gens)
         return Scalar(gens, dec(data["num"]), dec(data["den"]))
 
 
@@ -752,7 +730,7 @@ def _common_gens(values: Sequence[Scalar]) -> tuple:
     return gens
 
 
-def _lcm_pieces(dens: Iterable[Terms], k: int) -> list:
+def _lcm_pieces(dens: Iterable[Terms], slots: tuple) -> list:
     """Factors whose product is the lcm of dens: each denominator enters
     with what the earlier factors do not already cover."""
     pieces: list = []
@@ -760,7 +738,7 @@ def _lcm_pieces(dens: Iterable[Terms], k: int) -> list:
         for p in pieces:
             if d == _UNIT:
                 break
-            g = _poly_gcd(p, d, k)
+            g = _poly_gcd(p, d, slots)
             if g != _UNIT:
                 d = _dict_divexact(d, g)
         if d != _UNIT:
@@ -775,33 +753,33 @@ def _dict_prod(factors: Iterable[Terms]) -> Terms:
     return out
 
 
-def _clearing_plan(lifted: Sequence[Scalar], k: int) -> tuple:
-    """(pieces, cofactors) for values already lifted to k generators: the
+def _clearing_plan(values: Sequence[Scalar], slots: tuple) -> tuple:
+    """(pieces, cofactors) for values whose keys use only the slots: the
     product of the pieces is the lcm of their denominators (gcds run only
     between distinct ones), and cofactors[j] is lcm / den of values[j],
     None where that is 1."""
     dens: dict = {}
-    for v in lifted:
+    for v in values:
         dens.setdefault(frozenset(v.den.items()), v.den)
-    pieces = _lcm_pieces(dens.values(), k)
+    pieces = _lcm_pieces(dens.values(), slots)
     lcm = _dict_prod(pieces)
     cofactor = {key: _dict_divexact(lcm, d) for key, d in dens.items()}
-    cofactors = [cofactor[frozenset(v.den.items())] for v in lifted]
+    cofactors = [cofactor[frozenset(v.den.items())] for v in values]
     return pieces, [None if c == _UNIT else c for c in cofactors]
 
 
-def _cleared(lifted: Sequence[Scalar], cofactors: Sequence) -> list:
+def _cleared(values: Sequence[Scalar], cofactors: Sequence) -> list:
     return [v.num if c is None else _dict_mul(v.num, c)
-            for v, c in zip(lifted, cofactors)]
+            for v, c in zip(values, cofactors)]
 
 
 def clear_denominators(values: Sequence[Scalar], gens: tuple) -> tuple:
-    """(nums, pieces) with values[j] == nums[j] / prod(pieces) over gens:
-    every nums[j] is an integer polynomial and the product of the pieces
-    is the lcm of the denominators (see _clearing_plan)."""
-    lifted = [v.lift(gens) for v in values]
-    pieces, cofactors = _clearing_plan(lifted, len(gens))
-    return _cleared(lifted, cofactors), pieces
+    """(nums, pieces) with values[j] == nums[j] / prod(pieces) over gens,
+    which holds the generators of every value: every nums[j] is an
+    integer polynomial and the product of the pieces is the lcm of the
+    denominators (see _clearing_plan)."""
+    pieces, cofactors = _clearing_plan(values, _slots(gens))
+    return _cleared(values, cofactors), pieces
 
 
 def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
@@ -809,15 +787,15 @@ def _reduce_over(gens: tuple, num: Terms, pieces: list) -> Scalar:
     dividing num and a piece by their gcd leaves them coprime, and a
     piece coprime to num stays coprime to every later, smaller num, so
     one pass leaves num coprime to the product."""
-    k = len(gens)
     if not num:
         return Scalar.zero(gens)
+    slots = _slots(gens)
     coprime = set()
     kept = []
     for p in pieces:
         key = frozenset(p.items())
         if key not in coprime:
-            g = _poly_gcd(num, p, k)
+            g = _poly_gcd(num, p, slots)
             if g == _UNIT:
                 coprime.add(key)
             else:
@@ -868,14 +846,12 @@ class Quotient:
         return _reduce_over(self.gens, self.num, self.pieces)
 
     def lift(self, gens: tuple) -> "Quotient":
-        """Embed into a larger ordered generator set."""
+        """The same value on a larger generator set, sharing num and
+        pieces."""
         if gens == self.gens:
             return self
-        if gens[:len(self.gens)] == self.gens:
-            return Quotient(gens, self.num, self.pieces)
-        pos = _lift_positions(self.gens, gens)
-        return Quotient(gens, _lift_terms(self.num, pos),
-                        [_lift_terms(p, pos) for p in self.pieces])
+        _check_lift(self.gens, gens)
+        return Quotient(gens, self.num, self.pieces)
 
     def _pair(self, other) -> tuple["Quotient", "Quotient"]:
         if isinstance(other, Scalar):
@@ -1000,15 +976,15 @@ def _term_shape(terms: Mapping[tuple, Scalar]) -> tuple:
     return lo, hi, active, [tuple(e[i] for i in active) for e in terms]
 
 
-def _monomial_factors(lifted: Mapping[int, Scalar], lo: Sequence[int],
+def _monomial_factors(xs: Mapping[int, Scalar], lo: Sequence[int],
                       hi: Sequence[int]) -> Optional[list]:
-    """One table {p: (key, c)} per lifted coordinate x_i = u_i/v_i, in
+    """One table {p: (key, c)} per coordinate x_i = u_i/v_i of xs, in
     order, with c*X^key = u_i^(p - s_i) * v_i^(T_i - p), when every one of
     them is one term over one term (a zero coordinate is not); None
     otherwise.  Raises DegreeError where the power tables of u_i and v_i
     up to T_i - s_i would."""
     tables = []
-    for i, x in lifted.items():
+    for i, x in xs.items():
         if len(x.num) != 1 or len(x.den) != 1:
             return None
         (ku, cu), = x.num.items()
@@ -1022,8 +998,21 @@ def _monomial_factors(lifted: Mapping[int, Scalar], lo: Sequence[int],
     return tables
 
 
+def evaluation_plan(terms: Mapping[tuple, Scalar]) -> tuple:
+    """What evaluate_laurent needs of nonempty terms alone: (shape,
+    pieces, cofactors), with shape = _term_shape(terms) and the pieces of
+    the lcm L of the coefficients' denominators and the cofactors L/den
+    on the coefficients' own slots (_clearing_plan); None for both when
+    the polynomial is constant."""
+    shape = _term_shape(terms)
+    if not shape[2]:
+        return shape, None, None
+    coeffs = list(terms.values())
+    return (shape, *_clearing_plan(coeffs, _slots(_common_gens(coeffs))))
+
+
 def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
-                     plans: dict) -> Quotient:
+                     plan: Optional[tuple]) -> Quotient:
     """Exact value of sum_e terms[e] * prod_i coords[i]**e[i] over
     integer exponent vectors e, as one unreduced Quotient.
 
@@ -1045,16 +1034,14 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
     power tables of u_i and v_i, shared between terms with a common
     prefix of exponents.  Both give the same sum.
 
-    What depends only on the terms is planned once per generator set in
-    plans (a dict kept with the terms): the exponent shape (_term_shape,
-    the same in every plan), the pieces of L and the cofactors L/den.  A
-    call then builds only the per-point factors, the products
-    num*(L/den) and the sum.
+    What depends only on the terms is planned once, by evaluation_plan
+    (None for empty terms): keys do not depend on the generator set, so
+    one plan serves every point.  A call then builds only the per-point
+    factors, the products num*(L/den) and the sum.
     """
     if not terms:
         return Quotient(coords[0].gens if coords else (), {}, [])
-    plan = next(iter(plans.values()), None)
-    lo, hi, active, keys = plan[0] if plan else _term_shape(terms)
+    (lo, hi, active, keys), pieces, cofactors = plan
     if not active:
         return Quotient.of(next(iter(terms.values())))
     for i in active:
@@ -1062,16 +1049,10 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
             raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
     coeffs = list(terms.values())
     gens = _common_gens(coeffs + [coords[i] for i in active])
-    coeffs = [c.lift(gens) for c in coeffs]
-    plan = plans.get(gens)
-    if plan is None:
-        plan = plans[gens] = ((lo, hi, active, keys),
-                              *_clearing_plan(coeffs, len(gens)))
-    _, pieces, cofactors = plan
     nums = _cleared(coeffs, cofactors)
-    lifted = {i: coords[i].lift(gens) for i in active}
+    xs = {i: coords[i] for i in active}
     total: Terms = {}
-    tables = _monomial_factors(lifted, lo, hi)
+    tables = _monomial_factors(xs, lo, hi)
     if tables is not None:
         for key, num in zip(keys, nums):
             shift, c = 0, 1
@@ -1092,7 +1073,7 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
         # factor[i][p] = u_i^(p - s_i) * v_i^(T_i - p), from power tables
         unit = _dict_const(1)
         factor: dict = {}
-        for i, x in lifted.items():
+        for i, x in xs.items():
             s, top = lo[i], hi[i]
             upow, vpow = [unit], [unit]
             for _ in range(top - s):
@@ -1112,7 +1093,7 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
                     m = _dict_mul(m, factor[active[j]][key[j]])
                     mono[key[:j + 1]] = m
             _dict_addmul(total, num, m)
-    for i, x in lifted.items():
+    for i, x in xs.items():
         # a new list: the plan keeps the coefficients' pieces
         if x.num != _UNIT:
             pieces = pieces + [x.num] * -lo[i]

@@ -16,17 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import ClassVar, Sequence
 
 from . import operators, polyring
 from .errors import SpecializationCollision, UsageError
 from .scalars import Scalar
 from .shapes import CellStats, dominant_sort, weight
-
-
-# (config, generator, exponent) -> that power; a config is a frozen
-# dataclass, so equal configs share their powers
-_GEN_POWERS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,9 @@ class FieldConfig:
         g = Scalar.generator(name, self.gens())
         return g.invert() if self.inverted else g
 
+    @cache
     def gen_power(self, name: str, k: int) -> Scalar:
-        key = (self, name, k)
-        got = _GEN_POWERS.get(key)
-        if got is None:
-            got = _GEN_POWERS[key] = self.gen(name) ** k
-        return got
+        return self.gen(name) ** k
 
     def with_inverted(self) -> "FieldConfig":
         return type(self)(self.assignments, not self.inverted)

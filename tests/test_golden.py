@@ -1,8 +1,10 @@
 """`check all --json --seed 42` at n=1 and n=2 (degree 4), n=3
-(degrees 2 and 3) and n=4 (degree 2), and with symbolic q,t at n=2
-(degrees 3 and 4) and n=3 (degree 3), must reproduce the recorded sha256
-of every report line byte for byte, and so must `check recur-oracle-qt`
-with symbolic q,t at n=3 (degree 3).  So must the `compute --json` output of the five
+(degrees 2 and 3) and n=4 (degree 2), with symbolic q,t at n=2
+(degrees 3 and 4) and n=3 (degree 3), and on the specialized fields
+q = 5/3, t = -7 and r = 1/2 at n=2 (degree 3), must reproduce the
+recorded sha256 of every report line byte for byte, and so must
+`check recur-oracle-qt` with symbolic q,t at n=3 (degree 3).  So must
+the `compute --json` output of the five
 symbolic q,t constructions of the symbolic-qt benchmark workload (that
 polynomial JSON is what the disk cache stores) and of eleven requests
 that evaluate at every point kind (bar, tilde, bar_inv), under both
@@ -56,6 +58,17 @@ def test_check_all_n3_deg3_reports_match_golden(capsys):
 def test_check_all_symbolic_reports_match_golden(capsys):
     code, got = _digests(["--n", "2", "--deg", "3", "--symbolic"], capsys)
     want = (GOLDEN / "check_all_n2_deg3_symbolic_seed42.sha256").read_text()
+    assert code == 0
+    assert got == want.splitlines()
+
+
+def test_check_all_specialized_fields_match_golden(capsys):
+    # a negative t and a specialized r: sign normalization of canonical
+    # forms on non-default fields
+    code, got = _digests(["--n", "2", "--deg", "3", "--q", "5/3", "--t",
+                          "-7", "--r", "1/2"], capsys)
+    want = (GOLDEN / "check_all_n2_deg3_q5_3_t-7_r1_2_seed42.sha256"
+            ).read_text()
     assert code == 0
     assert got == want.splitlines()
 

@@ -476,9 +476,11 @@ def test_solve_square_singular_raises():
 SOLVE_GENS = {"Q": (), "Q(q,t)": ("q", "t"), "Q(r)": ("r",)}
 
 
-def _nonzero_terms(k):
-    """A nonzero integer polynomial in k generators: up to two terms of
-    degree <= 1 in each generator."""
+def _nonzero_terms(gens):
+    """A nonzero integer polynomial in the generators gens: up to two
+    terms of degree <= 1 in each generator."""
+    k = len(gens)
+
     def collect(pairs):
         out = {}
         for e, c in pairs:
@@ -487,7 +489,8 @@ def _nonzero_terms(k):
     return st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * k),
                               st.sampled_from([1, -1, 2, -2, 3, -3])),
                     min_size=1, max_size=2).map(
-                        lambda pairs: scalars._pack_terms(collect(pairs), k))
+                        lambda pairs: scalars._pack_terms(collect(pairs),
+                                                          gens))
 
 
 @st.composite
@@ -495,8 +498,8 @@ def _field_elements(draw, gens):
     """Zero, or a small reduced fraction over gens."""
     if draw(st.integers(0, 4)) == 0:
         return Scalar.zero(gens)
-    k = len(gens)
-    return Scalar(gens, draw(_nonzero_terms(k)), draw(_nonzero_terms(k)))
+    return Scalar(gens, draw(_nonzero_terms(gens)),
+                  draw(_nonzero_terms(gens)))
 
 
 @st.composite

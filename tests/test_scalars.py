@@ -25,14 +25,16 @@ def rational(p, q=1):
     return Scalar.from_fraction(Fraction(p, q), GENS)
 
 
-def _enc(terms, k):
-    """Packed kernel form of a polynomial keyed by exponent tuples."""
-    return scalars._pack_terms(terms, k)
+def _enc(terms, gens):
+    """Packed kernel form of a polynomial keyed by exponent tuples over
+    the generators gens."""
+    return scalars._pack_terms(terms, gens)
 
 
-def _dec(terms, k):
-    """Exponent-tuple form of a packed polynomial."""
-    return {scalars._unpack(e, k): c for e, c in terms.items()}
+def _dec(terms, gens):
+    """Exponent-tuple form of a packed polynomial over the generators
+    gens."""
+    return {scalars._unpack(e, gens): c for e, c in terms.items()}
 
 
 def _dict_eval(terms, gens, at):
@@ -40,7 +42,7 @@ def _dict_eval(terms, gens, at):
     total = Fraction(0)
     for e, c in terms.items():
         v = Fraction(c)
-        for g, p in zip(gens, scalars._unpack(e, len(gens))):
+        for g, p in zip(gens, scalars._unpack(e, gens)):
             if p:
                 v *= Fraction(at[g]) ** p
         total += v
@@ -51,9 +53,9 @@ def specialize(x, at):
     """Reference value of the Scalar x at the assignment at, a rational
     per generator: a UsageError when a generator x uses is missing, a
     SpecializationCollision when the denominator vanishes there."""
-    missing = [x.gens[j] for j in scalars._used_gens((x.num, x.den),
-                                                     len(x.gens))
-               if x.gens[j] not in at]
+    used = {g for t in (x.num, x.den) for e in t
+            for g, p in zip(x.gens, scalars._unpack(e, x.gens)) if p}
+    missing = [g for g in x.gens if g in used and g not in at]
     if missing:
         raise UsageError(f"assignment missing generators {missing}")
     den = _dict_eval(x.den, x.gens, at)
@@ -81,8 +83,8 @@ def test_hash_agrees_with_equality():
 
 def test_reduce_zero_numerator():
     assert ZERO / T == ZERO
-    assert _dec((ZERO / T).num, 2) == {}
-    assert _dec((ZERO / T).den, 2) == {(0, 0): 1}
+    assert _dec((ZERO / T).num, GENS) == {}
+    assert _dec((ZERO / T).den, GENS) == {(0, 0): 1}
     assert Scalar.zero().to_json() == "0/1"
 
 
@@ -100,8 +102,8 @@ def test_denominator_sign_normalized():
     x = (Q - T) / (T - Q)
     assert x == Scalar.from_fraction(-1, GENS)
     y = ONE / (ZERO - T)
-    assert _dec(y.den, 2) == {(0, 1): 1}
-    assert _dec(y.num, 2) == {(0, 0): -1}
+    assert _dec(y.den, GENS) == {(0, 1): 1}
+    assert _dec(y.num, GENS) == {(0, 0): -1}
 
 
 def test_specialize_examples():
@@ -240,7 +242,7 @@ def _lifted_pairs(draw):
                            st.integers(-3, 3), max_size=3)
     num = {e: c for e, c in draw(poly).items() if c}
     den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(gens): 1}
-    x = Scalar(gens, _enc(num, len(gens)), _enc(den, len(gens)))
+    x = Scalar(gens, _enc(num, gens), _enc(den, gens))
     wide = tuple(reversed(gens)) + ("a",)
     return x, x.lift(tuple(g for g in GEN_ORDER if g in wide)), wide
 
@@ -250,8 +252,8 @@ def _lifted_pairs(draw):
 def test_hash_survives_lifting(pair):
     x, lifted, wide = pair
     reordered = Scalar(wide, *[_enc({tuple(e[lifted.gens.index(g)] for g in wide): c
-                                     for e, c in _dec(t, len(lifted.gens)).items()},
-                                    len(wide))
+                                     for e, c in _dec(t, lifted.gens).items()},
+                                    wide)
                                for t in (lifted.num, lifted.den)])
     assert x == lifted == reordered
     assert hash(x) == hash(lifted) == hash(reordered)
@@ -277,12 +279,12 @@ def test_integer_coercion():
 
 # --- heuristic gcd in _poly_gcd ----------------------------------------------
 
-def _prs_gcd(a, b, k):
+def _prs_gcd(a, b, slots):
     """_poly_gcd with the heuristic disabled: the pseudo-remainder
     sequence alone."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scalars, "_heu_gcd", lambda a, b, k: None)
-        return scalars._poly_gcd(a, b, k)
+        mp.setattr(scalars, "_heu_gcd", lambda a, b, slots: None)
+        return scalars._poly_gcd(a, b, slots)
 
 
 def _mul(*factors):
@@ -313,22 +315,24 @@ def _xis(a, b, count):
 
 
 def _minus(k, j, xi):
-    """x_j - xi."""
-    return _enc({_unit(k, j): 1, (0,) * k: -xi}, k)
+    """x_j - xi, over the first k generators."""
+    return _enc({_unit(k, j): 1, (0,) * k: -xi}, GEN_ORDER[:k])
 
 
 def _polys(k, deg, size):
     return st.dictionaries(st.tuples(*[st.integers(0, deg)] * k),
                            st.integers(-5, 5).filter(bool),
                            min_size=1, max_size=size).map(
-                               lambda t: _enc(t, k))
+                               lambda t: _enc(t, GEN_ORDER[:k]))
 
 
 @st.composite
 def _gcd_cases(draw):
-    """(a, b, k, planted): two polynomials in k generators and the common
-    factor of positive degree planted in both, or None."""
+    """(a, b, slots, planted): two polynomials in the first k generators,
+    their slots tuple(range(k)), and the common factor of positive degree
+    planted in both, or None."""
     k = draw(st.sampled_from([2, 3]))
+    gens = GEN_ORDER[:k]
     a = draw(_polys(k, 3 if k == 2 else 2, 4))
     b = draw(_polys(k, 3 if k == 2 else 2, 4))
     j = draw(st.integers(0, k - 1))
@@ -344,31 +348,33 @@ def _gcd_cases(draw):
         b = {e: 4 * c for e, c in b.items()}
     elif kind == "one-gen":
         planted = _enc({_unit(k, j): draw(st.integers(1, 3)),
-                        (0,) * k: draw(st.integers(-3, 3))}, k)
+                        (0,) * k: draw(st.integers(-3, 3))}, gens)
     elif kind == "lc-vanishes":
         xi, = _xis(a, b, 1)
-        a = _mul(a, _minus(k, j, xi), _enc({_unit(k, i): 1, (0,) * k: 1}, k))
+        a = _mul(a, _minus(k, j, xi), _enc({_unit(k, i): 1, (0,) * k: 1},
+                                           gens))
     elif kind == "lc-vanishes-shared":
         # a factor of both whose leading coefficients vanish at the first
         # point of the unplanted pair
         xi, = _xis(a, b, 1)
         planted = scalars._dict_add(_mul(_minus(k, j, xi), _minus(k, i, xi)),
-                                    _enc({(0,) * k: draw(st.integers(1, 3))}, k))
+                                    _enc({(0,) * k: draw(st.integers(1, 3))},
+                                         gens))
     else:
         a = _mul(a, *[_minus(k, j, xi) for xi in _xis(a, b, 3)],
-                 _enc({_unit(k, i): 1}, k))
+                 _enc({_unit(k, i): 1}, gens))
     if planted is not None:
         a, b = _mul(a, planted), _mul(b, planted)
-    return a, b, k, planted
+    return a, b, tuple(range(k)), planted
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_gcd_cases())
 def test_poly_gcd_matches_prs(case):
-    a, b, k, planted = case
-    want = _prs_gcd(a, b, k)
-    assert scalars._poly_gcd(a, b, k) == want
-    assert scalars._heu_gcd(a, b, k) in (None, want)
+    a, b, slots, planted = case
+    want = _prs_gcd(a, b, slots)
+    assert scalars._poly_gcd(a, b, slots) == want
+    assert scalars._heu_gcd(a, b, slots) in (None, want)
     if planted is not None:
         scalars._dict_divexact(want, planted)
 
@@ -384,7 +390,7 @@ def _combinations(draw):
                                st.integers(-3, 3), max_size=3)
         num = {e: c for e, c in draw(poly).items() if c}
         den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(sub): 1}
-        return Scalar(sub, _enc(num, len(sub)), _enc(den, len(sub)))
+        return Scalar(sub, _enc(num, sub), _enc(den, sub))
 
     m = draw(st.integers(1, 4))
     weights = [scalar() for _ in range(m)]
@@ -473,8 +479,7 @@ def _quotient_cases(draw):
     yoff[key] = yoff.get(key, 0) + draw(st.sampled_from([-1, 1]))
 
     def quotient(g, n, ps):
-        return scalars.Quotient(g, _enc(n, len(g)),
-                                [_enc(p, len(g)) for p in ps])
+        return scalars.Quotient(g, _enc(n, g), [_enc(p, g) for p in ps])
 
     return (quotient(gx, num, pieces), quotient(gy, ynum, ypieces), same,
             quotient(gy, yoff, ypieces))
@@ -501,64 +506,69 @@ def test_quotient_comparison_matches_reduced_equality(case):
 
 def test_quotient_examples():
     r = ("r",)
-    one_plus_r = _enc({(0,): 1, (1,): 1}, 1)
+    one_plus_r = _enc({(0,): 1, (1,): 1}, r)
     # (r + 1)^2 / (r + 1) over two forms and over reordered generators
     x = scalars.Quotient(r, scalars._dict_mul(one_plus_r, one_plus_r),
                          [one_plus_r])
-    y = scalars.Quotient(("a", "r"), _enc({(0, 0): -1, (0, 1): -1}, 2),
-                         [_enc({(0, 0): -1}, 2)])
+    y = scalars.Quotient(("a", "r"),
+                         _enc({(0, 0): -1, (0, 1): -1}, ("a", "r")),
+                         [_enc({(0, 0): -1}, ("a", "r"))])
     assert x == y and str(x) == str(y) == "r + 1"
-    assert x.reduced() == Scalar(r, one_plus_r, _enc({(0,): 1}, 1))
+    assert x.reduced() == Scalar(r, one_plus_r, _enc({(0,): 1}, r))
     zero = scalars.Quotient(r, {}, [one_plus_r])
     assert zero.is_zero() and zero == Scalar.zero(("q",))
     assert zero != x and x != zero
 
 
+QT_SLOTS = (0, 1)  # the slots of q and t
+
+
 def test_heuristic_gcd_examples(monkeypatch):
     heu = scalars._heu_gcd
     # content only
-    two_q = _enc({(1, 0): 2, (0, 0): 2}, 2)
-    four_t = _enc({(0, 1): 4, (0, 0): 2}, 2)
-    assert _dec(heu(two_q, four_t, 2), 2) == {(0, 0): 2}
-    assert _dec(scalars._poly_gcd(two_q, four_t, 2), 2) == {(0, 0): 2}
-    q_t = _enc({(1, 0): 1, (0, 1): 1}, 2)
-    assert _dec(heu(_mul(two_q, two_q, q_t), _mul(four_t, q_t, q_t), 2),
-                2) == {(1, 0): 2, (0, 1): 2}
+    two_q = _enc({(1, 0): 2, (0, 0): 2}, GENS)
+    four_t = _enc({(0, 1): 4, (0, 0): 2}, GENS)
+    assert _dec(heu(two_q, four_t, QT_SLOTS), GENS) == {(0, 0): 2}
+    assert _dec(scalars._poly_gcd(two_q, four_t, QT_SLOTS), GENS) == \
+        {(0, 0): 2}
+    q_t = _enc({(1, 0): 1, (0, 1): 1}, GENS)
+    assert _dec(heu(_mul(two_q, two_q, q_t), _mul(four_t, q_t, q_t),
+                    QT_SLOTS), GENS) == {(1, 0): 2, (0, 1): 2}
     # b - a = t - 8 vanishes at the first point, 8: the images agree
     # there, the first lift is a, which does not divide b, and the
     # second point proves the gcd is 1
-    a = _enc({(1, 0): 1, (0, 1): 1, (0, 0): -3}, 2)
-    b = _enc({(1, 0): 1, (0, 1): 2, (0, 0): -11}, 2)
+    a = _enc({(1, 0): 1, (0, 1): 1, (0, 0): -3}, GENS)
+    b = _enc({(1, 0): 1, (0, 1): 2, (0, 0): -11}, GENS)
     assert _xis(a, b, 1) == [8]
-    assert _dec(heu(a, b, 2), 2) == {(0, 0): 1}
+    assert _dec(heu(a, b, QT_SLOTS), GENS) == {(0, 0): 1}
     monkeypatch.setattr(scalars, "_HEU_ATTEMPTS", 1)
-    assert heu(a, b, 2) is None
-    assert _dec(scalars._poly_gcd(a, b, 2), 2) == {(0, 0): 1}
+    assert heu(a, b, QT_SLOTS) is None
+    assert _dec(scalars._poly_gcd(a, b, QT_SLOTS), GENS) == {(0, 0): 1}
     # with no attempt at all the pseudo-remainder sequence decides
     monkeypatch.setattr(scalars, "_HEU_ATTEMPTS", 0)
-    assert heu(_mul(a, q_t), _mul(b, q_t), 2) is None
-    assert scalars._poly_gcd(_mul(a, q_t), _mul(b, q_t), 2) == q_t
+    assert heu(_mul(a, q_t), _mul(b, q_t), QT_SLOTS) is None
+    assert scalars._poly_gcd(_mul(a, q_t), _mul(b, q_t), QT_SLOTS) == q_t
     monkeypatch.undo()
     # an image coefficient could pass the bit cap: the same fallback
-    big = _enc({(1, 0): 1, (0, 1): 2 ** 70000, (0, 0): 1}, 2)
-    other = _enc({(1, 0): 1, (0, 1): -1, (0, 0): 3}, 2)
+    big = _enc({(1, 0): 1, (0, 1): 2 ** 70000, (0, 0): 1}, GENS)
+    other = _enc({(1, 0): 1, (0, 1): -1, (0, 0): 3}, GENS)
     a, b = _mul(big, q_t), _mul(other, q_t)
-    assert heu(a, b, 2) is None
-    assert scalars._poly_gcd(a, b, 2) == _prs_gcd(a, b, 2) == q_t
+    assert heu(a, b, QT_SLOTS) is None
+    assert scalars._poly_gcd(a, b, QT_SLOTS) == _prs_gcd(a, b, QT_SLOTS) == q_t
     # a common factor is never dropped, also where it is constant or
     # small at a point near the operands' norms; every such factor here
     # has negative coefficients, and the heuristic itself finds it
     for c in range(1, 40):
-        for u in (_enc({(1, 1): 1, (1, 0): -c, (0, 0): 1}, 2),
-                  _enc({(0, 1): 1, (0, 0): -c}, 2),
-                  _enc({(0, 2): 1, (1, 0): -c, (0, 0): -1}, 2)):
-            for f, g in ((_enc({(1, 0): 1, (0, 0): 1}, 2),
-                          _enc({(1, 0): 1, (0, 0): 2}, 2)),
-                         (_enc({(0, 0): 1}, 2), q_t),
-                         (_enc({(1, 0): 1, (0, 0): -1}, 2),
-                          _enc({(0, 1): 3, (0, 0): -1}, 2))):
+        for u in (_enc({(1, 1): 1, (1, 0): -c, (0, 0): 1}, GENS),
+                  _enc({(0, 1): 1, (0, 0): -c}, GENS),
+                  _enc({(0, 2): 1, (1, 0): -c, (0, 0): -1}, GENS)):
+            for f, g in ((_enc({(1, 0): 1, (0, 0): 1}, GENS),
+                          _enc({(1, 0): 1, (0, 0): 2}, GENS)),
+                         (_enc({(0, 0): 1}, GENS), q_t),
+                         (_enc({(1, 0): 1, (0, 0): -1}, GENS),
+                          _enc({(0, 1): 3, (0, 0): -1}, GENS))):
                 a, b = _mul(u, f), _mul(u, g)
-                assert heu(a, b, 2) == u, (c, u, f, g)
+                assert heu(a, b, QT_SLOTS) == u, (c, u, f, g)
 
 
 def test_heuristic_gcd_recovers_from_an_inner_miss(monkeypatch):
@@ -569,17 +579,18 @@ def test_heuristic_gcd_recovers_from_an_inner_miss(monkeypatch):
     # whole call to the pseudo-remainder sequence
     data = json.loads((pathlib.Path(__file__).parent / "data"
                        / "heu_gcd_inner_fallback.json").read_text())
-    k = data["k"]
+    gens, slots = GEN_ORDER[:data["k"]], tuple(range(data["k"]))
     a, b = [_enc({tuple(map(int, e.split(","))): c
-                  for e, c in data[x].items()}, k) for x in ("a", "b")]
-    want = _prs_gcd(a, b, k)
-    assert _dec(want, k) == {(9, 0, 0): 1}
-    assert scalars._heu_gcd(a, b, k) == want
+                  for e, c in data[x].items()}, gens) for x in ("a", "b")]
+    want = _prs_gcd(a, b, slots)
+    assert _dec(want, gens) == {(9, 0, 0): 1}
+    assert scalars._heu_gcd(a, b, slots) == want
     splits = []
     split_main = scalars._split_main
     monkeypatch.setattr(scalars, "_split_main",
-                        lambda t, k: splits.append(k) or split_main(t, k))
-    assert scalars._poly_gcd(a, b, k) == want
+                        lambda t, slots: splits.append(slots)
+                        or split_main(t, slots))
+    assert scalars._poly_gcd(a, b, slots) == want
     assert splits == []
 
 
@@ -589,9 +600,11 @@ def test_poly_gcd_and_canonical_forms_match_sympy():
     for gens in (("q", "t"), ("r", "a")):
         syms = sympy.symbols(gens)
         k = len(gens)
+        slots = tuple(GEN_ORDER.index(g) for g in gens)
 
         def poly(terms):
-            return sympy.Poly.from_dict(_dec(terms, k) or {(0,) * k: 0}, *syms)
+            return sympy.Poly.from_dict(_dec(terms, gens) or {(0,) * k: 0},
+                                        *syms)
 
         def rand_terms(size, deg):
             terms = {}
@@ -599,13 +612,13 @@ def test_poly_gcd_and_canonical_forms_match_sympy():
                 e = tuple(rng.randint(0, deg) for _ in range(k))
                 terms[e] = terms.get(e, 0) + rng.randint(-4, 4)
             return _enc({e: c for e, c in terms.items() if c}
-                        or {(0,) * k: 1}, k)
+                        or {(0,) * k: 1}, gens)
 
         for _ in range(40):
             f = rand_terms(rng.randint(1, 3), 1)
             a = _mul(rand_terms(rng.randint(1, 4), 2), f)
             b = _mul(rand_terms(rng.randint(1, 4), 2), f)
-            g = poly(scalars._poly_gcd(a, b, k))
+            g = poly(scalars._poly_gcd(a, b, slots))
             want = sympy.gcd(poly(a), poly(b))
             assert g in (want, -want), (a, b)
 
@@ -741,16 +754,17 @@ def _outcome(fn, *args):
         return ArithmeticError
 
 
-def _packed_divexact(a, b, k):
+def _packed_divexact(a, b, gens):
     """_dict_divexact on the packed forms, decoded."""
-    return _dec(scalars._dict_divexact(_enc(a, k), _enc(b, k)), k)
+    return _dec(scalars._dict_divexact(_enc(a, gens), _enc(b, gens)), gens)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(_kernel_cases())
 def test_exponent_kernel_matches_reference(case):
     k, a, b, c = case
-    pa, pb, pc = (_enc(x, k) for x in (a, b, c))
+    gens = GEN_ORDER[:k]
+    pa, pb, pc = (_enc(x, gens) for x in (a, b, c))
     pa0, pb0 = dict(pa), dict(pb)
     want = _ref_dict_mul(a, b)
     if _degree(want) > M:
@@ -761,14 +775,14 @@ def test_exponent_kernel_matches_reference(case):
             scalars._dict_addmul(dict(pc), pa, pb)
         return
     prod = scalars._dict_mul(pa, pb)
-    assert _dec(prod, k) == want
+    assert _dec(prod, gens) == want
     # a fresh dict, the operands untouched
     assert prod is not pa and prod is not pb and pa == pa0 and pb == pb0
 
     acc, ref = dict(pc), dict(c)
     scalars._dict_addmul(acc, pa, pb)
     _ref_dict_addmul(ref, a, b)
-    assert _dec(acc, k) == ref
+    assert _dec(acc, gens) == ref
     # the product cancels against its negation to exactly zero
     acc = scalars._dict_neg(prod)
     scalars._dict_addmul(acc, pa, pb)
@@ -777,25 +791,27 @@ def test_exponent_kernel_matches_reference(case):
     if b:
         # exact divisions give the cofactor back; c * b + a is most often
         # inexact, and then both forms must raise
-        assert _dec(scalars._dict_divexact(prod, pb), k) == \
+        assert _dec(scalars._dict_divexact(prod, pb), gens) == \
             _ref_dict_divexact(want, b, k) == a
         num = scalars._dict_add(_ref_dict_mul(c, b), a)
         if _degree(num) <= M:
-            assert _outcome(_packed_divexact, num, b, k) == \
+            assert _outcome(_packed_divexact, num, b, gens) == \
                 _outcome(_ref_dict_divexact, num, b, k)
 
 
 def test_exponent_kernel_examples():
-    x, y = _enc({(1, 0): 1}, 2), _enc({(0, 1): 1}, 2)
+    x, y = _enc({(1, 0): 1}, GENS), _enc({(0, 1): 1}, GENS)
     # (x + y)(x - y): the mixed terms cancel
-    assert _dec(scalars._dict_mul(_enc({(1, 0): 1, (0, 1): 1}, 2),
-                                  _enc({(1, 0): 1, (0, 1): -1}, 2)), 2) == \
-        {(2, 0): 1, (0, 2): -1}
-    assert _dec(scalars._dict_mul(_enc({(0, 0): -3}, 2), x), 2) == {(1, 0): -3}
-    assert _dec(scalars._dict_mul(y, _enc({(1, 0): 2, (0, 0): 1}, 2)), 2) == \
+    assert _dec(scalars._dict_mul(_enc({(1, 0): 1, (0, 1): 1}, GENS),
+                                  _enc({(1, 0): 1, (0, 1): -1}, GENS)),
+                GENS) == {(2, 0): 1, (0, 2): -1}
+    assert _dec(scalars._dict_mul(_enc({(0, 0): -3}, GENS), x), GENS) == \
+        {(1, 0): -3}
+    assert _dec(scalars._dict_mul(y, _enc({(1, 0): 2, (0, 0): 1}, GENS)),
+                GENS) == \
         {(1, 1): 2, (0, 1): 1}
-    assert _dec(scalars._dict_mul({0: 4}, {0: -2}), 0) == {(): -8}
-    assert _dec(scalars._dict_divexact({0: 6}, {0: 3}), 0) == {(): 2}
+    assert _dec(scalars._dict_mul({0: 4}, {0: -2}), ()) == {(): -8}
+    assert _dec(scalars._dict_divexact({0: 6}, {0: 3}), ()) == {(): 2}
     for a, b, k in (({(): 6}, {(): 4}, 0),            # integer remainder
                     ({(1, 0): 1}, {(0, 1): 1}, 2),    # negative exponent
                     ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}, 2),
@@ -805,17 +821,19 @@ def test_exponent_kernel_examples():
                     ({(M, 0, 0): 1}, {(0, 0, 1): 1}, 3),
                     ({(0, 0, 0, M): 1}, {(0, 0, 1, 1): 1}, 4)):
         with pytest.raises(ArithmeticError):
-            scalars._dict_divexact(_enc(a, k), _enc(b, k))
+            scalars._dict_divexact(_enc(a, GEN_ORDER[:k]),
+                                   _enc(b, GEN_ORDER[:k]))
     # the graded-lex order is the integer order of the keys
     exps = [(0, 0, 2), (1, 0, 0), (0, 1, 1), (2, 0, 0), (0, 0, M), (M, 0, 0)]
-    keys = [scalars._pack_terms({e: 1}, 3).popitem()[0] for e in exps]
+    keys = [scalars._pack_terms({e: 1}, GEN_ORDER[:3]).popitem()[0]
+            for e in exps]
     assert sorted(exps, key=_grlex_key) == \
         [e for _, e in sorted(zip(keys, exps))]
 
 
 def test_slot_overflow_raises():
     q = Scalar.generator("q", GENS)
-    assert _dec((q ** M).num, 2) == {(M, 0): 1}
+    assert _dec((q ** M).num, GENS) == {(M, 0): 1}
     with pytest.raises(DegreeError):
         q ** (M + 1)
     with pytest.raises(DegreeError):
@@ -843,9 +861,10 @@ def test_lift_into_appended_generators_keeps_keys():
     assert wide == x and hash(wide) == hash(x)
     r = Scalar.generator("r", ("r",)) + 1
     assert r.lift(("r", "a")).num is r.num
-    # a generator moved to another slot is re-keyed
+    # a generator keeps its slot whatever the tuple
     a = Scalar.generator("a", ("a",))
-    assert _dec(a.lift(("r", "a")).num, 2) == {(0, 1): 1}
+    assert a.lift(("r", "a")).num is a.num
+    assert _dec(a.lift(("r", "a")).num, ("r", "a")) == {(0, 1): 1}
 
 
 def _den_cases(gens, rng, count):
@@ -856,7 +875,7 @@ def _den_cases(gens, rng, count):
 
     def poly(terms, deg):
         return _enc({tuple(rng.randint(0, deg) for _ in range(k)):
-                     rng.randint(-4, 4) for _ in range(terms)}, k)
+                     rng.randint(-4, 4) for _ in range(terms)}, gens)
 
     out = []
     while len(out) < count:
@@ -937,3 +956,47 @@ def test_quotient_sums_match_reduced_sums(case):
     assert (x - y).reduced() == rx - ry
     assert (ry + x).reduced() == (x + ry).reduced() == rx + ry
     assert (rx - y).reduced() == rx - ry
+
+
+# --- one slot per generator ---------------------------------------------------
+
+@st.composite
+def _one_value_many_tuples(draw):
+    """(base, num, den, tuples): a polynomial fraction over the generators
+    base, keyed by exponent tuples, and generator tuples that hold base,
+    in any order and padded with any of the other generators."""
+    base = tuple(g for g in GEN_ORDER if draw(st.booleans()))
+    num = _small_poly(draw, len(base), nonzero=False)
+    den = _small_poly(draw, len(base), nonzero=True)
+    tuples = []
+    for _ in range(draw(st.integers(1, 4))):
+        extra = [g for g in GEN_ORDER if g not in base and draw(st.booleans())]
+        tuples.append(tuple(draw(st.permutations(list(base) + extra))))
+    return base, num, den, tuples
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_one_value_many_tuples())
+def test_a_value_has_one_form_on_every_generator_tuple(case):
+    base, num, den, tuples = case
+    x = Scalar(base, _enc(num, base), _enc(den, base))
+    for gens in tuples:
+        y = Scalar(gens, _enc(_rekey(num, base, gens), gens),
+                   _enc(_rekey(den, base, gens), gens))
+        assert y.num == x.num and y.den == x.den
+        assert y == x and hash(y) == hash(x)
+        # lifting is bookkeeping: the dicts are shared, never re-keyed
+        lifted = x.lift(gens)
+        assert lifted.gens == gens
+        assert lifted.num is x.num and lifted.den is x.den
+        assert str(lifted) == str(y)
+        q = scalars.Quotient.of(x)
+        assert q.lift(gens).num is q.num and q.lift(gens).pieces is q.pieces
+
+
+def test_lift_into_a_non_superset_raises():
+    r = Scalar.generator("r", ("r",))
+    with pytest.raises(UsageError):
+        r.lift(("q", "t"))
+    with pytest.raises(UsageError):
+        scalars.Quotient.of(r).lift(("a",))
