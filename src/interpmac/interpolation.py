@@ -69,7 +69,7 @@ class Elimination:
         matrix: forward substitution y[i] = b[perm[i]] + lower[i] . y[:i],
         then back substitution x[i] = upper[i] . (y[i], x[i+1:]), each
         unknown one sum reduced once."""
-        gens = _common_gens(list(b) + [Scalar.zero(self.gens)])
+        gens = _common_gens(b, self.gens)
         one = (Scalar.one(gens),)
         y: list = []
         for p, weights in zip(self.perm, self.lower):
@@ -101,7 +101,7 @@ def factor_square(rows: Sequence[Sequence[Scalar]],
     pivot row.  Raises SpecializationCollision when the matrix is
     singular."""
     m = len(rows)
-    gens = _common_gens([v for row in rows for v in row]) if m else ()
+    gens = _common_gens(v for row in rows for v in row)
     a = [list(row) for row in rows]
     perm, lower, upper = list(range(m)), [()] * m, []
     for c in range(m):

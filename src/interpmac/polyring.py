@@ -150,7 +150,7 @@ class LaurentPoly:
                 raise DivisionByZero("0^0 of the zero polynomial")
             return self
         some = next(iter(self.terms.values()))
-        out = LaurentPoly.constant(self.n, some.__class__.one(some.gens))
+        out = LaurentPoly.constant(self.n, Scalar.one(some.gens))
         base = self
         while k:
             if k & 1:
@@ -348,17 +348,17 @@ def exact_div_check(f: LaurentPoly, quotient: LaurentPoly, i: int) -> bool:
 
 def shift_all(f: LaurentPoly, c: Scalar) -> LaurentPoly:
     """f(x_1 + c, ..., x_n + c)."""
-    one = c.__class__.one(c.gens)
+    one = Scalar.one(c.gens)
     return f.affine_substitute({i: (one, i, c) for i in range(1, f.n + 1)})
 
 
 def scale_all(f: LaurentPoly, c: Scalar) -> LaurentPoly:
     """f(c x_1, ..., c x_n)."""
-    zero = c.__class__.zero(c.gens)
+    zero = Scalar.zero(c.gens)
     return f.affine_substitute({i: (c, i, zero) for i in range(1, f.n + 1)})
 
 
 def negate_shift_all(f: LaurentPoly, c: Scalar) -> LaurentPoly:
     """f(-x_1 - c, ..., -x_n - c)."""
-    one = c.__class__.one(c.gens)
+    one = Scalar.one(c.gens)
     return f.affine_substitute({i: (-one, i, -c) for i in range(1, f.n + 1)})

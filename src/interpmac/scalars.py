@@ -20,9 +20,10 @@ bits, one per generator, the slot of GEN_ORDER[j] at bit (3 - j) * _W
 (q the most significant), and the total degree above them.  A generator
 has its slot whatever generator tuple a value carries, and one the value
 does not use has exponent 0, so keys, canonical forms and gcds do not
-depend on that tuple: lifting a value into more generators keeps its
-dicts.  Integer order is graded-lex order with q > t > r > a, so the
-leading term is max(keys) and a monomial product is ea + eb.
+depend on that tuple: a result is labelled with the union of its
+operands' tuples (_join), and their dicts are read as they are.  Integer
+order is graded-lex order with q > t > r > a, so the leading term is
+max(keys) and a monomial product is ea + eb.
 
 Every key has total degree at most MAX_DEGREE = 2^12 - 1, so each
 exponent stays below the top bit of its slot, the guard bit.  The sum
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd as int_gcd
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
@@ -443,14 +444,13 @@ def _poly_gcd(a: Terms, b: Terms, slots: tuple) -> Terms:
     return g
 
 
-def _in_gen_order(used) -> tuple:
-    """The generators in used, in GEN_ORDER: where two values meet."""
-    return tuple(g for g in GEN_ORDER if g in used)
-
-
-def _check_lift(gens: tuple, into: tuple) -> None:
-    if not set(gens) <= set(into):
-        raise UsageError(f"cannot lift {gens} into {into}")
+@cache
+def _join(g: tuple, h: tuple) -> tuple:
+    """The generator tuple of a result with operands on g and h: g when
+    they agree, else their union in GEN_ORDER."""
+    if g == h:
+        return g
+    return tuple(x for x in GEN_ORDER if x in g or x in h)
 
 
 # ---------------------------------------------------------------------------
@@ -512,66 +512,55 @@ class Scalar:
     def is_polynomial(self) -> bool:
         return self.den == _UNIT
 
-    def lift(self, gens: tuple) -> "Scalar":
-        """The same value on a larger generator set, sharing the dicts."""
-        if gens == self.gens:
-            return self
-        _check_lift(self.gens, gens)
-        return Scalar(gens, self.num, self.den, _canonical=True)
-
-    def _pair(self, other) -> tuple["Scalar", "Scalar"]:
-        if isinstance(other, Scalar):
-            if other.gens == self.gens:
-                return self, other
-            merged = _in_gen_order(self.gens + other.gens)
-            return self.lift(merged), other.lift(merged)
-        return self, Scalar.from_fraction(other, self.gens)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
         if other.__class__ is Quotient:
             return NotImplemented
-        a, b = self._pair(other)
-        if a.den == _UNIT and b.den == _UNIT:
-            return Scalar(a.gens, _dict_add(a.num, b.num), a.den,
-                          _canonical=True)
-        if not a.num:
-            return b
+        if not isinstance(other, Scalar):
+            other = Scalar.from_fraction(other, self.gens)
+        a, b, gens = self, other, _join(self.gens, other.gens)
         if not b.num:
-            return a
+            return a if a.gens == gens else \
+                Scalar(gens, a.num, a.den, _canonical=True)
+        if not a.num:
+            return b if b.gens == gens else \
+                Scalar(gens, b.num, b.den, _canonical=True)
+        if a.den == _UNIT and b.den == _UNIT:
+            return Scalar(gens, _dict_add(a.num, b.num), a.den,
+                          _canonical=True)
         if a.den == b.den:
             # what the path below computes with g1 = den, da = db = 1
             t = _dict_add(a.num, b.num)
             if not t:
-                return Scalar.zero(a.gens)
-            g2 = _poly_gcd(t, a.den, _slots(a.gens))
+                return Scalar.zero(gens)
+            g2 = _poly_gcd(t, a.den, _slots(gens))
             if g2 == _UNIT:
-                return Scalar(a.gens, t, a.den, _canonical=True)
-            return Scalar(a.gens, _dict_divexact(t, g2),
+                return Scalar(gens, t, a.den, _canonical=True)
+            return Scalar(gens, _dict_divexact(t, g2),
                           _dict_divexact(a.den, g2), _canonical=True)
         # denominators-only reduction: with reduced inputs the result
         # below is already canonical
-        slots = _slots(a.gens)
+        slots = _slots(gens)
         g1 = _poly_gcd(a.den, b.den, slots)
         if g1 == _UNIT:
             num = _dict_add(_dict_mul(a.num, b.den), _dict_mul(b.num, a.den))
             if not num:
-                return Scalar.zero(a.gens)
-            return Scalar(a.gens, num, _dict_mul(a.den, b.den),
+                return Scalar.zero(gens)
+            return Scalar(gens, num, _dict_mul(a.den, b.den),
                           _canonical=True)
         db = _dict_divexact(b.den, g1)
         da = _dict_divexact(a.den, g1)
         t = _dict_add(_dict_mul(a.num, db), _dict_mul(b.num, da))
         if not t:
-            return Scalar.zero(a.gens)
+            return Scalar.zero(gens)
         g2 = _poly_gcd(t, g1, slots)
         if g2 != _UNIT:
             t = _dict_divexact(t, g2)
             den = _dict_mul(da, _dict_divexact(b.den, g2))
         else:
             den = _dict_mul(da, b.den)
-        return Scalar(a.gens, t, den, _canonical=True)
+        return Scalar(gens, t, den, _canonical=True)
 
     __radd__ = __add__
 
@@ -581,8 +570,7 @@ class Scalar:
     def __sub__(self, other) -> "Scalar":
         if other.__class__ is Quotient:
             return NotImplemented
-        a, b = self._pair(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
@@ -590,27 +578,30 @@ class Scalar:
     def __mul__(self, other) -> "Scalar":
         if other.__class__ is Quotient:
             return NotImplemented
-        a, b = self._pair(other)
+        if not isinstance(other, Scalar):
+            other = Scalar.from_fraction(other, self.gens)
+        a, b, gens = self, other, _join(self.gens, other.gens)
         if a.den == _UNIT and b.den == _UNIT:
-            return Scalar(a.gens, _dict_mul(a.num, b.num), a.den,
+            return Scalar(gens, _dict_mul(a.num, b.num), a.den,
                           _canonical=True)
         if not a.num or not b.num:
-            return Scalar.zero(a.gens)
-        slots = _slots(a.gens)
+            return Scalar.zero(gens)
+        slots = _slots(gens)
         g1 = _poly_gcd(a.num, b.den, slots)
         g2 = _poly_gcd(b.num, a.den, slots)
         na = a.num if g1 == _UNIT else _dict_divexact(a.num, g1)
         db = b.den if g1 == _UNIT else _dict_divexact(b.den, g1)
         nb = b.num if g2 == _UNIT else _dict_divexact(b.num, g2)
         da = a.den if g2 == _UNIT else _dict_divexact(a.den, g2)
-        return Scalar(a.gens, _dict_mul(na, nb), _dict_mul(da, db),
+        return Scalar(gens, _dict_mul(na, nb), _dict_mul(da, db),
                       _canonical=True)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        a, b = self._pair(other)
-        return a * b.invert()
+        if not isinstance(other, Scalar):
+            other = Scalar.from_fraction(other, self.gens)
+        return self * other.invert()
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.from_fraction(other, self.gens) / self
@@ -721,13 +712,10 @@ class Scalar:
         return Scalar(gens, dec(data["num"]), dec(data["den"]))
 
 
-def _common_gens(values: Sequence[Scalar]) -> tuple:
-    """The generator set the arithmetic operators would leave on a
-    combination of values: their shared tuple, or the union in GEN_ORDER."""
-    gens = values[0].gens
-    if any(v.gens != gens for v in values):
-        gens = _in_gen_order({g for v in values for g in v.gens})
-    return gens
+def _common_gens(values: Iterable[Scalar], gens: tuple = ()) -> tuple:
+    """The generator tuple the arithmetic operators would leave on a
+    combination of values and a value on gens: the fold of _join."""
+    return reduce(_join, [v.gens for v in values], gens)
 
 
 def _lcm_pieces(dens: Iterable[Terms], slots: tuple) -> list:
@@ -845,38 +833,26 @@ class Quotient:
             return self._reduced
         return _reduce_over(self.gens, self.num, self.pieces)
 
-    def lift(self, gens: tuple) -> "Quotient":
-        """The same value on a larger generator set, sharing num and
-        pieces."""
-        if gens == self.gens:
-            return self
-        _check_lift(self.gens, gens)
-        return Quotient(gens, self.num, self.pieces)
-
-    def _pair(self, other) -> tuple["Quotient", "Quotient"]:
-        if isinstance(other, Scalar):
-            other = Quotient.of(other)
-        if other.gens == self.gens:
-            return self, other
-        merged = _in_gen_order(self.gens + other.gens)
-        return self.lift(merged), other.lift(merged)
-
     def __mul__(self, other) -> "Quotient":
         """The product, unreduced, on the generators Scalar * would give."""
-        a, b = self._pair(other)
+        if isinstance(other, Scalar):
+            other = Quotient.of(other)
+        a, b, gens = self, other, _join(self.gens, other.gens)
         pieces = a.pieces + b.pieces if a.pieces and b.pieces \
             else a.pieces or b.pieces
-        return Quotient(a.gens, _dict_mul(a.num, b.num), pieces)
+        return Quotient(gens, _dict_mul(a.num, b.num), pieces)
 
     __rmul__ = __mul__
 
     def __add__(self, other) -> "Quotient":
-        a, b = self._pair(other)
+        if isinstance(other, Scalar):
+            other = Quotient.of(other)
+        a, b, gens = self, other, _join(self.gens, other.gens)
         if a.pieces is b.pieces or a.pieces == b.pieces:
-            return Quotient(a.gens, _dict_add(a.num, b.num), a.pieces)
+            return Quotient(gens, _dict_add(a.num, b.num), a.pieces)
         own, rest = _uncommon(a.pieces, b.pieces)
-        return Quotient(a.gens, _dict_add(_dict_mul(a.num, _dict_prod(rest)),
-                                          _dict_mul(b.num, _dict_prod(own))),
+        return Quotient(gens, _dict_add(_dict_mul(a.num, _dict_prod(rest)),
+                                        _dict_mul(b.num, _dict_prod(own))),
                         a.pieces + rest)
 
     __radd__ = __add__
@@ -891,9 +867,11 @@ class Quotient:
         return (-self) + other
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Quotient, Scalar)):
+        if isinstance(other, Scalar):
+            other = Quotient.of(other)
+        elif not isinstance(other, Quotient):
             return NotImplemented
-        a, b = self._pair(other)
+        a, b = self, other
         if not a.num or not b.num:
             return not a.num and not b.num
         if a.pieces is b.pieces:
@@ -999,16 +977,18 @@ def _monomial_factors(xs: Mapping[int, Scalar], lo: Sequence[int],
 
 
 def evaluation_plan(terms: Mapping[tuple, Scalar]) -> tuple:
-    """What evaluate_laurent needs of nonempty terms alone: (shape,
-    pieces, cofactors), with shape = _term_shape(terms) and the pieces of
-    the lcm L of the coefficients' denominators and the cofactors L/den
-    on the coefficients' own slots (_clearing_plan); None for both when
-    the polynomial is constant."""
+    """What evaluate_laurent needs of nonempty terms alone: (shape, gens,
+    pieces, cofactors), with shape = _term_shape(terms), gens the joined
+    generator tuple of the coefficients, and the pieces of the lcm L of
+    their denominators and the cofactors L/den on their slots
+    (_clearing_plan); None for the last three when the polynomial is
+    constant."""
     shape = _term_shape(terms)
     if not shape[2]:
-        return shape, None, None
+        return shape, None, None, None
     coeffs = list(terms.values())
-    return (shape, *_clearing_plan(coeffs, _slots(_common_gens(coeffs))))
+    gens = _common_gens(coeffs)
+    return (shape, gens, *_clearing_plan(coeffs, _slots(gens)))
 
 
 def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
@@ -1041,16 +1021,15 @@ def evaluate_laurent(terms: Mapping[tuple, Scalar], coords: Sequence[Scalar],
     """
     if not terms:
         return Quotient(coords[0].gens if coords else (), {}, [])
-    (lo, hi, active, keys), pieces, cofactors = plan
+    (lo, hi, active, keys), gens, pieces, cofactors = plan
     if not active:
         return Quotient.of(next(iter(terms.values())))
-    for i in active:
-        if lo[i] < 0 and coords[i].is_zero():
-            raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
-    coeffs = list(terms.values())
-    gens = _common_gens(coeffs + [coords[i] for i in active])
-    nums = _cleared(coeffs, cofactors)
     xs = {i: coords[i] for i in active}
+    for i, x in xs.items():
+        if lo[i] < 0 and x.is_zero():
+            raise DivisionByZero(f"zero coordinate x_{i+1} at negative exponent")
+        gens = _join(gens, x.gens)
+    nums = _cleared(terms.values(), cofactors)
     total: Terms = {}
     tables = _monomial_factors(xs, lo, hi)
     if tables is not None:

@@ -116,6 +116,12 @@ class FieldConfig:
             out["inverted"] = True
         return out
 
+    def base_point(self, n: int) -> tuple:
+        """The spectral point of the zero composition: tau = (1, t^{-1},
+        ..., t^{1-n}) on the q,t side, rho = r*(0, -1, ..., 1-n) on the
+        r side."""
+        return self.bar((0,) * n)
+
     def tilde(self, beta: Sequence[int]) -> tuple:
         """The spectral point of -w_o(beta)."""
         return self.bar(tuple(-x for x in reversed(beta)))
@@ -141,10 +147,6 @@ class QtConfig(FieldConfig):
     def bar_inv(self, v: Sequence[int]) -> tuple:
         """The coordinatewise reciprocal of bar(v)."""
         return tuple(x.invert() for x in self.bar(v))
-
-    def base_point(self, n: int) -> tuple:
-        """tau = (1, t^{-1}, ..., t^{1-n})."""
-        return tuple(self.gen_power("t", -j) for j in range(n))
 
     def act(self, point: tuple, a: Scalar) -> tuple:
         return tuple(x * a for x in point)
@@ -219,11 +221,6 @@ class RConfig(FieldConfig):
         r = self.gen("r")
         return tuple(self.scalar(x) + r * (1 - k)
                      for x, k in zip(v, w.inverse().word))
-
-    def base_point(self, n: int) -> tuple:
-        """rho = r*(0, -1, ..., 1-n)."""
-        r = self.gen("r")
-        return tuple(r * -j for j in range(n))
 
     def act(self, point: tuple, a: Scalar) -> tuple:
         return tuple(x + a for x in point)

@@ -750,6 +750,12 @@ def test_unreduced_off_by_one_is_unequal():
     assert u.scale(QT.scalar(2)) != u and u.scale(QT.scalar(1)) == u
 
 
+def test_power_of_unreduced_coefficients():
+    g = g_recursive((1, 0), QT, FamilyCache())
+    _same_unreduced(g.unreduced() ** 2, g ** 2)
+    assert g.unreduced() ** 0 == const(ONE)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(substitution_cases())
 def test_affine_substitute_on_unreduced_coefficients(case):

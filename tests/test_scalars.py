@@ -1,4 +1,5 @@
 import json
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -229,14 +230,15 @@ def test_lift_and_mixed_gens():
     a = Scalar.generator("a", ("r", "a"))
     s = r + a
     assert s.gens == ("r", "a")
-    assert s - a == r.lift(("r", "a"))
+    assert s - a == r + Scalar.zero(("r", "a"))
     assert (Q + r).gens == ("q", "t", "r")
 
 
 @st.composite
 def _lifted_pairs(draw):
-    """A reduced scalar over a subset of (q, t, r) and its lift into the
-    same generators reordered and padded with an unused one."""
+    """A reduced scalar over a subset of (q, t, r) and the same value
+    relabelled by a sum with zero on those generators reordered and
+    padded with an unused one."""
     gens = tuple(g for g in ("q", "t", "r") if draw(st.booleans()))
     poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(gens)),
                            st.integers(-3, 3), max_size=3)
@@ -244,7 +246,7 @@ def _lifted_pairs(draw):
     den = {e: c for e, c in draw(poly).items() if c} or {(0,) * len(gens): 1}
     x = Scalar(gens, _enc(num, gens), _enc(den, gens))
     wide = tuple(reversed(gens)) + ("a",)
-    return x, x.lift(tuple(g for g in GEN_ORDER if g in wide)), wide
+    return x, x + Scalar.zero(wide), wide
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -416,7 +418,8 @@ def test_linear_combination_matches_termwise(case):
     got = {key: v.reduced() for key, v in
            scalars.linear_combination(weights, rows, gens).items()}
     assert {key: dumps_canonical(v.to_json()) for key, v in got.items()} == \
-        {key: dumps_canonical(v.lift(gens).to_json()) for key, v in want.items()}
+        {key: dumps_canonical((v + Scalar.zero(gens)).to_json())
+         for key, v in want.items()}
 
 
 def _small_poly(draw, k, nonzero):
@@ -855,16 +858,17 @@ def test_slot_overflow_raises():
 
 
 def test_lift_into_appended_generators_keeps_keys():
+    ra = Scalar.zero(("r", "a"))
     x = (Q * Q - T) / (T + ONE)
-    wide = x.lift(("q", "t", "a"))
+    wide = x + Scalar.zero(("q", "t", "a"))
     assert wide.num is x.num and wide.den is x.den
     assert wide == x and hash(wide) == hash(x)
     r = Scalar.generator("r", ("r",)) + 1
-    assert r.lift(("r", "a")).num is r.num
+    assert (r + ra).num is r.num
     # a generator keeps its slot whatever the tuple
     a = Scalar.generator("a", ("a",))
-    assert a.lift(("r", "a")).num is a.num
-    assert _dec(a.lift(("r", "a")).num, ("r", "a")) == {(0, 1): 1}
+    assert (a + ra).num is a.num
+    assert _dec((a + ra).num, ("r", "a")) == {(0, 1): 1}
 
 
 def _den_cases(gens, rng, count):
@@ -924,7 +928,8 @@ def _quotient_sum_cases(rng, gens):
     for _ in range(25):
         x, y = _random_scalar(rng), _random_scalar(rng)
         if gens != GENS:
-            x, y = x.lift(gens), y.lift(gens) * Scalar.generator("a", gens)
+            zero = Scalar.zero(gens)
+            x, y = x + zero, (y + zero) * Scalar.generator("a", gens)
         yield x, y, scalars.Quotient.of(x), scalars.Quotient.of(y)
         qx, qy = scalars.over_one_denominator([x, y])
         assert qx.pieces is qy.pieces
@@ -958,6 +963,54 @@ def test_quotient_sums_match_reduced_sums(case):
     assert (rx - y).reduced() == rx - ry
 
 
+# --- the label rule: a result lives on the union of its operands' tuples ------
+
+def _poly_on(used, gens, k):
+    """k + the sum of the generators used, on the generator tuple gens."""
+    return sum((Scalar.generator(g, gens) for g in used),
+               Scalar.from_fraction(k, gens))
+
+
+def _value_on(used, gens, k):
+    """s / (s^2 + 1) with s = _poly_on(used, gens, k)."""
+    s = _poly_on(used, gens, k)
+    return s / (s * s + 1)
+
+
+@pytest.mark.parametrize("g, h", [((), ("q", "t")), (("r",), ("a",)),
+                                  (("q", "t"), ("q", "t", "a")),
+                                  (("r", "a"), ("r",))],
+                         ids=["Q+Q(q,t)", "Q(r)+Q(a)", "Q(q,t)+Q(q,t,a)",
+                              "Q(r,a)+Q(r)"])
+def test_results_are_labelled_with_the_union(g, h):
+    union = tuple(x for x in GEN_ORDER if x in g or x in h)
+    x, y, p = _value_on(g, g, 1), _value_on(h, h, 2), _poly_on(h, h, 3)
+    xu, yu, pu = _value_on(g, union, 1), _value_on(h, union, 2), \
+        _poly_on(h, union, 3)
+    arith = [operator.add, operator.sub, operator.mul, operator.truediv]
+    for op in arith:
+        for a, b, want in [(x, y, op(xu, yu)), (y, x, op(yu, xu)),
+                           (x, p, op(xu, pu)), (p, x, op(pu, xu))]:
+            got = op(a, b)
+            assert got == want and got.gens == union
+        # an int takes the tuple of the other operand
+        for a in (x, y):
+            assert op(a, 3).gens == op(3, a).gens == a.gens
+        assert op(x, 3) == op(xu, 3) and op(3, x) == op(3, xu)
+    qx, qy = scalars.Quotient.of(x), scalars.Quotient.of(y)
+    for op in arith[:3]:
+        for got in (op(qx, qy), op(qx, y), op(x, qy)):
+            assert isinstance(got, scalars.Quotient)
+            assert got.gens == union and got == op(xu, yu)
+    assert qx == scalars.Quotient.of(xu) and qx == xu and qy == yu
+    assert qx != qy and qx != yu
+    # an early return relabels the other operand, sharing its dicts
+    for zero, v in [(Scalar.zero(g), y), (Scalar.zero(h), x)]:
+        for got in (zero + v, v + zero):
+            assert got == v and got.gens == union
+            assert got.num is v.num and got.den is v.den
+
+
 # --- one slot per generator ---------------------------------------------------
 
 @st.composite
@@ -985,18 +1038,12 @@ def test_a_value_has_one_form_on_every_generator_tuple(case):
                    _enc(_rekey(den, base, gens), gens))
         assert y.num == x.num and y.den == x.den
         assert y == x and hash(y) == hash(x)
-        # lifting is bookkeeping: the dicts are shared, never re-keyed
-        lifted = x.lift(gens)
-        assert lifted.gens == gens
+        # relabelling is bookkeeping: the dicts are shared, never
+        # re-keyed, and the label is the union in GEN_ORDER
+        lifted = x + Scalar.zero(gens)
+        union = tuple(g for g in GEN_ORDER if g in gens)
+        assert lifted.gens == union
         assert lifted.num is x.num and lifted.den is x.den
-        assert str(lifted) == str(y)
-        q = scalars.Quotient.of(x)
-        assert q.lift(gens).num is q.num and q.lift(gens).pieces is q.pieces
-
-
-def test_lift_into_a_non_superset_raises():
-    r = Scalar.generator("r", ("r",))
-    with pytest.raises(UsageError):
-        r.lift(("q", "t"))
-    with pytest.raises(UsageError):
-        scalars.Quotient.of(r).lift(("a",))
+        assert str(lifted) == str(Scalar(
+            union, *[_enc(_rekey(t, base, union), union) for t in (num, den)]))
+        assert scalars.Quotient.of(x) == scalars.Quotient.of(y)
